@@ -135,13 +135,29 @@ def ordered_subsets(n: int):
     return out
 
 
+def _ordered_masks(n: int):
+    """Bitmasks of :func:`ordered_subsets` (n), in the same order.
+
+    Two subsets of equal size compare lexicographically as their masks with
+    the bit order reversed compare descending: the first index where they
+    differ is the highest bit where the reversed masks differ.
+    """
+    masks = np.arange(1 << n)
+    sizes = np.zeros(masks.size, dtype=np.int8)
+    reversed_masks = np.zeros_like(masks)
+    for i in range(n):
+        bit = (masks >> i) & 1
+        sizes += bit.astype(np.int8)
+        reversed_masks |= bit << (n - 1 - i)
+    return masks[np.lexsort((-reversed_masks, sizes))]
+
+
 def principal_minor_list(m):
     """Principal minors in (cardinality, lexicographic) subset order."""
     m = np.asarray(m, dtype=float)
     minors = principal_minors_all(m)
     subsets = ordered_subsets(m.shape[0])
-    values = np.array([minors[sum(1 << i for i in s)] for s in subsets])
-    return subsets, values
+    return subsets, minors[_ordered_masks(m.shape[0])]
 
 
 def gcp(a, delays):
@@ -305,15 +321,15 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL, seed=0) -> AllpassReport:
     det H equals the reversed denominator up to sign.  Unstable systems are
     rejected with the offending pole list.
     """
-    stable, pole_values = is_stable(fdn)
-    if not stable:
+    den = denominator_poly(fdn)
+    pole_values = polynomial_roots(den)
+    if not np.all(np.abs(pole_values) < 1.0):
         raise UnstableError(pole_values)
     zs = _allpass_grid(fdn, seed=seed)
     h = frequency_response(fdn, zs)
     prod = h @ np.conj(np.swapaxes(h, 1, 2))
     eye = np.eye(fdn.n_io)
     grid_dev = float(np.max(np.abs(prod - eye)))
-    den = denominator_poly(fdn)
     num_det, _ = _det_h_numerator(fdn, den)
     rev_dev, sign = reversal_check(num_det, den)
     return AllpassReport(

@@ -1,11 +1,12 @@
-"""Hot numeric loops with optional numba acceleration.
+"""The two hot numeric kernels.
 
-Two per-sample/per-subset loops dominate runtime at scale: the time-domain
-impulse-response recursion and the exhaustive principal-minor sweep used by
-the characteristic polynomial and the minor-matching check.  Both are written
-as plain Python/numpy functions and compiled with ``numba.njit`` when
-available.  Set ``UNIALLPASS_NUMBA=0`` to force the interpreted fallback;
-``benchmarks/bench_kernels.py`` compares the two paths.
+The exhaustive principal-minor sweep, used by the characteristic polynomial
+and the minor-matching check, is one batched numpy path: the subsets of each
+cardinality are gathered into stacks of submatrices, and each stack is
+factorized by one ``np.linalg.det`` call.  The time-domain impulse-response
+recursion is a plain Python/numpy loop, compiled with ``numba.njit`` when
+numba is installed; set ``UNIALLPASS_NUMBA=0`` to force the interpreted
+loop.
 """
 
 import os
@@ -21,7 +22,7 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 
 def numba_enabled() -> bool:
-    """True when the jitted kernels should be dispatched."""
+    """True when the jitted impulse recursion should be dispatched."""
     flag = os.environ.get("UNIALLPASS_NUMBA", "1").strip().lower()
     return HAVE_NUMBA and flag not in ("0", "false", "off", "no")
 
@@ -58,34 +59,10 @@ def _impulse_loop(a, b, c, d, delays, offsets, length):
     return out
 
 
-def _minors_loop(m):
-    # out[mask] = determinant of the principal submatrix selected by the set
-    # bits of mask; out[0] = 1 by the empty-product convention.
-    n = m.shape[0]
-    count = 1 << n
-    out = np.empty(count)
-    out[0] = 1.0
-    idx = np.empty(n, dtype=np.int64)
-    for mask in range(1, count):
-        k = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                idx[k] = i
-                k += 1
-        sub = np.empty((k, k))
-        for r in range(k):
-            for s in range(k):
-                sub[r, s] = m[idx[r], idx[s]]
-        out[mask] = np.linalg.det(sub)
-    return out
-
-
 if HAVE_NUMBA:
     _impulse_jit = njit(cache=True)(_impulse_loop)
-    _minors_jit = njit(cache=True)(_minors_loop)
 else:  # pragma: no cover
     _impulse_jit = _impulse_loop
-    _minors_jit = _minors_loop
 
 
 def impulse_kernel(a, b, c, d, delays, length):
@@ -101,11 +78,42 @@ def impulse_kernel(a, b, c, d, delays, length):
     return fn(a, b, c, d, delays, offsets, int(length))
 
 
+# Float64 entries per gathered stack of submatrices: bounds the sweep's
+# scratch memory to a few MB at N = 20, where the largest cardinality group
+# alone would need 150 MB.
+_STACK_ENTRIES = 1 << 17
+
+
 def principal_minors_all(m):
-    """Determinants of all 2^N principal submatrices, indexed by bitmask."""
+    """Determinants of all 2^N principal submatrices, indexed by bitmask.
+
+    ``out[mask]`` is the minor on the rows and columns of the set bits of
+    ``mask``, and ``out[0] = 1``.  Each minor comes from its own LU
+    factorization, as ``np.linalg.det`` of that submatrix alone would give.
+    """
     m = np.ascontiguousarray(m, dtype=np.float64)
     n = m.shape[0]
     if n > 20:
         raise ValueError(f"principal-minor sweep limited to N <= 20, got {n}")
-    fn = _minors_jit if numba_enabled() else _minors_loop
-    return fn(m)
+    count = 1 << n
+    masks = np.arange(count)
+    sizes = np.zeros(count, dtype=np.int8)
+    for i in range(n):
+        sizes += ((masks >> i) & 1).astype(np.int8)
+    out = np.empty(count)
+    out[0] = 1.0
+    for k in range(1, n + 1):
+        group = np.flatnonzero(sizes == k)
+        step = max(1, _STACK_ENTRIES // (k * k))
+        for start in range(0, group.size, step):
+            chunk = group[start : start + step]
+            # column j holds the j-th lowest set bit of each mask, so the rows
+            # and columns of every submatrix stay in ascending order
+            idx = np.empty((chunk.size, k), dtype=np.intp)
+            rest = chunk.copy()
+            for j in range(k):
+                low = rest & -rest
+                idx[:, j] = np.frexp(low)[1] - 1
+                rest ^= low
+            out[chunk] = np.linalg.det(m[idx[:, :, None], idx[:, None, :]])
+    return out

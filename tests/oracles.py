@@ -1,9 +1,10 @@
 """Independent reference implementations used to compute expected values.
 
 Everything here deliberately avoids the code paths under test: polynomial
-determinants come from a permutation-sum expansion, poles from a single-step
-state embedding, impulse responses from frequency sampling plus an inverse
-DFT, and the classic designs from their scalar product/recursion forms.
+determinants come from a permutation-sum expansion, principal minors from
+one determinant per subset, poles from a single-step state embedding,
+impulse responses from frequency sampling plus an inverse DFT, and the
+classic designs from their scalar product/recursion forms.
 """
 
 import numpy as np
@@ -97,6 +98,25 @@ def numerator_leibniz(fdn):
             term = fdn.c[0, i] * fdn.b[j, 0] * ((-1.0) ** (i + j)) * cof
             acc[: term.size] += term
     return acc[::-1].copy()
+
+
+def principal_minors_loop(m):
+    """Principal minors indexed by bitmask, one subset per iteration: the
+    determinant of each principal submatrix built entry by entry."""
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    n = m.shape[0]
+    count = 1 << n
+    out = np.empty(count)
+    out[0] = 1.0
+    for mask in range(1, count):
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        k = len(idx)
+        sub = np.empty((k, k))
+        for r in range(k):
+            for s in range(k):
+                sub[r, s] = m[idx[r], idx[s]]
+        out[mask] = np.linalg.det(sub)
+    return out
 
 
 def embedding_matrix(a, delays):
