@@ -103,7 +103,8 @@ def impulse_response(fdn: FdnSystem, length: int):
 
     Entry [p, q, n] is output channel p at sample n when a unit impulse
     drives input channel q.  The recursion keeps one ring buffer of size m_i
-    per delay line.
+    per delay line and advances all lines in blocks of min(delays) samples,
+    one pair of matrix products per block.
     """
     length = int(length)
     if length < 1:

@@ -1,81 +1,63 @@
-"""The two hot numeric kernels.
+"""The two hot numeric kernels, each one batched numpy path.
 
 The exhaustive principal-minor sweep, used by the characteristic polynomial
-and the minor-matching check, is one batched numpy path: the subsets of each
-cardinality are gathered into stacks of submatrices, and each stack is
-factorized by one ``np.linalg.det`` call.  The time-domain impulse-response
-recursion is a plain Python/numpy loop, compiled with ``numba.njit`` when
-numba is installed; set ``UNIALLPASS_NUMBA=0`` to force the interpreted
-loop.
+and the minor-matching check, gathers the subsets of each cardinality into
+stacks of submatrices and factorizes each stack with one ``np.linalg.det``
+call.  The time-domain impulse-response recursion advances its ring buffers
+in blocks of ``min(delays)`` samples: every line output read inside a block
+was written by an earlier block, so a whole block is one gather, two stacked
+matrix products and one scatter.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
+# The kernels are plain numpy; the flag stays for result files that record it.
+HAVE_NUMBA = False
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-def numba_enabled() -> bool:
-    """True when the jitted impulse recursion should be dispatched."""
-    flag = os.environ.get("UNIALLPASS_NUMBA", "1").strip().lower()
-    return HAVE_NUMBA and flag not in ("0", "false", "off", "no")
-
-
-def _impulse_loop(a, b, c, d, delays, offsets, length):
-    # Delay line i is a ring buffer of size delays[i] living at
-    # buf[offsets[i]:offsets[i] + delays[i]].  At step n the slot n % delays[i]
-    # holds the line output s_i(n); the freshly computed s_i(n + delays[i])
-    # goes back into the same slot.  Column q of the state tracks the response
-    # to a unit impulse on input channel q, so one pass yields all P x P
-    # responses.
-    n_lines = a.shape[0]
-    n_io = b.shape[1]
-    total = offsets[n_lines]
-    buf = np.zeros((total, n_io))
-    out = np.zeros((length, n_io, n_io))
-    state = np.zeros((n_lines, n_io))
-    for n in range(length):
-        for i in range(n_lines):
-            pos = offsets[i] + n % delays[i]
-            for q in range(n_io):
-                state[i, q] = buf[pos, q]
-        y = np.dot(c, state)
-        if n == 0:
-            y = y + d
-        out[n] = y
-        nxt = np.dot(a, state)
-        if n == 0:
-            nxt = nxt + b
-        for i in range(n_lines):
-            pos = offsets[i] + n % delays[i]
-            for q in range(n_io):
-                buf[pos, q] = nxt[i, q]
-    return out
-
-
-if HAVE_NUMBA:
-    _impulse_jit = njit(cache=True)(_impulse_loop)
-else:  # pragma: no cover
-    _impulse_jit = _impulse_loop
+# Least samples per chunk of precomputed ring-buffer positions (rounded up to
+# whole blocks): bounds the index scratch to O(chunk x N) whatever the
+# response length.
+_CHUNK_SAMPLES = 4096
 
 
 def impulse_kernel(a, b, c, d, delays, length):
-    """Run the time-domain recursion; returns (length, P, P) float64."""
+    """Run the time-domain recursion; returns (length, P, P) float64.
+
+    Delay line i is a ring buffer of size delays[i] at
+    buf[offsets[i]:offsets[i] + delays[i]].  At sample n the slot
+    n % delays[i] holds the line output s_i(n), and the freshly computed
+    s_i(n + delays[i]) goes back into the same slot.  Column q of the state
+    tracks the response to a unit impulse on input channel q, so one pass
+    yields all P x P responses.
+    """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
     d = np.ascontiguousarray(d, dtype=np.float64)
     delays = np.ascontiguousarray(delays, dtype=np.int64)
+    length = int(length)
     offsets = np.zeros(len(delays) + 1, dtype=np.int64)
     np.cumsum(delays, out=offsets[1:])
-    fn = _impulse_jit if numba_enabled() else _impulse_loop
-    return fn(a, b, c, d, delays, offsets, int(length))
+    buf = np.zeros((int(offsets[-1]), b.shape[1]))
+    out = np.empty((length, c.shape[0], b.shape[1]))
+    # A block of step <= min(delays) samples reads only slots written before
+    # it (n - m_i < start) and writes step distinct slots per line.
+    step = int(delays.min())
+    chunk = step * -(-_CHUNK_SAMPLES // step)
+    for base in range(0, length, chunk):
+        n = np.arange(base, min(base + chunk, length))
+        positions = offsets[:-1] + n[:, None] % delays
+        for start in range(0, n.size, step):
+            first = base + start
+            pos = positions[start : start + step]
+            state = buf[pos]
+            np.matmul(c, state, out=out[first : first + len(pos)])
+            nxt = a @ state
+            if first == 0:
+                out[0] += d
+                nxt[0] += b
+            buf[pos] = nxt
+    return out
 
 
 # Float64 entries per gathered stack of submatrices: bounds the sweep's

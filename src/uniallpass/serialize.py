@@ -113,17 +113,13 @@ def load_system(path):
         return loads_system(fh.read())
 
 
-def write_csv(path_or_handle, header, rows):
-    """Comma-separated table with a header row and LF line endings."""
+def write_csv(path_or_handle, header, row_format, rows):
+    """Comma-separated table with a header row and LF line endings.
 
-    def fmt(v):
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return format(float(v), ".17g")
-
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    Each row is one tuple formatted by ``row_format``; ``%.17g`` spells a
+    float exactly as ``format(v, ".17g")`` does.
+    """
+    text = "\n".join([",".join(header)] + [row_format % row for row in rows]) + "\n"
     if hasattr(path_or_handle, "write"):
         path_or_handle.write(text)
     else:
@@ -139,13 +135,14 @@ def impulse_csv(path_or_handle, response):
         header = ["n", "y"]
     else:
         header = ["n"] + [f"y_out{i}_in{j}" for i in range(p_out) for j in range(p_in)]
-    rows = [[n] + [response[i, j, n] for i in range(p_out) for j in range(p_in)] for n in range(length)]
-    return write_csv(path_or_handle, header, rows)
+    columns = np.reshape(response, (p_out * p_in, length)).T.tolist()
+    rows = ((n, *values) for n, values in enumerate(columns))
+    return write_csv(path_or_handle, header, "%d" + ",%.17g" * (p_out * p_in), rows)
 
 
 def poles_csv(path_or_handle, pole_values):
-    rows = [[p.real, p.imag, abs(p)] for p in pole_values]
-    return write_csv(path_or_handle, ["re", "im", "modulus"], rows)
+    rows = ((p.real, p.imag, abs(p)) for p in pole_values)
+    return write_csv(path_or_handle, ["re", "im", "modulus"], "%.17g,%.17g,%.17g", rows)
 
 
 PEAK_TARGET = 10.0 ** (-1.0 / 20.0)  # -1 dBFS

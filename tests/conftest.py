@@ -4,15 +4,6 @@ import pytest
 from uniallpass import DelayVector, FdnSystem
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # pay any jit compilation up front so timed tests measure the math
-    from uniallpass.kernels import impulse_kernel, principal_minors_all
-
-    impulse_kernel(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), [1], 2)
-    principal_minors_all(np.eye(2))
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

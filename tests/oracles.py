@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: polynomial
 determinants come from a permutation-sum expansion, principal minors from
 one determinant per subset, poles from a single-step state embedding,
-impulse responses from frequency sampling plus an inverse DFT, and the
-classic designs from their scalar product/recursion forms.
+impulse responses from frequency sampling plus an inverse DFT or from one
+recursion step per sample, and the classic designs from their scalar
+product/recursion forms.
 """
 
 import numpy as np
@@ -116,6 +117,45 @@ def principal_minors_loop(m):
             for s in range(k):
                 sub[r, s] = m[idx[r], idx[s]]
         out[mask] = np.linalg.det(sub)
+    return out
+
+
+def impulse_loop(a, b, c, d, delays, length):
+    """Impulse recursion one sample per iteration, returning (length, P, P).
+
+    Delay line i is a ring buffer of size delays[i] at
+    buf[offsets[i]:offsets[i] + delays[i]]; at step n the slot n % delays[i]
+    holds the line output s_i(n), and the freshly computed s_i(n + delays[i])
+    goes back into the same slot.  Column q of the state tracks the response
+    to a unit impulse on input channel q.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    delays = [int(v) for v in delays]
+    offsets = np.concatenate([[0], np.cumsum(delays)]).astype(np.int64)
+    n_lines = a.shape[0]
+    n_io = b.shape[1]
+    buf = np.zeros((offsets[n_lines], n_io))
+    out = np.zeros((length, n_io, n_io))
+    state = np.zeros((n_lines, n_io))
+    for n in range(length):
+        for i in range(n_lines):
+            pos = offsets[i] + n % delays[i]
+            for q in range(n_io):
+                state[i, q] = buf[pos, q]
+        y = np.dot(c, state)
+        if n == 0:
+            y = y + d
+        out[n] = y
+        nxt = np.dot(a, state)
+        if n == 0:
+            nxt = nxt + b
+        for i in range(n_lines):
+            pos = offsets[i] + n % delays[i]
+            for q in range(n_io):
+                buf[pos, q] = nxt[i, q]
     return out
 
 

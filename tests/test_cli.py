@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import fixture_values as fv
+from oracles import impulse_loop
 from uniallpass import delay_dependent_allpass, design_homogeneous_siso
 from uniallpass.cli import main
-from uniallpass.serialize import load_system, save_system
+from uniallpass.serialize import load_system, save_system, write_wav
 
 
 def run_cli(*argv):
@@ -191,6 +192,21 @@ class TestSimulateAndPoles:
         meta = json.loads((tmp_path / "ir.wav.meta.json").read_text())
         assert meta["rate"] == 44100
         assert meta["scale"] > 0
+
+    def test_reference_render_bytes_match_per_sample_oracle(self, tmp_path):
+        design = design_homogeneous_siso(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA)
+        path = tmp_path / "ref.json"
+        save_system(path, design.fdn, dsim=design.dsim)
+        csv_path, wav = tmp_path / "ir.csv", tmp_path / "ir.wav"
+        assert run_cli(
+            "simulate", str(path), "--length", "2000", "--csv", str(csv_path), "--wav", str(wav),
+        ) == 0
+        fdn, _, _ = load_system(path)
+        h = impulse_loop(fdn.a, fdn.b, fdn.c, fdn.d, list(fdn.delays), 2000)[:, 0, 0]
+        expected = "n,y\n" + "".join(f"{n},{format(float(v), '.17g')}\n" for n, v in enumerate(h))
+        assert csv_path.read_bytes() == expected.encode()
+        write_wav(tmp_path / "oracle.wav", h, 48000)
+        assert wav.read_bytes() == (tmp_path / "oracle.wav").read_bytes()
 
     def test_mimo_wav_files(self, tmp_path):
         from uniallpass import poletti_unitary, random_orthogonal

@@ -4,47 +4,58 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_fdn
-from oracles import principal_minors_loop
+from oracles import impulse_loop, principal_minors_loop
 from uniallpass import (
+    DelayVector,
     gardner_nested,
-    impulse_response,
     poletti_unitary,
     principal_minor,
     principal_minor_list,
     schroeder_series,
 )
-from uniallpass.kernels import (
-    HAVE_NUMBA,
-    _impulse_loop,
-    _impulse_jit,
-    numba_enabled,
-    principal_minors_all,
-)
+from uniallpass.kernels import impulse_kernel, principal_minors_all
 
 
-def _impulse_args(fdn, length):
-    delays = fdn.delays.as_array()
-    offsets = np.zeros(len(delays) + 1, dtype=np.int64)
-    np.cumsum(delays, out=offsets[1:])
-    return (fdn.a, fdn.b, fdn.c, fdn.d, delays, offsets, length)
+def _recursion_cases(rng):
+    """(name, system, length) triples covering every block shape: unit and
+    short blocks, mixed delays, single samples, responses shorter than one
+    block, lengths that end inside a block, and a 48k-sample render with
+    audio-length delays."""
+    cases = []
+    for k in range(24):
+        n = int(rng.integers(1, 17))
+        p = 1 + k % 4
+        high = int(rng.choice([3, 12, 60]))
+        delays = DelayVector(rng.integers(1, high + 1, size=n))
+        fdn = random_stable_fdn(rng, n=n, p=p, contraction=0.9, delays=delays)
+        cases.append((f"random-{k}", fdn, int(rng.integers(1, 700))))
+    for m in (1, 2, 3):
+        fdn = random_stable_fdn(rng, n=4, p=2, delays=DelayVector([m, m + 4, m + 1, 9]))
+        cases += [(f"min{m}-len1", fdn, 1), (f"min{m}-len{6 * m + 1}", fdn, 6 * m + 1)]
+    mixed = random_stable_fdn(rng, n=5, p=3, delays=DelayVector([7, 30, 11, 8, 19]))
+    cases += [("short", mixed, 5), ("one-block", mixed, 7), ("ragged", mixed, 7 * 40 + 3)]
+    gains = rng.uniform(-0.9, 0.9, 6)
+    delays = [13, 22, 1, 10, 5, 3]
+    unitary, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    cases += [
+        ("schroeder", schroeder_series(gains, delays)[0], 500),
+        ("gardner", gardner_nested(gains, delays)[0], 500),
+        ("poletti", poletti_unitary(unitary, -0.7, [17, 5, 9, 12])[0], 500),
+    ]
+    audio = schroeder_series(rng.uniform(0.5, 0.7, 8), rng.integers(1000, 1801, size=8))[0]
+    cases.append(("audio", audio, 48000))
+    return cases
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_jit_and_python_impulse_agree(rng):
-    for _ in range(5):
-        fdn = random_stable_fdn(rng, n=int(rng.integers(1, 5)), p=int(rng.integers(1, 3)))
-        args = _impulse_args(fdn, 40)
-        np.testing.assert_allclose(_impulse_jit(*args), _impulse_loop(*args), atol=1e-14)
+def _render(fn, fdn, length):
+    return fn(fdn.a, fdn.b, fdn.c, fdn.d, fdn.delays.as_array(), length)
 
 
-def test_env_flag_selects_fallback(rng, monkeypatch):
-    fdn = random_stable_fdn(rng, n=3)
-    monkeypatch.setenv("UNIALLPASS_NUMBA", "0")
-    assert not numba_enabled()
-    h_fallback = impulse_response(fdn, 32)
-    monkeypatch.delenv("UNIALLPASS_NUMBA")
-    h_default = impulse_response(fdn, 32)
-    np.testing.assert_allclose(h_fallback, h_default, atol=1e-14)
+def test_block_recursion_bitwise_equals_per_sample_oracle(rng):
+    for name, fdn, length in _recursion_cases(rng):
+        fast = _render(impulse_kernel, fdn, length)
+        assert fast.shape == (length, fdn.n_io, fdn.n_io), name
+        assert np.array_equal(fast, _render(impulse_loop, fdn, length)), name
 
 
 def _gate_matrices(rng, n):

@@ -87,6 +87,34 @@ class TestCsv:
         text = impulse_csv(tmp_path / "ir.csv", response)
         assert text.splitlines()[0] == "n,y_out0_in0,y_out0_in1,y_out1_in0,y_out1_in1"
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_impulse_bytes_match_per_value_format(self, tmp_path, p):
+        values = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 2.0, -7.0, 1e16, 0.1, -2.5e-308]
+        length = 2 * len(values) + 1
+        response = np.resize(np.array(values), p * p * length).reshape(p, p, length)
+        if p == 1:
+            header = "n,y"
+        else:
+            header = ",".join(["n"] + [f"y_out{i}_in{j}" for i in range(p) for j in range(p)])
+        expected = header + "\n" + "".join(
+            ",".join([str(n)] + [format(float(response[i, j, n]), ".17g") for i in range(p) for j in range(p)])
+            + "\n"
+            for n in range(length)
+        )
+        path = tmp_path / "ir.csv"
+        assert impulse_csv(path, response) == expected
+        assert path.read_bytes() == expected.encode()
+
+    def test_pole_bytes_match_per_value_format(self, tmp_path):
+        pole_values = np.array([-0.0 + 5e-324j, 1e300 - 0.0j, 1.0 / 3.0 + 2.0j, -7.0 + 0.0j])
+        expected = "re,im,modulus\n" + "".join(
+            f"{format(float(z.real), '.17g')},{format(float(z.imag), '.17g')},{format(float(abs(z)), '.17g')}\n"
+            for z in pole_values
+        )
+        path = tmp_path / "p.csv"
+        assert poles_csv(path, pole_values) == expected
+        assert path.read_bytes() == expected.encode()
+
     def test_pole_table(self, tmp_path):
         text = poles_csv(tmp_path / "p.csv", np.array([1j, -0.5 + 0.0j]))
         lines = text.splitlines()
