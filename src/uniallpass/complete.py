@@ -226,12 +226,7 @@ def select_rank1_roots(p_coef, q_coef, r_coef, diag_target, tol=1e-6):
     raise CompletionError("no rank-1 consistent root assignment")
 
 
-def _matches_hint(dsim, hint):
-    ratio = dsim / hint
-    return float(ratio.max() / ratio.min()) - 1.0 < 1e-6
-
-
-def siso_completion(a, delays=None, tol=DEFAULT_TOL, root_tol=1e-6, dsim_hint=None):
+def siso_completion(a, delays=None, tol=DEFAULT_TOL, root_tol=1e-6):
     """Complete a feedback matrix to a SISO allpass network valid for every
     delay vector.  Returns (system, trace).
 
@@ -242,9 +237,9 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL, root_tol=1e-6, dsim_hint=No
     (positive first) and the returned system is re-certified before handing
     it back; any failure raises :class:`CompletionError`.
 
-    For one or two delay lines the completion is not unique (the root
-    branches are decoupled); ``dsim_hint`` selects the candidate whose
-    recovered similarity is proportional to it.
+    For one or two delay lines the root branches are decoupled and the
+    completion is not unique; the first candidate that certifies is
+    returned.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -287,8 +282,6 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL, root_tol=1e-6, dsim_hint=No
                 dsim = -(a @ ctilde) / denom
                 if np.any(dsim <= 0):
                     raise CompletionError("recovered similarity is not positive")
-                if dsim_hint is not None and not _matches_hint(dsim, np.asarray(dsim_hint, dtype=float)):
-                    raise CompletionError("candidate similarity does not match the requested one")
                 fdn = FdnSystem.siso(a, dsim * btilde, ctilde / dsim, d, delays)
                 cert = certify_uniallpass(fdn, dsim, tol)
                 if not cert.verdict:

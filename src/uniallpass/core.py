@@ -26,6 +26,8 @@ from .kernels import impulse_kernel, principal_minors_all
 from .system import DelayVector, FdnSystem
 
 DEFAULT_TOL = 1e-8
+# extra unit-circle samples beyond order + 1 in the numerator fit
+_FIT_PAD = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,55 +203,43 @@ def denominator_poly(fdn: FdnSystem):
     return gcp(fdn.a, fdn.delays)
 
 
-def _fit_zinv_poly(values, zs, degree):
-    """Least-squares coefficients of a z^-1 polynomial through the samples.
-
-    ``values`` has shape (K, ...); the fit runs jointly over the trailing
-    axes.  Returns (real coefficients with trailing shape (..., degree + 1),
-    max fit residual).
-    """
-    k = len(zs)
-    vand = zs[:, None] ** (-np.arange(degree + 1))[None, :]
-    flat = values.reshape(k, -1)
-    sol, *_ = np.linalg.lstsq(vand, flat, rcond=None)
-    coeffs = sol.real
-    resid = float(np.max(np.abs(vand @ coeffs - flat)))
-    out_shape = values.shape[1:] + (degree + 1,)
-    return np.moveaxis(coeffs, 0, -1).reshape(out_shape), resid
-
-
-def numerator_poly(fdn: FdnSystem, tol=1e-6, pad=8):
-    """Numerator coefficients of H(z), shape (P, P, order + 1), ascending in
-    z^-1, recovered by sampling H * denominator on the unit circle and
-    solving the (perfectly conditioned) uniform-node Vandermonde system.
-
-    Returns (coefficients, fit residual).  A residual above ``tol`` times the
-    sample magnitude raises :class:`ConditioningError`.
-    """
+def _numerator_fit(fdn: FdnSystem, den, reduce=None):
+    """z^-1 coefficients of H (or of ``reduce(H)``, e.g. ``np.linalg.det``)
+    times the denominator.  On K uniform unit-circle nodes a z^-1 polynomial
+    is the length-K DFT of its zero-padded coefficients, so the
+    least-squares fit is the head of one inverse FFT.  Returns (real
+    coefficients, trailing axis of length order + 1; largest sample
+    mismatch of the fit; largest sample magnitude)."""
     order = fdn.order
-    den = denominator_poly(fdn)
-    count = order + 1 + pad
+    count = order + 1 + _FIT_PAD
     zs = np.exp(2j * np.pi * np.arange(count) / count)
     h = frequency_response(fdn, zs)
-    values = h * polyval_zinv(den, zs)[:, None, None]
-    coeffs, resid = _fit_zinv_poly(values, zs, order)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if resid > tol * scale:
+    if reduce is not None:
+        h = reduce(h)
+    den_values = np.fft.fft(den, count)
+    values = h * den_values.reshape((count,) + (1,) * (h.ndim - 1))
+    coeffs = np.fft.ifft(values, axis=0)[: order + 1].real
+    resid = float(np.max(np.abs(np.fft.fft(coeffs, count, axis=0) - values)))
+    scale = float(np.max(np.abs(values)))
+    return np.moveaxis(coeffs, 0, -1), resid, scale
+
+
+def numerator_poly(fdn: FdnSystem, tol=1e-6):
+    """Numerator coefficients of H(z), shape (P, P, order + 1), ascending in
+    z^-1.  H times the denominator is sampled on order + 1 + 8 uniform
+    unit-circle nodes; there the least-squares polynomial fit is a DFT, so
+    one inverse FFT recovers the coefficients.
+
+    Returns (coefficients, fit residual): the largest mismatch between the
+    fitted polynomial and the samples.  A residual above ``tol`` times the
+    sample magnitude raises :class:`ConditioningError`.
+    """
+    coeffs, resid, scale = _numerator_fit(fdn, denominator_poly(fdn))
+    if resid > tol * max(1.0, scale):
         raise ConditioningError(
             f"numerator fit residual {resid:.3g} exceeds tolerance", residual=resid
         )
     return coeffs, resid
-
-
-def _det_h_numerator(fdn: FdnSystem, den, pad=8):
-    """Numerator of det H(z) (a z^-1 polynomial of degree <= order)."""
-    order = fdn.order
-    count = order + 1 + pad
-    zs = np.exp(2j * np.pi * np.arange(count) / count)
-    h = frequency_response(fdn, zs)
-    values = np.linalg.det(h) * polyval_zinv(den, zs)
-    coeffs, resid = _fit_zinv_poly(values[:, None], zs, order)
-    return coeffs[0], resid
 
 
 def poles(fdn: FdnSystem):
@@ -331,7 +321,7 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL, seed=0) -> AllpassReport:
     prod = h @ np.conj(np.swapaxes(h, 1, 2))
     eye = np.eye(fdn.n_io)
     grid_dev = float(np.max(np.abs(prod - eye)))
-    num_det, _ = _det_h_numerator(fdn, den)
+    num_det, _, _ = _numerator_fit(fdn, den, np.linalg.det)
     rev_dev, sign = reversal_check(num_det, den)
     return AllpassReport(
         allpass=bool(grid_dev < tol and rev_dev < tol),

@@ -6,6 +6,10 @@ entries strictly interleave the scaled nodes dq = decay^2 * dsim: the inverse
 of the Cauchy matrix on (dsim, dq) has a closed form, and the interleaving
 makes its scaling weights positive, which turns the Cauchy-like factor into a
 real orthogonal matrix.
+
+The same nodes complete the network: balanced by T = sqrt(dsim), A is the
+corner of an orthogonal (N + 1) x (N + 1) matrix, and the orthogonal
+completion of that corner, un-balanced by T, certifies for every delay vector.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complete import siso_completion
+from .complete import orthogonal_completion
 from .core import DEFAULT_TOL, poles
 from .errors import ConditioningError, InterleavingError
 from .system import DelayVector, FdnSystem
 from .verify import certify_uniallpass
+
+# largest accepted deviation of a design pole modulus from gamma
+_POLE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +138,15 @@ def design_homogeneous_siso(
     dsim=None,
     slack=0.9,
     tol=DEFAULT_TOL,
-    pole_tol=1e-6,
 ) -> HomogeneousDesign:
     """Design and complete a homogeneous-decay single-channel network.
 
-    Every pole of the result has modulus ``gamma`` (checked to ``pole_tol``)
-    and the system certifies against the design ``dsim`` for any delays.
-    When ``dsim`` is omitted it is generated by :func:`choose_dsim`.
+    :func:`orthogonal_completion` completes the balanced corner T^-1 A T
+    (T = sqrt(dsim)); un-balancing gives b = T b_bal and c = c_bal T^-1, with
+    d = +|det A| and a positive dominant balanced input gain.  The result
+    certifies against ``dsim`` for any delays and every pole has modulus
+    ``gamma`` (to 1e-6).  When ``dsim`` is omitted it comes from
+    :func:`choose_dsim`.
     """
     m = delays if isinstance(delays, DelayVector) else DelayVector(delays)
     decay = decay_gains(m, gamma)
@@ -152,17 +161,14 @@ def design_homogeneous_siso(
     dq_nodes = decay**2 * d_nodes
     unitary = cauchy_unitary(d_nodes, dq_nodes)
     a = unitary * decay[None, :]
-    fdn, trace = siso_completion(a, delays=m, tol=tol, dsim_hint=d_nodes)
-    # The completion fixes the balanced-gain split arbitrarily; rescale so its
-    # recovered similarity coincides with the design nodes.
-    factor = d_nodes / trace.dsim
-    spread = float(factor.max() / factor.min()) - 1.0
-    if spread > 1e-6:
-        raise ConditioningError(
-            f"recovered similarity is not proportional to the design nodes (spread {spread:.3g})"
-        )
-    s = np.sqrt(np.median(factor))
-    fdn = FdnSystem.siso(a, fdn.b.ravel() * s, fdn.c.ravel() / s, trace.d, m)
+    t = np.sqrt(d_nodes)
+    balanced = orthogonal_completion((a * t[None, :]) / t[:, None], 1)
+    b, c, d = balanced.b.ravel(), balanced.c.ravel(), balanced.d[0, 0]
+    if d < 0:
+        c, d = -c, -d
+    if b[int(np.argmax(np.abs(b)))] < 0:
+        b, c = -b, -c
+    fdn = FdnSystem.siso(a, b * t, c / t, d, m)
     cert = certify_uniallpass(fdn, d_nodes, tol)
     if not cert.verdict:
         raise ConditioningError(
@@ -170,7 +176,7 @@ def design_homogeneous_siso(
         )
     moduli = np.abs(poles(fdn))
     worst = float(np.max(np.abs(moduli - gamma)))
-    if worst > pole_tol:
+    if worst > _POLE_TOL:
         raise ConditioningError(f"pole moduli deviate from {gamma} by {worst:.3g}", residual=worst)
     return HomogeneousDesign(
         fdn=fdn,

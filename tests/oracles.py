@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: polynomial
 determinants come from a permutation-sum expansion, principal minors from
 one determinant per subset, poles from a single-step state embedding,
 impulse responses from frequency sampling plus an inverse DFT or from one
-recursion step per sample, and the classic designs from their scalar
+recursion step per sample, numerator coefficients from a dense Vandermonde
+least-squares solve, and the classic designs from their scalar
 product/recursion forms.
 """
 
@@ -99,6 +100,32 @@ def numerator_leibniz(fdn):
             term = fdn.c[0, i] * fdn.b[j, 0] * ((-1.0) ** (i + j)) * cof
             acc[: term.size] += term
     return acc[::-1].copy()
+
+
+def numerator_vandermonde(fdn, reduce=None, pad=8):
+    """Numerator of H (or of ``reduce(H)``, e.g. ``np.linalg.det``) by least
+    squares: H times the Horner-evaluated denominator at order + 1 + pad
+    uniform unit-circle nodes, fitted through the dense Vandermonde matrix
+    with ``np.linalg.lstsq``.  Returns (real coefficients with the sample's
+    trailing shape plus (order + 1,), largest sample mismatch of the fit,
+    largest sample magnitude)."""
+    from uniallpass import denominator_poly, frequency_response, polyval_zinv
+
+    order = fdn.order
+    count = order + 1 + pad
+    zs = np.exp(2j * np.pi * np.arange(count) / count)
+    h = frequency_response(fdn, zs)
+    if reduce is not None:
+        h = reduce(h)
+    den = polyval_zinv(denominator_poly(fdn), zs)
+    values = h * den.reshape((count,) + (1,) * (h.ndim - 1))
+    vand = zs[:, None] ** (-np.arange(order + 1))[None, :]
+    flat = values.reshape(count, -1)
+    sol, *_ = np.linalg.lstsq(vand, flat, rcond=None)
+    coeffs = sol.real
+    resid = float(np.max(np.abs(vand @ coeffs - flat)))
+    out_shape = values.shape[1:] + (order + 1,)
+    return np.moveaxis(coeffs, 0, -1).reshape(out_shape), resid, float(np.max(np.abs(values)))
 
 
 def principal_minors_loop(m):

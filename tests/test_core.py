@@ -12,8 +12,10 @@ from oracles import (
     gcp_leibniz,
     multiset_max_distance,
     numerator_leibniz,
+    numerator_vandermonde,
 )
 from uniallpass import (
+    ConditioningError,
     FdnSystem,
     PoleEvaluationError,
     UnstableError,
@@ -30,6 +32,7 @@ from uniallpass import (
     polyval_zinv,
     principal_minor,
     principal_minor_list,
+    random_uniallpass,
     schroeder_series,
     stability_certificate,
     transfer_function,
@@ -236,6 +239,51 @@ class TestRationalForm:
             fdn = random_stable_fdn(rng, n=n, delays=random_delays(rng, n, 3))
             num, _ = numerator_poly(fdn)
             np.testing.assert_allclose(num[0, 0], numerator_leibniz(fdn), atol=1e-9)
+
+
+    def test_residual_above_tolerance_raises(self, rng):
+        fdn = random_stable_fdn(rng, n=3)
+        _, resid = numerator_poly(fdn)
+        assert resid > 0
+        with pytest.raises(ConditioningError) as exc:
+            numerator_poly(fdn, tol=0.0)
+        assert exc.value.residual == resid
+
+
+class TestNumeratorFitGate:
+    """The inverse-DFT numerator fit against the dense Vandermonde
+    least-squares fit it replaced.  Coefficients, fit residuals and reversal
+    deviations are compared relative to the largest sample magnitude."""
+
+    def assert_matches_vandermonde(self, fdn):
+        coeffs, resid = numerator_poly(fdn)
+        ref, ref_resid, scale = numerator_vandermonde(fdn)
+        assert coeffs.shape == ref.shape
+        assert np.max(np.abs(coeffs - ref)) <= 1e-12 * scale
+        assert abs(resid - ref_resid) <= 1e-12 * scale
+        ref_det, _, det_scale = numerator_vandermonde(fdn, np.linalg.det)
+        ref_dev, ref_sign = reversal_check(ref_det, denominator_poly(fdn))
+        report = is_allpass(fdn)
+        assert abs(report.reversal_deviation - ref_dev) <= 1e-12 * det_scale
+        assert report.sign == ref_sign
+
+    def test_random_certified_systems(self, rng):
+        for p in (1, 2, 3):
+            for _ in range(5):
+                n = int(rng.integers(1, 7))
+                seed = int(rng.integers(1 << 30))
+                delays = random_delays(rng, n, 12)
+                self.assert_matches_vandermonde(
+                    random_uniallpass(n, p, seed, scaled=True, delays=delays)
+                )
+
+    def test_long_delay_design(self):
+        # eight lines of 66..90 samples at gamma 0.999: system order 600
+        from uniallpass import design_homogeneous_siso
+
+        design = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999)
+        assert design.fdn.order == 600
+        self.assert_matches_vandermonde(design.fdn)
 
 
 class TestPoles:

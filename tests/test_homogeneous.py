@@ -7,8 +7,10 @@ from hypothesis.extra.numpy import arrays
 import fixture_values as fv
 from conftest import random_delays, tf_max_diff, unit_circle_points
 from uniallpass import (
+    ConditioningError,
     DelayVector,
     InterleavingError,
+    certify_uniallpass,
     cauchy_unitary,
     choose_dsim,
     decay_gains,
@@ -16,6 +18,7 @@ from uniallpass import (
     is_allpass,
     poles,
     schroeder_series,
+    siso_completion,
     validate_interleaving,
 )
 
@@ -209,3 +212,50 @@ class TestDesign:
             design_homogeneous_siso([2, 3], 0.9, dsim=[1.0, 1.05])
         with pytest.raises(ValueError):
             design_homogeneous_siso([2, 3], 0.9, dsim=[1.0, -2.0])
+
+    def test_design_matches_general_siso_completion(self, rng):
+        # the general per-entry completion of the designed feedback matrix
+        # realizes the same transfer function as the balanced orthogonal route
+        specs = [(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA, fv.HOMOG_DSIM)]
+        for _ in range(20):
+            n = int(rng.integers(3, 7))
+            specs.append((random_delays(rng, n, 20), float(rng.uniform(0.98, 0.999)), None))
+        zs = unit_circle_points(rng, 32)
+        for delays, gamma, dsim in specs:
+            design = design_homogeneous_siso(delays, gamma, dsim=dsim)
+            general, _ = siso_completion(design.fdn.a, delays=design.fdn.delays)
+            assert tf_max_diff(design.fdn, general, zs) < 1e-10
+            # sign convention: positive direct gain, positive dominant
+            # balanced input gain
+            assert design.fdn.d[0, 0] > 0
+            b_bal = design.fdn.b.ravel() / np.sqrt(design.dsim)
+            assert b_bal[int(np.argmax(np.abs(b_bal)))] > 0
+
+    @pytest.mark.parametrize(
+        "delays, gamma",
+        [
+            ([4, 19, 22, 29], 0.9),
+            ([6, 7, 21, 13, 24], 0.9),
+            ([4, 8, 7, 18, 28, 21], 0.935),
+            ([63, 143], 0.958),
+        ],
+    )
+    def test_strongly_decaying_specs_design(self, delays, gamma):
+        # specs whose per-entry completion missed the certificate tolerance
+        design = design_homogeneous_siso(delays, gamma)
+        assert certify_uniallpass(design.fdn, design.dsim).verdict
+        np.testing.assert_allclose(np.abs(poles(design.fdn)), gamma, atol=1e-6)
+        assert is_allpass(design.fdn).allpass
+
+    def test_ill_conditioned_spec_refused(self):
+        with pytest.raises(ConditioningError) as exc:
+            design_homogeneous_siso([161, 143], 0.936)
+        assert exc.value.residual > 0
+
+    def test_pole_check_failure_raises(self, monkeypatch):
+        import uniallpass.homogeneous as homogeneous
+
+        monkeypatch.setattr(homogeneous, "poles", lambda fdn: 1.001 * poles(fdn))
+        with pytest.raises(ConditioningError) as exc:
+            design_homogeneous_siso([3, 7, 2], 0.9)
+        assert exc.value.residual == pytest.approx(0.0009, rel=1e-6)
