@@ -107,12 +107,11 @@ def _cmd_design(args):
         design = design_homogeneous_siso(
             delays, args.gamma, dsim=args.dsim, slack=args.slack, tol=tol
         )
-        moduli = np.abs(poles(design.fdn))
         meta = {
             "design": "homogeneous",
             "gamma": args.gamma,
-            "pole_modulus_min": float(moduli.min()),
-            "pole_modulus_max": float(moduli.max()),
+            "pole_modulus_min": design.pole_modulus_min,
+            "pole_modulus_max": design.pole_modulus_max,
         }
         return _emit_system(args, design.fdn, design.dsim, meta=meta, tol=tol)
     if args.kind == "schroeder":

@@ -30,7 +30,8 @@ _POLE_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousDesign:
-    """A completed homogeneous-decay design with its building blocks."""
+    """A completed homogeneous-decay design with its building blocks and the
+    pole-modulus range its pole check measured."""
 
     fdn: FdnSystem
     gamma: float
@@ -38,6 +39,8 @@ class HomogeneousDesign:
     dsim: np.ndarray
     dsim_hat: np.ndarray
     unitary: np.ndarray
+    pole_modulus_min: float
+    pole_modulus_max: float
 
 
 def decay_gains(delays, gamma: float):
@@ -185,4 +188,6 @@ def design_homogeneous_siso(
         dsim=d_nodes,
         dsim_hat=dq_nodes,
         unitary=unitary,
+        pole_modulus_min=float(moduli.min()),
+        pole_modulus_max=float(moduli.max()),
     )

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: polynomial
 determinants come from a permutation-sum expansion, principal minors from
-one determinant per subset, poles from a single-step state embedding,
+one determinant per subset, poles from a single-step state embedding or
+from the eigenvalues of the characteristic polynomial's companion matrix,
 impulse responses from frequency sampling plus an inverse DFT or from one
 recursion step per sample, numerator coefficients from a dense Vandermonde
 least-squares solve, and the classic designs from their scalar
@@ -200,6 +201,18 @@ def embedding_matrix(a, delays):
         for k in range(1, delays[i]):
             big[offsets[i] + k, offsets[i] + k - 1] = 1.0
     return big
+
+
+def poles_companion(den):
+    """Roots of a z^-1-ascending polynomial ``den`` read as monic-descending
+    in z: eigenvalues of its companion matrix (dense, O(order^3))."""
+    den = np.asarray(den, dtype=float)
+    monic = den[1:] / den[0]
+    n = monic.size
+    comp = np.zeros((n, n))
+    comp[0, :] = -monic
+    comp[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(comp)
 
 
 def dft_impulse(fdn, length, oversample=8):

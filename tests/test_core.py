@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,30 +14,37 @@ from oracles import (
     multiset_max_distance,
     numerator_leibniz,
     numerator_vandermonde,
+    poles_companion,
 )
 from uniallpass import (
     ConditioningError,
+    FdnError,
     FdnSystem,
     PoleEvaluationError,
     UnstableError,
     delay_dependent_allpass,
     delay_matrix,
     denominator_poly,
+    design_homogeneous_siso,
     frequency_response,
+    gardner_nested,
     gcp,
     impulse_response,
     is_allpass,
     numerator_poly,
     ordered_subsets,
     poles,
+    poletti_unitary,
     polyval_zinv,
     principal_minor,
     principal_minor_list,
+    random_orthogonal,
     random_uniallpass,
     schroeder_series,
     stability_certificate,
     transfer_function,
 )
+import uniallpass.core as core
 from uniallpass.core import reversal_check
 
 
@@ -301,11 +309,250 @@ class TestPoles:
             ref = np.linalg.eigvals(embedding_matrix(fdn.a, delays))
             assert multiset_max_distance(direct, ref) < 1e-6
 
-    def test_degenerate_polynomial(self):
-        from uniallpass.core import polynomial_roots
+    @pytest.mark.parametrize("route", ["loop", "default"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("delay", [4, 300, 4000])
+    def test_singular_feedback_matrix(self, monkeypatch, route, delay, transpose):
+        # a zero row (or column) of A factors z**m_i out of the loop
+        # determinant; the rest are the poles of the other two lines.  Along
+        # the long line z**m_i is far below the other entries (it underflows
+        # at delay 4000), which must not read as a singular loop matrix.
+        if route == "loop":
+            monkeypatch.setattr(core, "_COEFF_ORDER_RATIO", 0)
+        a = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.0], [0.1, -0.2, 0.4]])
+        if transpose:
+            a = a.T
+        fdn = FdnSystem.siso(a, [1, 0, 0], [1, 0, 0], 0.0, [3, delay, 2])
+        p = poles(fdn)
+        assert np.sum(p == 0) == delay
+        kept = [0, 2]
+        ref = np.linalg.eigvals(embedding_matrix(a[np.ix_(kept, kept)], [3, 2]))
+        assert multiset_max_distance(p[p != 0], ref) < 1e-12
 
-        with pytest.raises(ValueError):
-            polynomial_roots(np.array([0.0, 1.0, 2.0]))
+    @pytest.mark.parametrize("route", ["loop", "default"])
+    @pytest.mark.parametrize("delay", [400, 4000])
+    def test_long_pure_delay_before_a_section(self, monkeypatch, route, delay):
+        # gain 0 makes the first line a pure delay: z**delay (z**3 + 0.5)
+        if route == "loop":
+            monkeypatch.setattr(core, "_COEFF_ORDER_RATIO", 0)
+        fdn, _ = schroeder_series([0.0, 0.5], [delay, 3])
+        p = poles(fdn)
+        assert np.sum(p == 0) == delay
+        ref = 0.5 ** (1.0 / 3.0) * np.exp(1j * np.pi * np.array([1, 3, 5]) / 3)
+        assert multiset_max_distance(p[p != 0], ref) < 1e-12
+
+    @pytest.mark.parametrize("delays", [[40, 40, 3], [400, 400, 3]])
+    def test_rank_deficient_block_on_long_lines(self, delays):
+        # det = z**m (z**m - 1) (z**3 + 0.5): m exact zeros, the m-th roots
+        # of unity and the cube roots of -0.5.  Where |z| < 1 the rank-one
+        # block makes the loop matrix singular to working precision without
+        # a root nearby (z**400 is about 1e-40 at the cube roots), so the
+        # coefficients must carry those iterates.
+        m = delays[0]
+        a = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.2, -0.5]])
+        fdn = FdnSystem.siso(a, [1, 1, 1], [1, 1, 1], 0.0, delays)
+        p = poles(fdn)
+        assert np.sum(p == 0) == m
+        unity = np.exp(2j * np.pi * np.arange(m) / m)
+        cube = 0.5 ** (1.0 / 3.0) * np.exp(1j * np.pi * np.array([1, 3, 5]) / 3)
+        assert multiset_max_distance(p[p != 0], np.concatenate([unity, cube])) < 1e-12
+
+    def test_rank_one_feedback_matrix(self):
+        # A = u v^T on delays 120, 50, 120.  One root of this system sat at the
+        # rounding noise of its loop matrix, just above the step tolerance,
+        # and the coefficients must settle it.  Rounded 2 x 2 minors of A
+        # leave tiny trailing coefficients, so the reference is the residual
+        # of each pole in the coefficients rather than the exact factors.
+        a = np.array(
+            [
+                [-0.3426893139204685, -0.16541651928141207, -0.006946490042319335],
+                [2.669066023342511, 1.2883611871716067, 0.05410335192927708],
+                [-2.2531181668072313, -1.0875826865423215, -0.04567187325113843],
+            ]
+        )
+        fdn = FdnSystem.siso(a, [1, 1, 1], [1, 1, 1], 0.0, [120, 50, 120])
+        p = poles(fdn)
+        den = denominator_poly(fdn)
+        deg = int(np.flatnonzero(den)[-1])
+        assert np.sum(p == 0) == fdn.order - deg
+        c = den[deg::-1]
+        roots = p[p != 0]
+        resid = np.abs(P.polyval(roots, c)) / P.polyval(np.abs(roots), np.abs(c))
+        assert np.max(resid) < 1e-12
+
+    def test_zero_feedback_matrix(self):
+        fdn = FdnSystem.siso(np.zeros((3, 3)), [1, 0, 0], [1, 0, 0], 0.0, [3, 4, 2])
+        p = poles(fdn)
+        assert p.shape == (9,) and np.all(p == 0)
+
+    @pytest.mark.parametrize("gain", [0.5, -0.5])
+    def test_single_line_of_one_sample(self, gain):
+        fdn = FdnSystem.siso([[gain]], [1.0], [1.0], 0.0, [1])
+        p = poles(fdn)
+        assert p.shape == (1,)
+        assert abs(p[0] - gain) < 1e-15
+
+
+def assert_matches_companion(fdn):
+    """The Aberth poles equal the companion-matrix eigenvalues as multisets
+    to 1e-10, and their sorted moduli to 1e-12."""
+    p = poles(fdn)
+    ref = poles_companion(denominator_poly(fdn))
+    assert p.shape == (fdn.order,)
+    assert multiset_max_distance(p, ref) < 1e-10
+    assert np.max(np.abs(np.sort(np.abs(p)) - np.sort(np.abs(ref)))) < 1e-12
+    return p
+
+
+class TestAberthAgainstCompanion:
+    def test_random_certified_systems(self, rng):
+        for n in range(1, 9):
+            delays = random_delays(rng, n, 20)
+            fdn = random_uniallpass(n, 1, int(rng.integers(1 << 30)), scaled=True, delays=delays)
+            assert_matches_companion(fdn)
+
+    @pytest.mark.parametrize("build", [schroeder_series, gardner_nested])
+    @pytest.mark.parametrize(
+        "delays", [[7, 7, 7], [1, 1, 1], [13, 22, 1], [9, 3, 5]], ids=["7-7-7", "1-1-1", "13-22-1", "9-3-5"]
+    )
+    def test_classic_chains(self, build, delays):
+        fdn, _ = build([0.5, -0.6, 0.7], delays)
+        assert_matches_companion(fdn)
+
+    def test_exact_hit_is_a_converged_root(self, monkeypatch):
+        # an iterate exactly on a root makes its loop matrix singular and the
+        # stacked inverse raise; the coefficients confirm the root and the
+        # iterate stays there.  Triangular A (Schroeder chains) hits this by
+        # chance; here a start is put there.
+        raised = []
+        inv = np.linalg.inv
+        starts = core._newton_polygon_starts
+
+        def counting_inv(x):
+            try:
+                return inv(x)
+            except np.linalg.LinAlgError:
+                raised.append(1)
+                raise
+
+        def one_on_a_root(coeffs):
+            z = starts(coeffs)
+            z[0] = -0.5
+            return z
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(core, "_newton_polygon_starts", one_on_a_root)
+        fdn, _ = schroeder_series([0.5, -0.25, 0.7], [1, 4, 7])
+        p = assert_matches_companion(fdn)
+        assert raised
+        assert np.min(np.abs(p + 0.5)) < 1e-15
+
+    @pytest.mark.parametrize("ratio", [0, 10**9], ids=["loop", "coefficients"])
+    def test_each_newton_ratio_alone(self, monkeypatch, rng, ratio):
+        # the loop matrix and the coefficients each carry a whole solve
+        monkeypatch.setattr(core, "_COEFF_ORDER_RATIO", ratio)
+        for n in range(1, 9):
+            delays = random_delays(rng, n, 20)
+            fdn = random_uniallpass(n, 1, int(rng.integers(1 << 30)), scaled=True, delays=delays)
+            assert_matches_companion(fdn)
+        for build in (schroeder_series, gardner_nested):
+            for delays in ([7, 7, 7], [1, 1, 1], [13, 22, 1]):
+                assert_matches_companion(build([0.5, -0.6, 0.7], delays)[0])
+        for delays in ([2, 1, 1], [3, 2, 1]):
+            assert_matches_companion(delay_dependent_allpass(delays))
+        design = design_homogeneous_siso(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA)
+        p = assert_matches_companion(design.fdn)
+        assert np.max(np.abs(np.abs(p) - fv.HOMOG_GAMMA)) < 1e-12
+
+    def test_poletti_lattice(self, rng):
+        fdn, _ = poletti_unitary(random_orthogonal(4, rng), 0.7, [5, 7, 11, 13])
+        assert fdn.n_io == 4
+        assert_matches_companion(fdn)
+
+    def test_design_with_one_sample_line(self):
+        design = design_homogeneous_siso(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA)
+        assert min(fv.HOMOG_DELAYS) == 1
+        p = assert_matches_companion(design.fdn)
+        assert np.max(np.abs(np.abs(p) - fv.HOMOG_GAMMA)) < 1e-12
+
+    @pytest.mark.parametrize("delays", [[2, 1, 1], [1, 2, 1], [2, 1, 2], [3, 2, 1]])
+    def test_unstable_counterexample_delays(self, delays):
+        fdn = delay_dependent_allpass(delays)
+        p = assert_matches_companion(fdn)
+        assert np.max(np.abs(p)) > 1.0
+        with pytest.raises(UnstableError) as exc:
+            is_allpass(fdn)
+        assert multiset_max_distance(exc.value.poles, p) == 0.0
+
+    def test_long_delay_design(self):
+        design = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999)
+        assert design.fdn.order == 600
+        p = assert_matches_companion(design.fdn)
+        assert np.max(np.abs(np.abs(p) - 0.999)) < 1e-12
+
+    @pytest.mark.parametrize("count, delay, tol", [(2, 7, 1e-7), (3, 7, 1e-5), (6, 1, 5e-3)])
+    def test_repeated_sections(self, count, delay, tol):
+        # identical sections give poles of multiplicity ``count``, which are
+        # only defined to about eps**(1 / count); the solve must stop there
+        # instead of spinning to the sweep cap
+        fdn, _ = schroeder_series([0.5] * count, [delay] * count)
+        ref = np.linalg.eigvals(embedding_matrix(fdn.a, [delay] * count))
+        assert multiset_max_distance(poles(fdn), ref) < tol
+
+
+    @pytest.mark.parametrize("start", [1e-9, 3.0])
+    def test_stray_start_recovers(self, monkeypatch, start):
+        # 1e-9: a step cap proportional to |z| would let this iterate crawl
+        # out by a constant factor per sweep, far beyond 30 sweeps.  3.0:
+        # z**m overflows there for m >= 646; the row-scaled loop matrix of
+        # the outside form does not.
+        design = design_homogeneous_siso([700, 650], 0.999)
+        starts = core._newton_polygon_starts
+
+        def one_stray(coeffs):
+            z = starts(coeffs)
+            z[0] = start
+            return z
+
+        monkeypatch.setattr(core, "_newton_polygon_starts", one_stray)
+        monkeypatch.setattr(core, "_MAX_SWEEPS", 30)
+        p = poles(design.fdn)
+        assert p.shape == (1350,)
+        assert np.max(np.abs(np.abs(p) - 0.999)) < 1e-12
+
+
+class TestLoopLogDerivative:
+    @pytest.mark.parametrize("radius", [0.8, 3.0])
+    def test_powers_beyond_the_float_range(self, radius):
+        # f = z**4000 (z**3 + 0.5) with the zero roots deflated: f'/f is
+        # 3 z**2 / (z**3 + 0.5), although z**4000 under- or overflows here
+        fdn, _ = schroeder_series([0.0, 0.5], [4000, 3])
+        z = radius * np.exp([0.3j, 2.0j])
+        args = core._loop_args(fdn.a, fdn.delays.as_array(), 4000)
+        with np.errstate(all="ignore"):
+            logd, error = core._loop_log_derivative(*args, z)
+        np.testing.assert_allclose(logd, 3 * z**2 / (z**3 + 0.5), rtol=1e-12)
+        assert np.all(error < 1e-10)
+
+
+class TestPoleSolveLimits:
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "_MAX_SWEEPS", 2)
+        fdn = random_uniallpass(4, 1, 7, scaled=True, delays=[5, 9, 12, 7])
+        with pytest.raises(ConditioningError, match=r"of 33 roots unconverged after 2 sweeps") as exc:
+            poles(fdn)
+        assert exc.value.residual > 0
+
+    def test_order_budget_refused_before_solving(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("solver started above the order budget")
+
+        monkeypatch.setattr(core, "_newton_polygon_starts", never)
+        monkeypatch.setattr(core, "principal_minors_all", never)
+        fdn = FdnSystem.siso([[0.5]], [1.0], [1.0], 0.0, [core._MAX_ORDER + 1])
+        for call in (poles, is_allpass):
+            with pytest.raises(FdnError, match="order"):
+                call(fdn)
 
 
 class TestStabilityCertificate:
