@@ -18,15 +18,23 @@ Poles
 The poles are the roots of the loop determinant f(z) = det(diag(z**m_i) - A).
 :func:`poles` finds them all at once by Ehrlich-Aberth iteration on f
 itself: with P(z) = diag(z**m_i) - A, each sweep needs only the Newton
-ratio f/f' = 1 / trace(P^-1 P'), one small N x N inverse per root, and never
-forms an order x order matrix.  Where P is too near singular for that trace
-to mean anything, and for systems of order below N^2, where it is the
+ratio f/f' = 1 / trace(P^-1 P'), one small N x N inverse per iterate, and
+never forms an order x order matrix.  Where P is too near singular for that
+trace to mean anything, and for systems of order below N^2, where it is the
 dearer evaluation, the ratio comes from the coefficients above instead.
-Start points come from the Newton polygon of the same coefficients.
+Trailing coefficients below the rounding bound of the minors that form them
+are zero roots.  f is real, so its roots are closed under conjugation: the
+sweeps iterate one root of each conjugate pair and the real roots, which
+halves the inverses and the Aberth sums, and return exactly conjugate pairs
+and exactly real roots.  Start points come from the Newton polygon of the
+coefficients, in conjugate pairs; a pair that meets the real axis splits
+into two real iterates and two real iterates that meet merge into a pair,
+whichever a real quadratic fitted there says.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -46,6 +54,10 @@ _MAX_SWEEPS = 100
 # Start points sit this far (relative) off their Newton-polygon circle: the
 # poles of a homogeneous design lie exactly on it, and starts there stall.
 _START_OFFSET = 1e-3
+# Conjugate pairs of starts are turned by this fraction of their spacing, so
+# that they are not also symmetric about the imaginary axis: the iteration
+# keeps every symmetry of its starts that f has too, and f(-z) = f(z) for
+# Schroeder chains with even delays.
 _START_TURN = 0.25
 _EPS = np.finfo(float).eps
 # A loop-matrix step is trusted when its estimated error is below a tenth of
@@ -209,21 +221,41 @@ def gcp(a, delays):
     """
     a = np.asarray(a, dtype=float)
     m = delays.as_array() if isinstance(delays, DelayVector) else DelayVector(delays).as_array()
+    return _gcp_terms(a, m)[0]
+
+
+def _gcp_terms(a, m):
+    """The :func:`gcp` coefficients of (A, m) and a rounding bound for each.
+
+    The LU determinant of a k x k principal submatrix is exact for the
+    submatrix with each row perturbed by about k eps of its norm, so by
+    Hadamard's inequality its error is at most k^2 eps times the product of
+    those rows' norms in A (zero for the empty minor).  A coefficient's
+    bound is the sum of the bounds of the minors that form it; one below its
+    bound cannot be told from zero.
+    """
     n = a.shape[0]
     order = int(m.sum())
     minors = principal_minors_all(a)
-    masks = np.arange(1 << n)
-    # per-bit accumulation keeps the sweep at a few 1-D arrays even at N = 20
-    sizes = np.zeros(masks.size, dtype=np.int64)
-    ksum = np.zeros(masks.size, dtype=np.int64)
+    # per subset (bitmask): size, delay sum and log of the product of its
+    # rows' norms, each built by doubling, one line at a time
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    ksum = np.zeros(1 << n, dtype=np.int64)
+    log_rows = np.zeros(1 << n)
+    # a zero row gives exactly zero minors: its tiny norm makes their bound negligible
+    row_log = np.log(np.maximum(np.linalg.norm(a, axis=1), np.finfo(float).tiny))
     for i in range(n):
-        bit = (masks >> i) & 1
-        sizes += bit
-        ksum += bit * m[i]
+        lo, hi = 1 << i, 2 << i
+        sizes[lo:hi] = sizes[:lo] + 1
+        ksum[lo:hi] = ksum[:lo] + m[i]
+        log_rows[lo:hi] = log_rows[:lo] + row_log[i]
     signs = np.where((n - sizes) % 2 == 1, -1.0, 1.0)
-    full = (1 << n) - 1
-    coeffs_z = np.bincount(ksum, weights=signs * minors[full ^ masks], minlength=order + 1)
-    return coeffs_z[::-1].copy()
+    bounds = sizes**2 * _EPS * np.exp(log_rows)
+    # the complement of subset I, whose minor forms the coefficient of
+    # z**sum(m[I]), has the mask full ^ I = full - I: the reversed order
+    coeffs_z = np.bincount(ksum, weights=signs * minors[::-1], minlength=order + 1)
+    floor_z = np.bincount(ksum, weights=bounds[::-1], minlength=order + 1)
+    return coeffs_z[::-1].copy(), floor_z[::-1].copy()
 
 
 def polyval_zinv(coeffs, z):
@@ -283,8 +315,10 @@ def poles(fdn: FdnSystem):
     """All ``order`` system poles: the roots of det(diag(z**m_i) - A), found by
     simultaneous Ehrlich-Aberth iteration on the loop determinant itself.
 
-    Simple poles come out to about machine precision relative to their
-    modulus (they match companion-matrix eigenvalues to ~1e-13 at order 600).
+    The result is exactly closed under conjugation, with real poles exactly
+    real.  Simple poles come out to about machine precision relative to
+    their modulus (they match companion-matrix eigenvalues to ~1e-13 at
+    order 600).
     A pole of multiplicity k converges only linearly and is accepted at the
     noise floor of the determinant, roughly eps**(1/k): about 1e-5 for a
     triple pole.  Where the loop matrix is too near singular to trust, a
@@ -294,7 +328,7 @@ def poles(fdn: FdnSystem):
     after 100 sweeps raise :class:`ConditioningError`.
     """
     _check_pole_order(fdn)
-    return _aberth_poles(fdn, denominator_poly(fdn))
+    return _aberth_poles(fdn, *_gcp_terms(fdn.a, fdn.delays.as_array()))
 
 
 def _check_pole_order(fdn: FdnSystem):
@@ -303,13 +337,15 @@ def _check_pole_order(fdn: FdnSystem):
 
 
 def _newton_polygon_starts(coeffs):
-    """Start points for the roots of sum_j coeffs[j] z**j (nonzero constant
-    and leading term).  Each edge of the upper convex hull of
+    """Conjugate-symmetric start points for the roots of the real polynomial
+    sum_j coeffs[j] z**j (nonzero constant and leading term), as (upper,
+    real): one upper-half-plane point for each conjugate pair of starts, and
+    the real starts.  Each edge of the upper convex hull of
     (j, log|coeffs[j]|) from j0 to j1 puts j1 - j0 points on the circle of
     radius (|coeffs[j0]| / |coeffs[j1]|)**(1 / (j1 - j0)) (Bini 1996), moved
-    off that circle by ``_START_OFFSET`` and turned by ``_START_TURN`` of the
-    angular spacing."""
-    deg = coeffs.size - 1
+    off that circle by ``_START_OFFSET``: conjugate pairs at the angles
+    +-2 pi (k + ``_START_TURN``) / (j1 - j0), and one point on the negative
+    axis when j1 - j0 is odd."""
     nonzero = np.flatnonzero(coeffs)
     # plain floats: the hull scan is scalar work
     xs = nonzero.tolist()
@@ -323,13 +359,15 @@ def _newton_polygon_starts(coeffs):
                 break
             hull.pop()
         hull.append(k)
-    starts = np.empty(deg, dtype=complex)
+    upper = [np.empty(0, dtype=complex)]
+    real = []
     for i, j in zip(hull[:-1], hull[1:]):
-        lo, count = xs[i], xs[j] - xs[i]
+        count = xs[j] - xs[i]
         radius = np.exp((ys[i] - ys[j]) / count) * (1.0 + _START_OFFSET)
-        angles = 2.0 * np.pi * ((np.arange(count) + _START_TURN) / count + lo / deg)
-        starts[lo : lo + count] = radius * np.exp(1j * angles)
-    return starts
+        upper.append(radius * np.exp(2j * np.pi * (np.arange(count // 2) + _START_TURN) / count))
+        if count % 2:
+            real.append(-radius)
+    return np.concatenate(upper), np.array(real, dtype=complex)
 
 
 def _loop_args(a, m, zeros):
@@ -390,55 +428,69 @@ def _loop_log_derivative(a_neg, a_row_log2, a_col_log2, m, zeros, zr):
     return logd, error
 
 
-def _poly_log_derivative(coeffs, z):
-    """g'/g at each z for g(z) = sum_j coeffs[j] z**j, and the residual
-    |g(z)| / sum_j |coeffs[j]| |z|**j.  Outside the unit circle g is
-    evaluated as z**deg times the reversed polynomial in 1/z, so no power
-    exceeds one in modulus."""
-    deg = coeffs.size - 1
+def _poly_tables(coeffs):
+    """Coefficient tables of g(z) = sum_j coeffs[j] z**j for
+    :func:`_poly_log_derivative`: columns g, g' and their reversals in
+    powers of w, and the absolute values of g and its reversal."""
+    rev = coeffs[::-1]
+    j = np.arange(1, coeffs.size)
+    signed = np.zeros((coeffs.size, 4))
+    signed[:, 0], signed[:-1, 1] = coeffs, coeffs[1:] * j
+    signed[:, 2], signed[:-1, 3] = rev, rev[1:] * j
+    return signed, np.abs(signed[:, ::2])
+
+
+def _poly_log_derivative(tables, z):
+    """g'/g at each z for g(z) = sum_j coeffs[j] z**j (``tables`` from
+    :func:`_poly_tables`), and the residual |g(z)| / sum_j |coeffs[j]| |z|**j.
+    Outside the unit circle g is evaluated as z**deg times the reversed
+    polynomial in 1/z, so no power exceeds one in modulus."""
+    signed, absolute = tables
+    deg = signed.shape[0] - 1
     outside = np.abs(z) > 1.0
     w = np.where(outside, 1.0 / z, z)
     powers = np.empty((z.size, deg + 1), dtype=complex)
     powers[:, 0] = 1.0
     powers[:, 1:] = w[:, None]
     np.cumprod(powers, axis=1, out=powers)
-    c = np.where(outside[:, None], coeffs[::-1], coeffs)
-    val = np.einsum("kj,kj->k", powers, c)
-    dval = np.einsum("kj,kj->k", powers[:, :-1], c[:, 1:] * np.arange(1, deg + 1))
-    resid = np.abs(val) / np.einsum("kj,kj->k", np.abs(powers), np.abs(c))
-    ratio = w * dval / val
+    # columns: g, g', reversed g, reversed g'; the form in use per row
+    both = powers @ signed
+    vals = np.where(outside[:, None], both[:, 2:], both[:, :2])
+    sums = np.abs(powers) @ absolute
+    resid = np.abs(vals[:, 0]) / np.where(outside, sums[:, 1], sums[:, 0])
+    ratio = w * vals[:, 1] / vals[:, 0]
     return np.where(outside, deg - ratio, ratio) / z, resid
 
 
 def _aberth_step(logd, repulsion, reach):
     """1 / (f'/f - sum_j 1/(z - z_j)), the plain Newton step 1 / (f'/f) where
     the Aberth denominator 1 - (f/f') sum_j 1/(z - z_j) is tiny, and no step
-    longer than ``reach``.  Near the origin f'/f may underflow to zero; the
-    step is then the repulsion term alone."""
+    longer than ``reach``; and the Aberth gap f'/f - sum_j 1/(z - z_j).
+    Near the origin f'/f may underflow to zero; the step is then the
+    repulsion term alone."""
     gap = logd - repulsion
-    step = 1.0 / gap
     plain = np.abs(gap) < _ABERTH_TINY * np.abs(logd)
-    step[plain] = 1.0 / logd[plain]
+    step = 1.0 / np.where(plain, logd, gap)
     step[~np.isfinite(step)] = 0.0
-    size = np.abs(step)
-    damp = size > reach
-    step[damp] *= reach / size[damp]
-    return step
+    step *= np.minimum(1.0, reach / np.abs(step))
+    return step, gap
 
 
-def _coefficient_steps(coeffs, zr, radius, repulsion, reach):
-    """Aberth steps for the iterates ``zr`` from the coefficients of f, and
-    whether each has settled: its residual or step is at rounding level."""
-    logd, resid = _poly_log_derivative(coeffs, zr)
-    step = _aberth_step(logd, repulsion, reach)
-    settled = (resid <= 4.0 * coeffs.size * _EPS) | (np.abs(step) <= _STEP_TOL * radius)
-    return step, settled
+def _coefficient_steps(tables, zr, radius, repulsion, reach):
+    """Aberth steps and gaps for the iterates ``zr`` from the coefficient
+    ``tables`` of f, and whether each has settled: its residual or step is
+    at rounding level."""
+    logd, resid = _poly_log_derivative(tables, zr)
+    step, gap = _aberth_step(logd, repulsion, reach)
+    settled = (resid <= 4.0 * tables[0].shape[0] * _EPS) | (np.abs(step) <= _STEP_TOL * radius)
+    return step, gap, settled
 
 
-def _aberth_steps(loop_args, coeffs, z, rows, reach):
-    """Aberth corrections for the iterates ``z[rows]`` of the roots of
-    f(z) = det(diag(z**m) - A) / z**zeros, whose coefficients (ascending in
-    z) are ``coeffs``, and which of them have converged.
+def _aberth_steps(loop_args, tables, z, zr, rows, reach):
+    """Aberth corrections and gaps (see :func:`_aberth_step`) for the
+    iterates ``zr = z[rows]`` of the roots of f(z) = det(diag(z**m) - A) /
+    z**zeros, whose coefficients give ``tables`` (:func:`_poly_tables`), and which
+    of them have converged.
 
     The Newton ratio comes from the loop matrix (:func:`_loop_log_derivative`)
     wherever its error scale makes the step trustworthy: an estimated step
@@ -456,7 +508,6 @@ def _aberth_steps(loop_args, coeffs, z, rows, reach):
     ``loop_args`` None (orders below ``_COEFF_ORDER_RATIO`` N^2) the
     coefficients carry every iterate.
     """
-    zr = z[rows]
     radius = np.abs(zr)
     diff = zr[:, None] - z
     diff[np.arange(rows.size), rows] = np.inf
@@ -464,9 +515,9 @@ def _aberth_steps(loop_args, coeffs, z, rows, reach):
     np.divide(1.0, diff, out=diff)
     repulsion = diff.sum(axis=1)
     if loop_args is None:
-        return _coefficient_steps(coeffs, zr, radius, repulsion, reach)
+        return _coefficient_steps(tables, zr, radius, repulsion, reach)
     logd, error = _loop_log_derivative(*loop_args, zr)
-    step = _aberth_step(logd, repulsion, reach)
+    step, gap = _aberth_step(logd, repulsion, reach)
     size = np.abs(step)
     step_error = size**2 * error
     trusted = (step_error <= 0.1 * size) | (step_error <= _LOOP_TRUST * radius)
@@ -474,28 +525,130 @@ def _aberth_steps(loop_args, coeffs, z, rows, reach):
     # negated so that a NaN step error (zero step, infinite error) counts
     check = ~done & ~(step_error <= _NOISY * size)
     if check.any():
-        step_c, settled = _coefficient_steps(
-            coeffs, zr[check], radius[check], repulsion[check], reach
+        step_c, gap_c, settled = _coefficient_steps(
+            tables, zr[check], radius[check], repulsion[check], reach
         )
-        step[check] = np.where(trusted[check], step[check], step_c)
+        own = trusted[check]
+        step[check] = np.where(own, step[check], step_c)
+        gap[check] = np.where(own, gap[check], gap_c)
         done[check] = settled
-    return step, done
+    return step, gap, done
 
 
-def _aberth_poles(fdn: FdnSystem, den):
+def _meetings(r, span):
+    """Disjoint pairs (i, j) of neighbours among the real iterates ``r``
+    whose step lengths ``span`` together reach across their distance."""
+    order = sorted(range(len(r)), key=r.__getitem__)
+    pairs = []
+    last = -2
+    for k in range(len(order) - 1):
+        i, j = order[k], order[k + 1]
+        if k > last + 1 and r[j] - r[i] <= span[i] + span[j]:
+            pairs.append((i, j))
+            last = k
+    return pairs
+
+
+def _quadratic_through(u, g):
+    """(sum, product) of the roots of the real monic quadratic q with
+    q'/q = ``g`` at the non-real point ``u``: q(u) = q'(u) / g is one
+    complex equation, linear in the two real unknowns."""
+    n = 1.0 / g
+    lin = n - u
+    rhs = 2.0 * u * n - u * u
+    total = rhs.imag / lin.imag
+    return total, rhs.real - total * lin.real
+
+
+def _quadratic_between(r, gr, t, gt):
+    """(sum, product) of the roots of the real monic quadratic q with
+    q'/q = ``gr`` at ``r`` and ``gt`` at ``t`` (all real):
+    (x^2 - S x + P) g = 2 x - S at both points, linear in P and S."""
+    det = gr * (1.0 - t * gt) - gt * (1.0 - r * gr)
+    br, bt = 2.0 * r - r * r * gr, 2.0 * t - t * t * gt
+    return (gr * bt - gt * br) / det, (br * (1.0 - t * gt) - bt * (1.0 - r * gr)) / det
+
+
+def _regroup(z, nu, active, zr, gap, done, near, meet, bound):
+    """Settle whether the roots behind some iterates are real or complex.
+
+    ``near`` flags the active pairs (the first ``near.size`` of ``active``)
+    whose step reaches the real axis: a pair at x + iy is two iterates 2y
+    apart.  ``meet`` lists pairs of active real iterates, counted from the
+    first real one, whose steps reach each other.  ``zr`` holds the active
+    iterates before this sweep's step, already applied to ``z``.  The
+    Aberth gap of such an iterate without its partner's term is the log
+    derivative of the quadratic factor of f on the two roots that the two
+    iterates stand for, once the other iterates sit near their own roots.
+    A real quadratic fitted to it decides: a pair whose quadratic has real
+    roots within ``bound`` of the origin splits into two real iterates
+    there, and two real iterates whose quadratic has complex roots merge
+    into a pair there.  (An early fit can put real roots so far out that
+    the step cap needs more sweeps than allowed to bring them back.)
+    Returns the new (z, nu, active).
+    """
+    # numpy scalars: a zero divisor gives inf or nan under the caller's
+    # errstate, and nan fails every test below
+    gone, halves, merged = [], [], []
+    for k in np.flatnonzero(near & ~done[: near.size]).tolist():
+        u = zr[k]
+        total, product = _quadratic_through(u, gap[k] - 0.5j / u.imag)
+        disc = 0.25 * total * total - product
+        if disc > 0.0 and abs(0.5 * total) + math.sqrt(disc) < bound:
+            gone.append(active[k])
+            halves += [0.5 * total - math.sqrt(disc), 0.5 * total + math.sqrt(disc)]
+    for i, j in meet:
+        i, j = near.size + i, near.size + j
+        if done[i] or done[j]:
+            continue
+        r, t = zr[i].real, zr[j].real
+        total, product = _quadratic_between(r, gap[i].real + 1.0 / (r - t), t, gap[j].real + 1.0 / (t - r))
+        disc = 0.25 * total * total - product
+        if disc < 0.0:
+            gone += [active[i], active[j]]
+            merged.append(complex(0.5 * total, math.sqrt(-disc)))
+    if not gone:
+        return z, nu, active[~done]
+    keep = np.ones(z.size, dtype=bool)
+    keep[gone] = False
+    live = np.zeros(z.size, dtype=bool)
+    live[active[~done]] = True
+    # new iterates are active: merged pairs after the kept pairs, split
+    # halves after the kept reals
+    z = np.concatenate((z[:nu][keep[:nu]], merged, z[nu:][keep[nu:]], halves))
+    fresh = np.ones(len(merged) + len(halves), dtype=bool)
+    pairs, reals = live[:nu][keep[:nu]], live[nu:][keep[nu:]]
+    live = np.concatenate((pairs, fresh[: len(merged)], reals, fresh[len(merged) :]))
+    nu = pairs.size + len(merged)
+    return z, nu, np.flatnonzero(live)
+
+
+def _aberth_poles(fdn: FdnSystem, den, floor):
     """Roots of the loop determinant of ``fdn`` whose z^-1 coefficients are
-    ``den``: exact zero roots deflated from its trailing zeros, the rest by
-    Jacobi-style Ehrlich-Aberth sweeps from Newton-polygon start points.
-    Converged roots leave the sweeps; the Aberth sums are taken in row
-    chunks of at most ``_STACK_ENTRIES`` entries."""
+    ``den``: the trailing coefficients below their rounding bounds ``floor``
+    deflated as zero roots, the rest by Jacobi-style Ehrlich-Aberth sweeps
+    from Newton-polygon start points.
+
+    The coefficients are real, so the roots are closed under conjugation.
+    The sweeps iterate one root of each conjugate pair and the real roots,
+    kept exactly real; each iterate's Aberth sum runs over all roots, the
+    mirrors included.  Where a pair's step reaches the real axis, or two
+    real iterates' steps reach each other, :func:`_regroup` decides whether
+    their roots are real or complex, so the count of real roots need not be
+    known.  Converged roots leave the sweeps; the Aberth sums are taken in
+    row chunks of at most ``_STACK_ENTRIES`` entries."""
     order = fdn.order
     den = np.asarray(den, dtype=float)
-    deg = int(np.flatnonzero(den)[-1])
+    deg = int(np.flatnonzero(np.abs(den) > floor)[-1])
     roots = np.zeros(order, dtype=complex)
     if deg == 0:
         return roots
     coeffs = den[deg::-1]
-    z = _newton_polygon_starts(coeffs)
+    upper, real = _newton_polygon_starts(coeffs)
+    tables = _poly_tables(coeffs)
+    # z[:nu] holds one iterate of each pair, z[nu:] the real ones
+    z = np.concatenate((upper, real))
+    nu = upper.size
     # No root lies much beyond the largest start circle, so no useful step is
     # longer than its diameter.  A cap proportional to |z| instead would let
     # an iterate that strays near the origin crawl back out by a constant
@@ -503,27 +656,42 @@ def _aberth_poles(fdn: FdnSystem, den):
     reach = 2.0 * float(np.max(np.abs(z)))
     a = fdn.a
     chunk = max(1, _STACK_ENTRIES // max(deg + 1, a.size))
-    active = np.arange(deg)
+    active = np.arange(z.size)
     sweeps = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         loop_args = None
         if deg >= _COEFF_ORDER_RATIO * a.size:
             loop_args = _loop_args(a, fdn.delays.as_array(), order - deg)
         while active.size:
+            # active pairs come first; a pair stands for two roots
+            na = int(np.searchsorted(active, nu))
             if sweeps == _MAX_SWEEPS:
                 raise ConditioningError(
-                    f"pole solve left {active.size} of {deg} roots unconverged after {sweeps} sweeps",
+                    f"pole solve left {active.size + na} of {deg} roots unconverged after {sweeps} sweeps",
                     residual=float(np.max(np.abs(step[~done]))),
                 )
             sweeps += 1
-            step = np.empty(active.size, dtype=complex)
-            done = np.empty(active.size, dtype=bool)
-            for start in range(0, active.size, chunk):
-                part = slice(start, start + chunk)
-                step[part], done[part] = _aberth_steps(loop_args, coeffs, z, active[part], reach)
-            z[active] -= step
-            active = active[~done]
-    roots[:deg] = z
+            full = np.concatenate((z, z[:nu].conj()))
+            zr = full[active]
+            if active.size <= chunk:
+                step, gap, done = _aberth_steps(loop_args, tables, full, zr, active, reach)
+            else:
+                parts = [
+                    _aberth_steps(loop_args, tables, full, zr[s : s + chunk], active[s : s + chunk], reach)
+                    for s in range(0, active.size, chunk)
+                ]
+                step, gap, done = (np.concatenate(x) for x in zip(*parts))
+            step[na:].imag = 0.0
+            z[active] = zr - step
+            near = np.abs(step[:na]) >= np.abs(zr[:na].imag)
+            meet = []
+            if active.size - na > 1:
+                meet = _meetings(zr[na:].real.tolist(), np.abs(step[na:]).tolist())
+            if meet or near.any():
+                z, nu, active = _regroup(z, nu, active, zr, gap, done, near, meet, reach)
+            else:
+                active = active[~done]
+    roots[:deg] = np.concatenate((z[:nu], z[:nu].conj(), z[nu:]))
     return roots
 
 
@@ -577,8 +745,8 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL, seed=0) -> AllpassReport:
     list.
     """
     _check_pole_order(fdn)
-    den = denominator_poly(fdn)
-    pole_values = _aberth_poles(fdn, den)
+    den, floor = _gcp_terms(fdn.a, fdn.delays.as_array())
+    pole_values = _aberth_poles(fdn, den, floor)
     if not np.all(np.abs(pole_values) < 1.0):
         raise UnstableError(pole_values)
     zs = _allpass_grid(fdn, seed=seed)

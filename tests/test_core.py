@@ -1,5 +1,4 @@
 import numpy as np
-import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,11 +357,13 @@ class TestPoles:
         assert multiset_max_distance(p[p != 0], np.concatenate([unity, cube])) < 1e-12
 
     def test_rank_one_feedback_matrix(self):
-        # A = u v^T on delays 120, 50, 120.  One root of this system sat at the
-        # rounding noise of its loop matrix, just above the step tolerance,
-        # and the coefficients must settle it.  Rounded 2 x 2 minors of A
-        # leave tiny trailing coefficients, so the reference is the residual
-        # of each pole in the coefficients rather than the exact factors.
+        # A = u v^T on delays 120, 50, 120: in exact arithmetic the loop
+        # determinant is z**170 (z**120 - a22 z**70 - a11 - a33).  The rounded
+        # 2 x 2 and 3 x 3 minors leave trailing coefficients of about 1e-16,
+        # below their rounding bounds; they deflate to the 170 zero poles
+        # rather than a spurious ring of modulus 0.70-0.75.  One root of this
+        # system sat at the rounding noise of its loop matrix, just above the
+        # step tolerance, and the coefficients must settle it.
         a = np.array(
             [
                 [-0.3426893139204685, -0.16541651928141207, -0.006946490042319335],
@@ -372,13 +373,26 @@ class TestPoles:
         )
         fdn = FdnSystem.siso(a, [1, 1, 1], [1, 1, 1], 0.0, [120, 50, 120])
         p = poles(fdn)
-        den = denominator_poly(fdn)
-        deg = int(np.flatnonzero(den)[-1])
-        assert np.sum(p == 0) == fdn.order - deg
-        c = den[deg::-1]
-        roots = p[p != 0]
-        resid = np.abs(P.polyval(roots, c)) / P.polyval(np.abs(roots), np.abs(c))
-        assert np.max(resid) < 1e-12
+        assert np.sum(p == 0) == 170
+        factor = np.zeros(121)
+        factor[[0, 50, 120]] = 1.0, -a[1, 1], -a[0, 0] - a[2, 2]
+        assert multiset_max_distance(p[p != 0], poles_companion(factor)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "a, delays, count, small",
+        [([[1e-12]], [3], 3, 1e-4), ([[1.0, 1.0], [1.0, 1.0 + 1e-10]], [3, 2], 2, 1e-5)],
+        ids=["1e-12", "near-singular-2x2"],
+    )
+    def test_tiny_constant_term_keeps_its_roots(self, a, delays, count, small):
+        # z**3 - 1e-12, and z**5 - (1 + e) z**3 - z**2 + e with e = 1e-10:
+        # each constant term lies far above the rounding bound of its minor,
+        # so the roots of modulus 1e-4 (three) and 1e-5 (two) stay
+        n = len(delays)
+        fdn = FdnSystem.siso(a, np.eye(n)[0], np.eye(n)[0], 0.0, delays)
+        p = assert_matches_companion(fdn)
+        tiny = p[np.abs(p) < 1e-3]
+        assert tiny.size == count
+        np.testing.assert_allclose(np.abs(tiny), small, rtol=1e-4)
 
     def test_zero_feedback_matrix(self):
         fdn = FdnSystem.siso(np.zeros((3, 3)), [1, 0, 0], [1, 0, 0], 0.0, [3, 4, 2])
@@ -395,12 +409,14 @@ class TestPoles:
 
 def assert_matches_companion(fdn):
     """The Aberth poles equal the companion-matrix eigenvalues as multisets
-    to 1e-10, and their sorted moduli to 1e-12."""
+    to 1e-10, and their sorted moduli to 1e-12; they are exactly closed
+    under conjugation, real poles with imaginary part 0.0."""
     p = poles(fdn)
     ref = poles_companion(denominator_poly(fdn))
     assert p.shape == (fdn.order,)
     assert multiset_max_distance(p, ref) < 1e-10
     assert np.max(np.abs(np.sort(np.abs(p)) - np.sort(np.abs(ref)))) < 1e-12
+    assert np.array_equal(np.sort_complex(p), np.sort_complex(p.conj()))
     return p
 
 
@@ -419,11 +435,54 @@ class TestAberthAgainstCompanion:
         fdn, _ = build([0.5, -0.6, 0.7], delays)
         assert_matches_companion(fdn)
 
+    @pytest.mark.parametrize(
+        "build, gains, delays",
+        [
+            (build, gains, delays)
+            for build in (schroeder_series, gardner_nested)
+            for gains, delays in (
+                ([-0.5, 0.6, -0.7, -0.4, 0.3, -0.8], [2, 4, 6, 8, 10, 12]),
+                ([-0.7, -0.6, 0.5, -0.8, 0.4], [2, 2, 6, 4, 8]),
+                ([-0.5, 0.6, -0.7], [10, 4, 12]),
+                ([-0.62, -0.37, 0.87, -0.81, 0.61, -0.61], [18, 18, 10, 16, 18, 10]),
+            )
+        ]
+        + [
+            (
+                schroeder_series,
+                [-0.8635257346728082, 0.8035381038421018, -0.628037364414959]
+                + [0.09622063905446421, 0.3287661422199083, 0.5153510036917545],
+                [12, 10, 18, 12, 6, 16],
+            )
+        ],
+    )
+    def test_even_delay_chains_with_real_poles(self, build, gains, delays):
+        # with even delays each negative gain gives real poles.  These
+        # determinants are even in z; in the 18-18-10-16-18-10 chains, start
+        # pairs symmetric about the imaginary axis as well stayed so and
+        # never reached the close poles on that axis.  In the last chain an
+        # early split put a real iterate far beyond the largest start circle.
+        p = assert_matches_companion(build(gains, delays)[0])
+        assert np.any(p.imag == 0)
+
+    def test_odd_order_with_one_real_pole(self):
+        # z**9 + 0.6: one real pole, -0.6**(1/9), and four conjugate pairs
+        p = assert_matches_companion(schroeder_series([0.6], [9])[0])
+        np.testing.assert_array_equal(p[p.imag == 0], [-(0.6 ** (1.0 / 9.0))])
+
+    def test_real_double_poles(self):
+        # two sections z**4 - 0.5: double poles at +-0.5**(1/4) and
+        # +-0.5**(1/4) i, defined only to about eps**(1/2)
+        fdn, _ = schroeder_series([-0.5, -0.5], [4, 4])
+        ref = np.linalg.eigvals(embedding_matrix(fdn.a, [4, 4]))
+        assert multiset_max_distance(poles(fdn), ref) < 1e-7
+
     def test_exact_hit_is_a_converged_root(self, monkeypatch):
         # an iterate exactly on a root makes its loop matrix singular and the
         # stacked inverse raise; the coefficients confirm the root and the
         # iterate stays there.  Triangular A (Schroeder chains) hits this by
-        # chance; here a start is put there.
+        # chance; here the real start of the one-sample section's circle is
+        # put there.
         raised = []
         inv = np.linalg.inv
         starts = core._newton_polygon_starts
@@ -436,9 +495,9 @@ class TestAberthAgainstCompanion:
                 raise
 
         def one_on_a_root(coeffs):
-            z = starts(coeffs)
-            z[0] = -0.5
-            return z
+            upper, real = starts(coeffs)
+            real[0] = -0.5
+            return upper, real
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         monkeypatch.setattr(core, "_newton_polygon_starts", one_on_a_root)
@@ -502,19 +561,20 @@ class TestAberthAgainstCompanion:
 
     @pytest.mark.parametrize("start", [1e-9, 3.0])
     def test_stray_start_recovers(self, monkeypatch, start):
-        # 1e-9: a step cap proportional to |z| would let this iterate crawl
-        # out by a constant factor per sweep, far beyond 30 sweeps.  3.0:
-        # z**m overflows there for m >= 646; the row-scaled loop matrix of
-        # the outside form does not.
+        # One conjugate pair of starts is replaced by the real starts +-start,
+        # which must find a complex pair.  1e-9: a step cap proportional to
+        # |z| would let these iterates crawl out by a constant factor per
+        # sweep, far beyond 30 sweeps.  3.0: z**m overflows there for
+        # m >= 646; the row-scaled loop matrix of the outside form does not.
         design = design_homogeneous_siso([700, 650], 0.999)
         starts = core._newton_polygon_starts
 
-        def one_stray(coeffs):
-            z = starts(coeffs)
-            z[0] = start
-            return z
+        def two_stray(coeffs):
+            upper, real = starts(coeffs)
+            assert real.size == 0
+            return upper[1:], np.array([start, -start], dtype=complex)
 
-        monkeypatch.setattr(core, "_newton_polygon_starts", one_stray)
+        monkeypatch.setattr(core, "_newton_polygon_starts", two_stray)
         monkeypatch.setattr(core, "_MAX_SWEEPS", 30)
         p = poles(design.fdn)
         assert p.shape == (1350,)
