@@ -1,11 +1,13 @@
 """Completion: given a feedback matrix, choose the remaining gains so the
 network is allpass for every delay vector.
 
-The orthogonal route embeds an admissible A as the corner of an orthogonal
-block matrix (rank-P factors of I - AA^T and I - A^T A).  The general SISO
-route solves, entry by entry, the quadratic system whose rank-1 solution is
-the outer product of the balanced input and output gains, then recovers the
-diagonal similarity that un-balances them.
+Every completion is the SVD dilation of a corner: for A = U S V^T with the
+P smallest singular values s as the defect, B = U_P sqrt(1 - s^2),
+C = sqrt(1 - s^2) V_P^T and D = -diag(s) (Halmos, "Normal dilations and
+extensions of operators", 1950).  The orthogonal route dilates an admissible
+A directly.  The general SISO route solves, entry by entry, the quadratic
+system whose rank-1 solution X determines the diagonal similarity dsim, then
+dilates the corner balanced by sqrt(dsim) and un-balances the gains.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from .core import DEFAULT_TOL
 from .errors import CompletionError
 from .system import FdnSystem, SystemMatrix
 from .verify import apply_diagonal_similarity, certify_uniallpass
+
+# orthogonality tolerance of a completed block matrix
+_ORTHO_TOL = 1e-9
+# relative residual accepted for a root of a per-entry quadratic
+_ROOT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,69 +53,80 @@ class AdmissibilityReport:
 class SisoCompletionTrace:
     """Intermediate quantities of the SISO completion, kept for inspection:
     direct gain, diagonal gap vector, quadratic right-hand side, the rank-1
-    solution X = btilde ctilde, balanced gains, and the recovered dsim."""
+    solution X, and the recovered dsim (max 1)."""
 
     d: float
     a_gap: np.ndarray
     rhs: np.ndarray
     x: np.ndarray
-    btilde: np.ndarray
-    ctilde: np.ndarray
     dsim: np.ndarray
 
 
 def admissibility(a, p: int, tol=1e-9) -> AdmissibilityReport:
     """Classify the singular values of ``a`` against the embedding bands."""
-    a = np.asarray(a, dtype=float)
+    return _census(np.asarray(a, dtype=float), p, tol)[0]
+
+
+def _census(a, p, tol=1e-9):
+    """Admissibility report of ``a`` and the SVD (U, s, V^T) it reads."""
     n = a.shape[0]
     if not 1 <= p <= n:
         raise ValueError(f"channel count {p} out of range 1..{n}")
-    sv = np.linalg.svd(a, compute_uv=False)
+    svd = np.linalg.svd(a)
+    sv = svd[1]
     ones = int(np.sum(np.abs(sv - 1.0) <= tol))
     below = int(np.sum(sv < 1.0 - tol))
     min_io = n - ones if ones + below == n else None
-    return AdmissibilityReport(
+    report = AdmissibilityReport(
         singular_values=sv, ones=ones, below=below, min_io=min_io, tol=float(tol)
     )
+    return report, svd
 
 
-def _rank_factor(gram, p, tol):
-    """B with B B^T = gram and exactly p columns (eigenvalues above tol)."""
-    w, v = np.linalg.eigh(0.5 * (gram + gram.T))
-    keep = w > tol
-    if int(np.sum(keep)) != p:
-        raise CompletionError(
-            f"defect factor has rank {int(np.sum(keep))}, expected {p}"
-        )
-    return v[:, keep] * np.sqrt(w[keep])
+def _dilation(u, s, vt, p):
+    """Blocks (B, C, D) of the rank-p dilation of A = U diag(s) V^T, s
+    descending (see the module docstring).  Values above one, which only an
+    inadmissible corner has, get a zero defect; the caller's check refuses
+    the result."""
+    s_p = s[-p:]
+    w = np.sqrt(np.maximum(1.0 - s_p * s_p, 0.0))
+    return u[:, -p:] * w, w[:, None] * vt[-p:], -np.diag(s_p)
 
 
-def orthogonal_completion(a, p: int, delays=None, rank_tol=1e-10, ortho_tol=1e-9) -> FdnSystem:
-    """Complete an admissible A to an orthogonal block system matrix.
-
-    B spans the column defect of A (rank-P factor of I - AA^T), C^T the row
-    defect, and D is the least-squares solution of -B D^T = A C^T on B's
-    column space.  The assembled block matrix is checked for orthogonality.
+def orthogonal_completion(a, p: int, delays=None) -> FdnSystem:
+    """Complete an admissible A to an orthogonal block system matrix: the
+    rank-P dilation, read from the SVD that also gives the singular-value
+    census.  The assembled block matrix is checked for orthogonality.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    report = admissibility(a, p)
+    report, svd = _census(a, p)
     if not report.admissible_for(p):
         raise CompletionError(
             f"feedback matrix is not admissible for P = {p}: "
             f"{report.ones} unit singular values, {report.below} below one"
         )
-    b = _rank_factor(np.eye(n) - a @ a.T, p, rank_tol)
-    c = _rank_factor(np.eye(n) - a.T @ a, p, rank_tol).T
-    dt, *_ = np.linalg.lstsq(b, -a @ c.T, rcond=None)
-    d = dt.T
+    b, c, d = _dilation(*svd, p)
     u = SystemMatrix.from_blocks(a, b, c, d).u
     residual = float(np.max(np.abs(u @ u.T - np.eye(n + p))))
-    if residual > ortho_tol:
+    if residual > _ORTHO_TOL:
         raise CompletionError(f"completed matrix failed orthogonality, residual {residual:.3g}")
     if delays is None:
         delays = [1] * n
     return FdnSystem(a, b, c, d, delays)
+
+
+def _complete_balanced(a, dsim, delays, tol):
+    """Dilate the corner T^-1 A T (T = sqrt(dsim)) with d = +|det A| and the
+    dominant balanced input gain positive, then un-balance: b = T b_bal,
+    c = c_bal T^-1.  Returns the system and its certificate against dsim."""
+    t = np.sqrt(dsim)
+    b, c, d = _dilation(*np.linalg.svd((a * t[None, :]) / t[:, None]), 1)
+    b, c, d = b.ravel(), -c.ravel(), -d[0, 0]
+    if b[int(np.argmax(np.abs(b)))] < 0:
+        b, c = -b, -c
+    fdn = FdnSystem.siso(a, b * t, c / t, d, delays)
+    return fdn, certify_uniallpass(fdn, dsim, tol)
 
 
 def _real_roots(p, q, r, tol):
@@ -219,23 +237,23 @@ def _rank1_candidates(p_coef, q_coef, r_coef, diag_target, tol):
             yield cand
 
 
-def select_rank1_roots(p_coef, q_coef, r_coef, diag_target, tol=1e-6):
+def select_rank1_roots(p_coef, q_coef, r_coef, diag_target, tol=_ROOT_TOL):
     """First rank-1 consistent root assignment (see :func:`_rank1_candidates`)."""
     for x in _rank1_candidates(p_coef, q_coef, r_coef, diag_target, tol):
         return x
     raise CompletionError("no rank-1 consistent root assignment")
 
 
-def siso_completion(a, delays=None, tol=DEFAULT_TOL, root_tol=1e-6):
+def siso_completion(a, delays=None, tol=DEFAULT_TOL):
     """Complete a feedback matrix to a SISO allpass network valid for every
     delay vector.  Returns (system, trace).
 
-    Steps: fix d = +-det A; form the diagonal gap a_gap_i = A_ii - (A^-1)_ii;
-    assemble the per-entry quadratics; select rank-1 consistent roots
-    X = btilde ctilde^T; recover dsim = -(A ctilde) / (btilde d); un-balance
-    b = dsim * btilde, c = ctilde / dsim.  Both signs of d are tried
-    (positive first) and the returned system is re-certified before handing
-    it back; any failure raises :class:`CompletionError`.
+    Steps: fix d = +|det A|; form the diagonal gap a_gap_i = A_ii - (A^-1)_ii;
+    assemble the per-entry quadratics; select rank-1 consistent roots X; set
+    dsim_i proportional to -(A X^T)_ii / ((X X^T)_ii d) with max(dsim) = 1;
+    dilate the corner balanced by sqrt(dsim) and certify.  Negating d
+    negates X and leaves dsim unchanged, so -|det A| would only flip (c, d).
+    Any failure raises :class:`CompletionError`.
 
     For one or two delay lines the root branches are decoupled and the
     completion is not unique; the first candidate that certifies is
@@ -250,53 +268,32 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL, root_tol=1e-6):
     a_gap = np.diag(a) - np.diag(a_inv)
     if delays is None:
         delays = [1] * n
+    d = abs(det_a)
+    rhs = d * (a * a.T - a_inv * a_inv.T - np.outer(a_gap, a_gap))
+    r_coef = a_inv.T * (d * d) * np.outer(a_gap, a_gap)
     failures = []
-    for d in (abs(det_a), -abs(det_a)):
-        rhs = d * (a * a.T - a_inv * a_inv.T - np.outer(a_gap, a_gap))
-        p_coef = a_inv
-        q_coef = -rhs
-        r_coef = a_inv.T * (d * d) * np.outer(a_gap, a_gap)
-        try:
-            candidates = list(_rank1_candidates(p_coef, q_coef, r_coef, d * a_gap, root_tol))
-        except CompletionError as exc:
-            failures.append(f"d = {d:+.6g}: {exc}")
-            continue
-        if not candidates:
-            failures.append(f"d = {d:+.6g}: no rank-1 consistent root assignment")
-        for x in candidates:
-            try:
-                u, s, vt = np.linalg.svd(x)
-                if len(s) > 1 and s[1] > root_tol * s[0]:
-                    raise CompletionError(
-                        f"solution matrix is not rank one (s2/s1 = {s[1] / s[0]:.3g})"
-                    )
-                btilde = u[:, 0] * np.sqrt(s[0])
-                ctilde = vt[0] * np.sqrt(s[0])
-                # canonical orientation: the joint sign of (btilde, ctilde) is
-                # free, so pin the dominant input gain positive
-                if btilde[int(np.argmax(np.abs(btilde)))] < 0:
-                    btilde, ctilde = -btilde, -ctilde
-                denom = btilde * d
-                if np.any(np.abs(denom) < 1e-300):
-                    raise CompletionError("balanced input gain has a zero entry")
-                dsim = -(a @ ctilde) / denom
-                if np.any(dsim <= 0):
-                    raise CompletionError("recovered similarity is not positive")
-                fdn = FdnSystem.siso(a, dsim * btilde, ctilde / dsim, d, delays)
-                cert = certify_uniallpass(fdn, dsim, tol)
-                if not cert.verdict:
-                    raise CompletionError(
-                        f"completed system failed certification (residual {cert.residual:.3g})"
-                    )
-                trace = SisoCompletionTrace(
-                    d=d, a_gap=a_gap, rhs=rhs, x=x, btilde=btilde, ctilde=ctilde, dsim=dsim
-                )
-                return fdn, trace
-            except CompletionError as exc:
-                failures.append(f"d = {d:+.6g}: {exc}")
+    try:
+        for x in _rank1_candidates(a_inv, -rhs, r_coef, d * a_gap, _ROOT_TOL):
+            rows = np.einsum("ij,ij->i", x, x)
+            if np.any(rows == 0.0):
+                failures.append("rank-1 solution has a zero row")
+                continue
+            dsim = -np.einsum("ij,ij->i", a, x) / (rows * d)
+            if np.any(dsim <= 0):
+                failures.append("recovered similarity is not positive")
+                continue
+            dsim = dsim / np.max(dsim)
+            fdn, cert = _complete_balanced(a, dsim, delays, tol)
+            if cert.verdict:
+                return fdn, SisoCompletionTrace(d=d, a_gap=a_gap, rhs=rhs, x=x, dsim=dsim)
+            failures.append(
+                f"completed system failed certification (residual {cert.residual:.3g})"
+            )
+    except CompletionError as exc:
+        failures.append(str(exc))
     raise CompletionError(
         "feedback matrix is not allpass admissible for single-channel completion: "
-        + "; ".join(failures)
+        + ("; ".join(failures) or "no rank-1 consistent root assignment")
     )
 
 

@@ -45,6 +45,9 @@ from .kernels import _STACK_ENTRIES, impulse_kernel, principal_minors_all
 from .system import DelayVector, FdnSystem
 
 DEFAULT_TOL = 1e-8
+# seeded random unit-circle samples added to the allpass test's uniform grid
+_GRID_RANDOM = 8
+_GRID_SEED = 0
 # extra unit-circle samples beyond order + 1 in the numerator fit
 _FIT_PAD = 8
 # Pole solve.  Each Aberth sweep costs O(order^2) pair terms, about 1e9 at
@@ -695,12 +698,6 @@ def _aberth_poles(fdn: FdnSystem, den, floor):
     return roots
 
 
-def is_stable(fdn: FdnSystem, margin=0.0):
-    """(stable?, poles). Stable means every pole modulus < 1 - margin."""
-    p = poles(fdn)
-    return bool(np.all(np.abs(p) < 1.0 - margin)), p
-
-
 def stability_certificate(a, t) -> bool:
     """True when the diagonally scaled feedback matrix is a contraction:
     spectral norm of diag(t)^-1 A diag(t) strictly below one."""
@@ -712,12 +709,12 @@ def stability_certificate(a, t) -> bool:
     return bool(np.linalg.norm(scaled, 2) < 1.0)
 
 
-def _allpass_grid(fdn: FdnSystem, n_random=8, seed=0):
+def _allpass_grid(fdn: FdnSystem):
     order = fdn.order
     k = 4 * max(order, 1)
     omega = 2.0 * np.pi * np.arange(k) / k
-    rng = np.random.default_rng(seed)
-    omega = np.concatenate([omega, rng.uniform(0.0, 2.0 * np.pi, n_random)])
+    rng = np.random.default_rng(_GRID_SEED)
+    omega = np.concatenate([omega, rng.uniform(0.0, 2.0 * np.pi, _GRID_RANDOM)])
     return np.exp(1j * omega)
 
 
@@ -735,7 +732,7 @@ def reversal_check(num, den):
     return min(devs), sign
 
 
-def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL, seed=0) -> AllpassReport:
+def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     """Two independent allpass tests for the system's own delay vector.
 
     The grid test measures unitarity of H on 4 * order uniform plus a few
@@ -749,7 +746,7 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL, seed=0) -> AllpassReport:
     pole_values = _aberth_poles(fdn, den, floor)
     if not np.all(np.abs(pole_values) < 1.0):
         raise UnstableError(pole_values)
-    zs = _allpass_grid(fdn, seed=seed)
+    zs = _allpass_grid(fdn)
     h = frequency_response(fdn, zs)
     prod = h @ np.conj(np.swapaxes(h, 1, 2))
     eye = np.eye(fdn.n_io)

@@ -13,6 +13,9 @@ import numpy as np
 from .system import DelayVector, FdnSystem
 from .verify import dsim_from_lyapunov
 
+# orthogonality tolerance of the lattice's mixing matrix
+_ORTHO_TOL = 1e-9
+
 
 def _check_gains(g):
     g = np.asarray(g, dtype=float).ravel()
@@ -69,7 +72,7 @@ def gardner_nested(gains, delays):
     return fdn, dsim
 
 
-def poletti_unitary(unitary, gain: float, delays, ortho_tol=1e-9):
+def poletti_unitary(unitary, gain: float, delays):
     """Full multichannel lattice: A = -g U, B = (1+g) I, C = (1-g) U,
     D = g I for an orthogonal U and loop gain |g| < 1.
 
@@ -80,7 +83,7 @@ def poletti_unitary(unitary, gain: float, delays, ortho_tol=1e-9):
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("mixing matrix must be square")
-    if float(np.max(np.abs(u @ u.T - np.eye(n)))) > ortho_tol:
+    if float(np.max(np.abs(u @ u.T - np.eye(n)))) > _ORTHO_TOL:
         raise ValueError("mixing matrix is not orthogonal")
     gain = float(gain)
     if abs(gain) >= 1.0:

@@ -8,8 +8,8 @@ makes its scaling weights positive, which turns the Cauchy-like factor into a
 real orthogonal matrix.
 
 The same nodes complete the network: balanced by T = sqrt(dsim), A is the
-corner of an orthogonal (N + 1) x (N + 1) matrix, and the orthogonal
-completion of that corner, un-balanced by T, certifies for every delay vector.
+corner of an orthogonal (N + 1) x (N + 1) matrix, and the SVD dilation of
+that corner, un-balanced by T, certifies for every delay vector.
 """
 
 from __future__ import annotations
@@ -18,14 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complete import orthogonal_completion
+from .complete import _complete_balanced
 from .core import DEFAULT_TOL, poles
 from .errors import ConditioningError, InterleavingError
 from .system import DelayVector, FdnSystem
-from .verify import certify_uniallpass
 
 # largest accepted deviation of a design pole modulus from gamma
 _POLE_TOL = 1e-6
+# smallest accepted gap between a node and a scaled node of the Cauchy factor
+_GAP_TOL = 1e-10
+# orthogonality tolerance of the Cauchy factor
+_ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +100,7 @@ def _log_products(nodes, others):
     return logs, signs
 
 
-def cauchy_unitary(d, dq, gap_tol=1e-10, ortho_tol=1e-9):
+def cauchy_unitary(d, dq):
     """Orthogonal matrix U_ij = sqrt(beta_i alpha_j) / (d_i - dq_j).
 
     With node polynomials A(x) = prod (x - d_k) and B(x) = prod (x - dq_k),
@@ -111,7 +114,7 @@ def cauchy_unitary(d, dq, gap_tol=1e-10, ortho_tol=1e-9):
     if not ok:
         raise InterleavingError(f"nodes are not strictly interleaved at sorted position {idx}", index=idx)
     gaps = np.abs(d[:, None] - dq[None, :])
-    if float(gaps.min()) < gap_tol:
+    if float(gaps.min()) < _GAP_TOL:
         raise InterleavingError(f"near-coincident nodes, smallest gap {float(gaps.min()):.3g}")
     n = d.size
     log_a_at_dq, sign_a_at_dq = _log_products(dq, d)
@@ -128,7 +131,7 @@ def cauchy_unitary(d, dq, gap_tol=1e-10, ortho_tol=1e-9):
         0.5 * (log_beta[:, None] + log_alpha[None, :]) - np.log(gaps)
     )
     residual = float(np.max(np.abs(u @ u.T - np.eye(n))))
-    if residual > ortho_tol:
+    if residual > _ORTHO_TOL:
         raise ConditioningError(
             f"Cauchy factor lost orthogonality, residual {residual:.3g}", residual=residual
         )
@@ -144,12 +147,11 @@ def design_homogeneous_siso(
 ) -> HomogeneousDesign:
     """Design and complete a homogeneous-decay single-channel network.
 
-    :func:`orthogonal_completion` completes the balanced corner T^-1 A T
-    (T = sqrt(dsim)); un-balancing gives b = T b_bal and c = c_bal T^-1, with
-    d = +|det A| and a positive dominant balanced input gain.  The result
-    certifies against ``dsim`` for any delays and every pole has modulus
-    ``gamma`` (to 1e-6).  When ``dsim`` is omitted it comes from
-    :func:`choose_dsim`.
+    The SVD dilation completes the balanced corner T^-1 A T (T = sqrt(dsim));
+    un-balancing gives b = T b_bal and c = c_bal T^-1, with d = +|det A| and
+    a positive dominant balanced input gain.  The result certifies against
+    ``dsim`` for any delays and every pole has modulus ``gamma`` (to 1e-6).
+    When ``dsim`` is omitted it comes from :func:`choose_dsim`.
     """
     m = delays if isinstance(delays, DelayVector) else DelayVector(delays)
     decay = decay_gains(m, gamma)
@@ -164,15 +166,7 @@ def design_homogeneous_siso(
     dq_nodes = decay**2 * d_nodes
     unitary = cauchy_unitary(d_nodes, dq_nodes)
     a = unitary * decay[None, :]
-    t = np.sqrt(d_nodes)
-    balanced = orthogonal_completion((a * t[None, :]) / t[:, None], 1)
-    b, c, d = balanced.b.ravel(), balanced.c.ravel(), balanced.d[0, 0]
-    if d < 0:
-        c, d = -c, -d
-    if b[int(np.argmax(np.abs(b)))] < 0:
-        b, c = -b, -c
-    fdn = FdnSystem.siso(a, b * t, c / t, d, m)
-    cert = certify_uniallpass(fdn, d_nodes, tol)
+    fdn, cert = _complete_balanced(a, d_nodes, m, tol)
     if not cert.verdict:
         raise ConditioningError(
             f"design failed certification (residual {cert.residual:.3g})", residual=cert.residual

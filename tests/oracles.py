@@ -6,7 +6,8 @@ one determinant per subset, poles from a single-step state embedding or
 from the eigenvalues of the characteristic polynomial's companion matrix,
 impulse responses from frequency sampling plus an inverse DFT or from one
 recursion step per sample, numerator coefficients from a dense Vandermonde
-least-squares solve, and the classic designs from their scalar
+least-squares solve, orthogonal completions from eigen-factors of the two
+defect Gram matrices, and the classic designs from their scalar
 product/recursion forms.
 """
 
@@ -213,6 +214,27 @@ def poles_companion(den):
     comp[0, :] = -monic
     comp[np.arange(1, n), np.arange(n - 1)] = 1.0
     return np.linalg.eigvals(comp)
+
+
+def _rank_factor(gram, p, tol=1e-10):
+    """F with F F^T = gram from the eigenvectors of its p eigenvalues above
+    tol; asserts that there are exactly p of them."""
+    w, v = np.linalg.eigh(0.5 * (gram + gram.T))
+    keep = w > tol
+    assert int(np.sum(keep)) == p, f"defect factor has rank {int(np.sum(keep))}, expected {p}"
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def orthogonal_completion_eigh(a, p):
+    """Blocks (B, C, D) completing an admissible corner A: B is a rank-P
+    factor of I - AA^T, C^T one of I - A^T A, and D the least-squares
+    solution of -B D^T = A C^T."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    b = _rank_factor(np.eye(n) - a @ a.T, p)
+    c = _rank_factor(np.eye(n) - a.T @ a, p).T
+    dt, *_ = np.linalg.lstsq(b, -a @ c.T, rcond=None)
+    return b, c, dt.T
 
 
 def dft_impulse(fdn, length, oversample=8):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_delays, tf_max_diff, unit_circle_points
+from oracles import orthogonal_completion_eigh
 from uniallpass import (
     CompletionError,
     FdnSystem,
@@ -12,6 +13,8 @@ from uniallpass import (
     decay_gains,
     choose_dsim,
     cauchy_unitary,
+    frequency_response,
+    gardner_nested,
     is_allpass,
     orthogonal_completion,
     poletti_unitary,
@@ -98,6 +101,46 @@ class TestOrthogonalCompletion:
         with pytest.raises(CompletionError):
             orthogonal_completion(a, 1)
 
+    def test_single_channel_dilation_matches_eigh_oracle(self, rng):
+        # a P = 1 completion is unique up to the signs of b and c, so the
+        # SVD dilation and the eigen-factor completion agree up to the sign
+        # of H: on random corners and on balanced homogeneous feedback
+        corners = []
+        for seed in range(20):
+            gen = np.random.default_rng(200 + seed)
+            n = int(gen.integers(2, 7))
+            corners.append(random_orthogonal(n + 1, gen)[:n, :n])
+        for seed in range(10):
+            gen = np.random.default_rng(300 + seed)
+            n = int(gen.integers(2, 7))
+            decay = decay_gains(random_delays(gen, n, 12), float(gen.uniform(0.9, 0.99)))
+            nodes = choose_dsim(decay)
+            t = np.sqrt(nodes)
+            a = cauchy_unitary(nodes, decay**2 * nodes) * decay[None, :]
+            corners.append((a * t[None, :]) / t[:, None])
+        zs = unit_circle_points(rng, 16)
+        for a in corners:
+            delays = random_delays(rng, a.shape[0], 8)
+            fdn = orthogonal_completion(a, 1, delays=delays)
+            reference = FdnSystem(a, *orthogonal_completion_eigh(a, 1), delays)
+            h = frequency_response(fdn, zs)
+            h_ref = frequency_response(reference, zs)
+            err = min(float(np.max(np.abs(h - s * h_ref))) for s in (1.0, -1.0))
+            assert err < 1e-9
+
+    def test_multichannel_dilations_certify(self, rng):
+        for seed in range(10):
+            gen = np.random.default_rng(400 + seed)
+            n = int(gen.integers(2, 6))
+            p = int(gen.integers(2, n + 1))
+            a = random_orthogonal(n + p, gen)[:n, :n]
+            delays = random_delays(gen, n, 8)
+            fdn = orthogonal_completion(a, p, delays=delays)
+            assert certify_uniallpass(fdn, np.ones(n)).verdict
+            assert is_allpass(fdn).allpass
+            reference = FdnSystem(a, *orthogonal_completion_eigh(a, p), delays)
+            assert certify_uniallpass(reference, np.ones(n)).verdict
+
 
 class TestSisoCompletion:
     def test_first_order(self):
@@ -148,20 +191,54 @@ class TestSisoCompletion:
         with pytest.raises(CompletionError):
             siso_completion(np.zeros((2, 2)))
 
+    def test_zero_row_solution_rejected(self):
+        # the nested chain's input gain is zero on all lines but one, so the
+        # rank-1 solution has zero rows that fix no similarity entry; this
+        # is a typed refusal, not a 0/0
+        fdn, _ = gardner_nested([0.3, 0.4, 0.5, 0.6], [1, 1, 1, 1])
+        with pytest.raises(CompletionError, match="zero row"):
+            siso_completion(fdn.a)
+
+    def test_sign_of_direct_gain_is_a_gauge(self, rng):
+        # negating d negates every quadratic root, hence X, and leaves dsim
+        # unchanged; the completion with d = -|det A| is the returned one
+        # with (c, d) negated, which certifies with the same residual
+        delays = [3, 1, 5, 2]
+        decay = decay_gains(delays, 0.95)
+        nodes = choose_dsim(decay)
+        a = cauchy_unitary(nodes, decay**2 * nodes) * decay[None, :]
+        fdn, trace = siso_completion(a, delays=delays)
+        assert np.max(trace.dsim) == 1.0
+        a_inv = np.linalg.inv(a)
+        d = -trace.d
+        x = select_rank1_roots(
+            a_inv,
+            -d * (a * a.T - a_inv * a_inv.T - np.outer(trace.a_gap, trace.a_gap)),
+            a_inv.T * d * d * np.outer(trace.a_gap, trace.a_gap),
+            d * trace.a_gap,
+        )
+        np.testing.assert_allclose(x, -trace.x, rtol=1e-12, atol=0)
+        flipped = FdnSystem.siso(a, fdn.b.ravel(), -fdn.c.ravel(), -fdn.d[0, 0], delays)
+        residual = certify_uniallpass(fdn, trace.dsim).residual
+        assert certify_uniallpass(flipped, trace.dsim).residual == residual
+        zs = unit_circle_points(rng, 16)
+        np.testing.assert_array_equal(frequency_response(flipped, zs), -frequency_response(fdn, zs))
+
     def test_decoupled_matrix_rejected(self):
         # two uncoupled lines force a diagonal, hence rank-2, solution matrix
         with pytest.raises(CompletionError):
             siso_completion(np.diag([0.5, 0.4]))
 
     def test_completions_are_transfer_unique(self, rng):
-        # two successful completions of one matrix realize the same response
+        # two successful completions of one matrix realize the same response:
+        # the per-entry one and the eigen-factor oracle's, on the same dsim
         decay = decay_gains([2, 3, 1], 0.9)
         nodes = choose_dsim(decay, slack=0.8)
         a = cauchy_unitary(nodes, decay**2 * nodes) * decay[None, :]
         fdn1, trace = siso_completion(a, delays=[2, 3, 1])
         balanced_a = (a * np.sqrt(trace.dsim)[None, :]) / np.sqrt(trace.dsim)[:, None]
-        completed = orthogonal_completion(balanced_a, 1, delays=[2, 3, 1])
-        b2, c2, d2 = completed.b.ravel(), completed.c.ravel(), completed.d[0, 0]
+        b2, c2, d2 = orthogonal_completion_eigh(balanced_a, 1)
+        b2, c2, d2 = b2.ravel(), c2.ravel(), d2[0, 0]
         if d2 * trace.d < 0:
             c2, d2 = -c2, -d2
         fdn2 = apply_diagonal_similarity(

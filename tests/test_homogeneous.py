@@ -238,19 +238,23 @@ class TestDesign:
             ([6, 7, 21, 13, 24], 0.9),
             ([4, 8, 7, 18, 28, 21], 0.935),
             ([63, 143], 0.958),
+            ([161, 143], 0.936),
         ],
     )
     def test_strongly_decaying_specs_design(self, delays, gamma):
-        # specs whose per-entry completion missed the certificate tolerance
+        # strong decay: dsim spans five to eight decades, and the
+        # completion must stay accurate relative to each node
         design = design_homogeneous_siso(delays, gamma)
         assert certify_uniallpass(design.fdn, design.dsim).verdict
         np.testing.assert_allclose(np.abs(poles(design.fdn)), gamma, atol=1e-6)
         assert is_allpass(design.fdn).allpass
 
     def test_ill_conditioned_spec_refused(self):
-        with pytest.raises(ConditioningError) as exc:
-            design_homogeneous_siso([161, 143], 0.936)
-        assert exc.value.residual > 0
+        # dsim spans nine decades, so the absolute certificate residual
+        # (about 9e-7) refuses the design before any pole solve
+        with pytest.raises(ConditioningError, match="certification") as exc:
+            design_homogeneous_siso([1009, 1151, 1277, 1361, 1453, 1583, 1693, 1787], 0.999)
+        assert exc.value.residual > 1e-8
 
     def test_pole_check_failure_raises(self, monkeypatch):
         import uniallpass.homogeneous as homogeneous
