@@ -12,8 +12,6 @@ from .complete import (
 )
 from .core import (
     AllpassReport,
-    TransferSample,
-    delay_matrix,
     denominator_poly,
     frequency_response,
     gcp,
@@ -25,8 +23,6 @@ from .core import (
     polyval_zinv,
     principal_minor,
     principal_minor_list,
-    stability_certificate,
-    transfer_function,
 )
 from .designs import (
     delay_dependent_allpass,

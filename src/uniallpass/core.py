@@ -82,14 +82,6 @@ _POWER_LOG2_MAX = 900.0
 _ABERTH_TINY = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class TransferSample:
-    """One evaluation of the transfer matrix: H(z), P x P complex."""
-
-    z: complex
-    h: np.ndarray
-
-
 @dataclass(frozen=True)
 class AllpassReport:
     """Outcome of the two-sided allpass test for a specific delay vector.
@@ -105,14 +97,6 @@ class AllpassReport:
     reversal_deviation: float
     sign: int
     tol: float
-
-
-def delay_matrix(delays, z):
-    """Diagonal matrix with entries z**-m_i."""
-    if z == 0:
-        raise ValueError("delay matrix is undefined at z = 0")
-    m = DelayVector(delays) if not isinstance(delays, DelayVector) else delays
-    return np.diag(np.asarray(z, dtype=complex) ** (-m.as_array()))
 
 
 def _loop_matrices(fdn: FdnSystem, zs):
@@ -142,14 +126,6 @@ def frequency_response(fdn: FdnSystem, zs):
         raise PoleEvaluationError(bad) from None
     h = np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d
     return h
-
-
-def transfer_function(fdn: FdnSystem, z) -> TransferSample:
-    """H(z) = C (diag(z**m_i) - A)^-1 B + D."""
-    h = frequency_response(fdn, [z])[0]
-    if not np.all(np.isfinite(h)):
-        raise PoleEvaluationError(z)
-    return TransferSample(z=complex(z), h=h)
 
 
 def impulse_response(fdn: FdnSystem, length: int):
@@ -696,17 +672,6 @@ def _aberth_poles(fdn: FdnSystem, den, floor):
                 active = active[~done]
     roots[:deg] = np.concatenate((z[:nu], z[:nu].conj(), z[nu:]))
     return roots
-
-
-def stability_certificate(a, t) -> bool:
-    """True when the diagonally scaled feedback matrix is a contraction:
-    spectral norm of diag(t)^-1 A diag(t) strictly below one."""
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float).ravel()
-    if np.any(t <= 0):
-        raise ValueError("scaling vector must be strictly positive")
-    scaled = (a * t[None, :]) / t[:, None]
-    return bool(np.linalg.norm(scaled, 2) < 1.0)
 
 
 def _allpass_grid(fdn: FdnSystem):

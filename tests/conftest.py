@@ -9,6 +9,19 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def no_pole_solve(monkeypatch):
+    """Make every pole solve in the package raise."""
+    import uniallpass.cli as cli
+    import uniallpass.core as core
+
+    def never(*args):
+        raise AssertionError("a pole solve ran")
+
+    for module, name in ((core, "poles"), (core, "_aberth_poles"), (cli, "poles")):
+        monkeypatch.setattr(module, name, never)
+
+
 def random_delays(rng, n, high=16):
     return DelayVector(rng.integers(1, high + 1, size=n))
 

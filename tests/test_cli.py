@@ -35,25 +35,11 @@ class TestDesignCommand:
         assert payload["verify"]["certificate"]["verdict"] is True
         assert payload["meta"]["pole_modulus_max"] == pytest.approx(0.99, abs=1e-6)
 
-    def test_homogeneous_solves_poles_once(self, tmp_path, monkeypatch):
-        import uniallpass.cli as cli
-        import uniallpass.homogeneous as homogeneous
-
-        calls = []
-        solve = homogeneous.poles
-
-        def counting(fdn):
-            calls.append(fdn.order)
-            return solve(fdn)
-
-        monkeypatch.setattr(homogeneous, "poles", counting)
-        monkeypatch.setattr(cli, "poles", counting)
+    def test_homogeneous_design_solves_no_poles(self, tmp_path, no_pole_solve):
         out = tmp_path / "design.json"
         assert run_cli(
             "design", "homogeneous", "--delays", "3,7,5", "--gamma", "0.95", "-o", str(out)
         ) == 0
-        assert calls == [15]
-        monkeypatch.undo()
         design = design_homogeneous_siso([3, 7, 5], 0.95)
         meta = load_system(out)[2]["meta"]
         assert meta["pole_modulus_min"] == design.pole_modulus_min

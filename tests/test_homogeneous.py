@@ -22,6 +22,18 @@ from uniallpass import (
     validate_interleaving,
 )
 
+_EPS = np.finfo(float).eps
+
+
+def solved_moduli(design):
+    """Solved pole moduli, checked against gamma (to 1e-6) and against the
+    design's proven enclosure widened by the solver's own rounding."""
+    moduli = np.abs(poles(design.fdn))
+    np.testing.assert_allclose(moduli, design.gamma, atol=1e-6)
+    assert np.all(moduli >= design.pole_modulus_min - 4 * _EPS)
+    assert np.all(moduli <= design.pole_modulus_max + 4 * _EPS)
+    return moduli
+
 
 class TestDecayGains:
     def test_reference_values(self):
@@ -133,9 +145,7 @@ class TestDesign:
     def test_reference_design(self, rng):
         design = design_homogeneous_siso(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA, dsim=fv.HOMOG_DSIM)
         np.testing.assert_allclose(design.fdn.a, fv.HOMOG_A, atol=fv.FIXTURE_TOL)
-        moduli = np.abs(poles(design.fdn))
-        assert len(moduli) == 54
-        np.testing.assert_allclose(moduli, fv.HOMOG_GAMMA, atol=1e-6)
+        assert len(solved_moduli(design)) == 54
 
     def test_single_line_matches_series_section(self, rng):
         # the single-line design realizes (g - z^-4) / (1 - g z^-4): the
@@ -158,8 +168,7 @@ class TestDesign:
             n = 5
             delays = random_delays(rng, n, 20)
             design = design_homogeneous_siso(delays, 0.97)
-            moduli = np.abs(poles(design.fdn))
-            np.testing.assert_allclose(moduli, 0.97, atol=1e-6)
+            solved_moduli(design)
             assert is_allpass(design.fdn).allpass
             other = random_delays(rng, n, 20)
             assert is_allpass(design.fdn.with_delays(other)).allpass
@@ -194,12 +203,12 @@ class TestDesign:
         perm = [2, 0, 3, 1]
         permuted = design_homogeneous_siso([delays[i] for i in perm], 0.95)
         for design in (base, permuted):
-            np.testing.assert_allclose(np.abs(poles(design.fdn)), 0.95, atol=1e-6)
+            solved_moduli(design)
             assert is_allpass(design.fdn).allpass
 
     def test_pole_count_matches_order(self):
         design = design_homogeneous_siso([2, 5], 0.8)
-        assert len(poles(design.fdn)) == DelayVector([2, 5]).system_order
+        assert len(solved_moduli(design)) == DelayVector([2, 5]).system_order
 
     def test_unsorted_but_valid_dsim_accepted(self, rng):
         # node pairs are canonically re-sorted, so an unsorted vector whose
@@ -246,20 +255,53 @@ class TestDesign:
         # completion must stay accurate relative to each node
         design = design_homogeneous_siso(delays, gamma)
         assert certify_uniallpass(design.fdn, design.dsim).verdict
-        np.testing.assert_allclose(np.abs(poles(design.fdn)), gamma, atol=1e-6)
+        solved_moduli(design)
         assert is_allpass(design.fdn).allpass
 
     def test_ill_conditioned_spec_refused(self):
         # dsim spans nine decades, so the absolute certificate residual
-        # (about 9e-7) refuses the design before any pole solve
+        # (about 9e-7) refuses the design
         with pytest.raises(ConditioningError, match="certification") as exc:
             design_homogeneous_siso([1009, 1151, 1277, 1361, 1453, 1583, 1693, 1787], 0.999)
         assert exc.value.residual > 1e-8
 
-    def test_pole_check_failure_raises(self, monkeypatch):
+    def test_enclosure_holds_at_order_3000(self):
+        design = design_homogeneous_siso([347, 353, 359, 367, 373, 379, 383, 439], 0.9995)
+        assert len(solved_moduli(design)) == 3000
+
+    @pytest.mark.parametrize(
+        "delays, gamma",
+        [
+            ([1117, 1151, 1187, 1213, 1237, 1259, 1223, 1285], 0.9995),
+            (
+                [2201, 2241, 2006, 2242, 2140, 2154, 2189, 2085,
+                 2293, 2016, 2083, 2115, 2171, 2122, 2039, 2013],
+                0.99999,
+            ),
+        ],
+    )
+    def test_audio_orders_design_without_pole_solve(self, delays, gamma, no_pole_solve):
+        # orders 9672 and 34110; the second is above the pole solver's order
+        # budget, so only the proven bound can vouch for its poles
+        design = design_homogeneous_siso(delays, gamma)
+        assert certify_uniallpass(design.fdn, design.dsim).verdict
+        assert gamma - 1e-13 < design.pole_modulus_min < gamma
+        assert gamma < design.pole_modulus_max < gamma + 1e-13
+
+    def test_bound_refuses_perturbed_unitary(self, monkeypatch):
         import uniallpass.homogeneous as homogeneous
 
-        monkeypatch.setattr(homogeneous, "poles", lambda fdn: 1.001 * poles(fdn))
-        with pytest.raises(ConditioningError) as exc:
+        perturbed = []
+
+        def scaled_column(d, dq):
+            u = cauchy_unitary(d, dq).copy()
+            u[:, 0] *= 1 + 1e-5
+            perturbed.append(u)
+            return u
+
+        monkeypatch.setattr(homogeneous, "cauchy_unitary", scaled_column)
+        with pytest.raises(ConditioningError, match="bound") as exc:
             design_homogeneous_siso([3, 7, 2], 0.9)
-        assert exc.value.residual == pytest.approx(0.0009, rel=1e-6)
+        (u,) = perturbed
+        expected = 0.9 * np.linalg.norm(u @ u.T - np.eye(3), 2)
+        assert exc.value.residual == pytest.approx(expected, rel=1e-6)
