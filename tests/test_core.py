@@ -82,6 +82,35 @@ class TestTransferFunction:
             frequency_response(fdn, [1.0])
 
 
+class TestZeroFeedbackResponse:
+    """With A = 0, B = C = I and D = 0, H(z) is the delay matrix diag(z**-m)."""
+
+    @staticmethod
+    def delay_lines(delays):
+        n = len(delays)
+        return FdnSystem(np.zeros((n, n)), np.eye(n), np.eye(n), np.zeros((n, n)), delays)
+
+    def test_unit_z_is_identity(self):
+        h = frequency_response(self.delay_lines([1, 1]), [1.0])[0]
+        np.testing.assert_allclose(h, np.eye(2))
+
+    def test_scalar_power(self):
+        h = frequency_response(self.delay_lines([2]), [2.0])[0]
+        np.testing.assert_allclose(h, [[0.25]])
+
+    def test_unit_circle_moduli(self):
+        m = [13, 22, 1, 10, 5, 3]
+        z = np.exp(1j * np.pi / 4)
+        h = frequency_response(self.delay_lines(m), [z])[0]
+        np.testing.assert_allclose(np.diag(h), np.exp(-1j * np.pi * np.array(m) / 4))
+        np.testing.assert_allclose(np.abs(np.diag(h)), 1.0)
+        np.testing.assert_array_equal(h[~np.eye(len(m), dtype=bool)], 0.0)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            frequency_response(self.delay_lines([1]), [0.5, 0.0])
+
+
 class TestImpulseResponse:
     def test_pure_delay(self):
         h = impulse_response(unit_delay(), 4)

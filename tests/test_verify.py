@@ -210,6 +210,27 @@ class TestCertificate:
         cert = certify_uniallpass(fdn, -np.ones(3))
         assert not cert.verdict
 
+    def test_zero_dsim_entry_fails_even_with_small_residual(self):
+        # a line that no gain reaches has an all-zero row in U, so a zero
+        # dsim entry on it leaves the residual at rounding level
+        inner = random_uniallpass(2, 1, seed=3)
+        u = np.zeros((4, 4))
+        u[1:, 1:] = SystemMatrix.from_fdn(inner).u
+        u[1:, 0] = [0.5, -0.2, 0.7]
+        fdn = FdnSystem(u[:3, :3], u[:3, 3:], u[3:, :3], u[3:, 3:], [4, 2, 3])
+        cert = certify_uniallpass(fdn, [0.0, 1.0, 1.0])
+        assert cert.residual < 1e-12
+        assert not cert.verdict
+
+    def test_expansive_feedback_never_certifies(self, rng):
+        # U W U^T = W with positive W gives A D A^T <= D, a spectral radius of
+        # at most one, so no positive scaling certifies a radius of 1.5
+        a = rng.standard_normal((3, 3))
+        a *= 1.5 / np.max(np.abs(np.linalg.eigvals(a)))
+        fdn = FdnSystem(a, rng.standard_normal((3, 1)), rng.standard_normal((1, 3)), [[0.3]], [1, 2, 3])
+        for _ in range(5):
+            assert not certify_uniallpass(fdn, np.exp(rng.uniform(-1, 1, 3))).verdict
+
 
 class TestMinorCondition:
     def test_counterexample(self):
