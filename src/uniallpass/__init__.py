@@ -20,7 +20,6 @@ from .core import (
     numerator_poly,
     ordered_subsets,
     poles,
-    polyval_zinv,
     principal_minor,
     principal_minor_list,
 )
@@ -54,7 +53,6 @@ from .verify import (
     SchurPair,
     UniallpassCertificate,
     apply_diagonal_similarity,
-    balanced_form,
     balanced_residuals,
     certify_uniallpass,
     check_minor_condition,

@@ -237,15 +237,6 @@ def _gcp_terms(a, m):
     return coeffs_z[::-1].copy(), floor_z[::-1].copy()
 
 
-def polyval_zinv(coeffs, z):
-    """Evaluate sum_k coeffs[k] * z**-k (scalar or array z)."""
-    w = 1.0 / np.asarray(z, dtype=complex)
-    val = np.zeros_like(w)
-    for ck in coeffs[::-1]:
-        val = val * w + ck
-    return val
-
-
 def denominator_poly(fdn: FdnSystem):
     """Denominator of H(z), ascending in z^-1 (monic)."""
     return gcp(fdn.a, fdn.delays)

@@ -236,15 +236,6 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
     )
 
 
-def balanced_form(fdn: FdnSystem, dsim) -> FdnSystem:
-    """Similarity image under T = sqrt(dsim); when the certificate holds the
-    resulting block system matrix is orthogonal."""
-    dsim = np.asarray(dsim, dtype=float).ravel()
-    if np.any(dsim <= 0):
-        raise ValueError("balanced form requires a strictly positive dsim")
-    return apply_diagonal_similarity(fdn, np.sqrt(dsim))
-
-
 def balanced_residuals(fdn: FdnSystem):
     """Max-norm defects of the three orthogonality identities of a balanced
     system: AA^T + BB^T = I, AC^T + BD^T = 0, CC^T + DD^T = I."""

@@ -7,11 +7,14 @@ from the eigenvalues of the characteristic polynomial's companion matrix,
 impulse responses from frequency sampling plus an inverse DFT or from one
 recursion step per sample, numerator coefficients from a dense Vandermonde
 least-squares solve, orthogonal completions from eigen-factors of the two
-defect Gram matrices, and the classic designs from their scalar
-product/recursion forms.
+defect Gram matrices, the classic designs from their scalar
+product/recursion forms, and CSV text from Python's own "%.17g" applied
+one row tuple at a time.
 """
 
 import numpy as np
+
+from uniallpass import FdnSystem, apply_diagonal_similarity
 
 
 def perm_sign(perm):
@@ -104,6 +107,15 @@ def numerator_leibniz(fdn):
     return acc[::-1].copy()
 
 
+def polyval_zinv(coeffs, z):
+    """Evaluate sum_k coeffs[k] * z**-k (scalar or array z)."""
+    w = 1.0 / np.asarray(z, dtype=complex)
+    val = np.zeros_like(w)
+    for ck in coeffs[::-1]:
+        val = val * w + ck
+    return val
+
+
 def numerator_vandermonde(fdn, reduce=None, pad=8):
     """Numerator of H (or of ``reduce(H)``, e.g. ``np.linalg.det``) by least
     squares: H times the Horner-evaluated denominator at order + 1 + pad
@@ -111,7 +123,7 @@ def numerator_vandermonde(fdn, reduce=None, pad=8):
     with ``np.linalg.lstsq``.  Returns (real coefficients with the sample's
     trailing shape plus (order + 1,), largest sample mismatch of the fit,
     largest sample magnitude)."""
-    from uniallpass import denominator_poly, frequency_response, polyval_zinv
+    from uniallpass import denominator_poly, frequency_response
 
     order = fdn.order
     count = order + 1 + pad
@@ -128,6 +140,15 @@ def numerator_vandermonde(fdn, reduce=None, pad=8):
     resid = float(np.max(np.abs(vand @ coeffs - flat)))
     out_shape = values.shape[1:] + (order + 1,)
     return np.moveaxis(coeffs, 0, -1).reshape(out_shape), resid, float(np.max(np.abs(values)))
+
+
+def balanced_form(fdn: FdnSystem, dsim) -> FdnSystem:
+    """Similarity image under T = sqrt(dsim); when the certificate holds the
+    resulting block system matrix is orthogonal."""
+    dsim = np.asarray(dsim, dtype=float).ravel()
+    if np.any(dsim <= 0):
+        raise ValueError("balanced form requires a strictly positive dsim")
+    return apply_diagonal_similarity(fdn, np.sqrt(dsim))
 
 
 def principal_minors_loop(m):
@@ -267,6 +288,39 @@ def gardner_recursion_tf(gains, delays, zs):
     for g, m in zip(gains[1:], delays[1:]):
         out = (g + zs ** -m * out) / (1.0 + g * zs ** -m * out)
     return out
+
+
+def csv_per_value(path_or_handle, header, row_format, rows):
+    """Comma-separated table with a header row and LF line endings.
+
+    Each row is one tuple formatted by ``row_format``; ``%.17g`` spells a
+    float exactly as ``format(v, ".17g")`` does.
+    """
+    text = "\n".join([",".join(header)] + [row_format % row for row in rows]) + "\n"
+    if hasattr(path_or_handle, "write"):
+        path_or_handle.write(text)
+    else:
+        with open(path_or_handle, "w", newline="\n") as fh:
+            fh.write(text)
+    return text
+
+
+def impulse_csv_per_value(path_or_handle, response):
+    """``serialize.impulse_csv`` formatting one row tuple at a time."""
+    p_out, p_in, length = response.shape
+    if p_out == 1 and p_in == 1:
+        header = ["n", "y"]
+    else:
+        header = ["n"] + [f"y_out{i}_in{j}" for i in range(p_out) for j in range(p_in)]
+    columns = np.reshape(response, (p_out * p_in, length)).T.tolist()
+    rows = ((n, *values) for n, values in enumerate(columns))
+    return csv_per_value(path_or_handle, header, "%d" + ",%.17g" * (p_out * p_in), rows)
+
+
+def poles_csv_per_value(path_or_handle, pole_values):
+    """``serialize.poles_csv`` formatting one row tuple at a time."""
+    rows = ((p.real, p.imag, abs(p)) for p in pole_values)
+    return csv_per_value(path_or_handle, ["re", "im", "modulus"], "%.17g,%.17g,%.17g", rows)
 
 
 def multiset_max_distance(p, q):

@@ -14,6 +14,7 @@ from oracles import (
     numerator_leibniz,
     numerator_vandermonde,
     poles_companion,
+    polyval_zinv,
 )
 from uniallpass import (
     ConditioningError,
@@ -33,7 +34,6 @@ from uniallpass import (
     ordered_subsets,
     poles,
     poletti_unitary,
-    polyval_zinv,
     principal_minor,
     principal_minor_list,
     random_orthogonal,

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import fixture_values as fv
 from conftest import random_delays, tf_max_diff, unit_circle_points
+from oracles import balanced_form
 from uniallpass import (
     ConditioningError,
     DelayVector,
@@ -182,7 +183,7 @@ class TestDesign:
         # after balancing with the design nodes, the feedback block is the
         # corner of an orthogonal matrix: N - 1 unit singular values and one
         # equal to |det A|
-        from uniallpass import balanced_form, dsim_from_lyapunov
+        from uniallpass import dsim_from_lyapunov
 
         design = design_homogeneous_siso([3, 7, 2, 5], 0.93)
         balanced = balanced_form(design.fdn, dsim_from_lyapunov(design.fdn.a, design.fdn.b))

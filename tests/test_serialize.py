@@ -1,11 +1,18 @@
+import io
 import json
 import wave
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from uniallpass import SchemaError, random_uniallpass
+from oracles import csv_per_value, impulse_csv_per_value, poles_csv_per_value
+from uniallpass import SchemaError, impulse_response, poletti_unitary, random_orthogonal, random_uniallpass
 from uniallpass.serialize import (
+    _pow10_table,
     canonical_json,
     dumps_system,
     impulse_csv,
@@ -13,6 +20,7 @@ from uniallpass.serialize import (
     loads_system,
     poles_csv,
     save_system,
+    write_csv,
     write_wav,
 )
 
@@ -89,7 +97,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_impulse_bytes_match_per_value_format(self, tmp_path, p):
-        values = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 2.0, -7.0, 1e16, 0.1, -2.5e-308]
+        values = [-0.0, 5e-324, 1e300, 1.0 / 3.0, 2.0, -7.0, 1e16, 0.1, -2.5e-308, np.inf, -np.inf, np.nan]
         length = 2 * len(values) + 1
         response = np.resize(np.array(values), p * p * length).reshape(p, p, length)
         if p == 1:
@@ -120,6 +128,73 @@ class TestCsv:
         lines = text.splitlines()
         assert lines[0] == "re,im,modulus"
         assert lines[1].split(",")[2] == "1"
+
+
+def table_per_value(table):
+    """CSV text of a 2-D float table by the per-row "%.17g" oracle."""
+    cols = table.shape[1]
+    return csv_per_value(io.StringIO(), ["h"] * cols, ",".join(["%.17g"] * cols), map(tuple, table.tolist()))
+
+
+def table_text(table):
+    return write_csv(io.StringIO(), ["h"] * table.shape[1], table)
+
+
+class TestCsvFormatter:
+    """Every cell of the vectorized writer against Python's "%.17g"."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(1, 4)), elements=st.floats(width=64)))
+    def test_any_table_matches_per_value(self, table):
+        assert table_text(table) == table_per_value(table)
+
+    def test_random_bit_patterns(self):
+        # every float64 bit pattern is equally likely: all exponents, both
+        # signs, subnormals, infinities and NaNs
+        bits = np.random.default_rng(13).integers(0, 2**64, size=1 << 17, dtype=np.uint64, endpoint=False)
+        table = bits.view(np.float64).reshape(-1, 4)
+        assert table_text(table) == table_per_value(table)
+
+    def test_edge_values(self):
+        ties = [(2.0**53 - k) / 4 for k in range(1, 64, 2)]  # exact halves at the 17th digit
+        powers = [float(f"1e{j}") for j in range(-323, 309)]  # 1e-14 and 1e-305 carry to 10**17
+        neighbours = [float(np.nextafter(v, w)) for v in powers for w in (0.0, np.inf)]
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        values += [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, np.inf, -np.inf, np.nan]
+        table = np.array(values + ties + powers + neighbours).reshape(-1, 1)
+        text = table_text(table)
+        assert text == table_per_value(table)
+        lines = text.splitlines()[1:]
+        assert lines[:14] == [
+            "0", "-0", "4.9406564584124654e-324", "-4.9406564584124654e-324",
+            "2.2250738585072014e-308", "1.7976931348623157e+308", "1.0000000000000001e-05",
+            "0.0001", "10000000000000000", "1e+17", "1e+17", "inf", "-inf", "nan",
+        ]
+        assert lines[14] == "2251799813685247.8"
+        assert "1e-14" in lines and "1e-305" in lines
+
+    def test_poletti_render_bytes(self, tmp_path):
+        # the N = P = 4 lattice of the CI step: 48000 rows of 16 responses
+        u = random_orthogonal(4, np.random.default_rng(3))
+        fdn, _ = poletti_unitary(u, 0.6, [1201, 1433, 1087, 1699])
+        response = impulse_response(fdn, 48000)
+        path = tmp_path / "ir.csv"
+        text = impulse_csv(path, response)
+        assert text == impulse_csv_per_value(io.StringIO(), response)
+        assert path.read_bytes() == text.encode()
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.complex128, st.integers(0, 6), elements=st.complex_numbers(allow_infinity=True, allow_nan=True)))
+    def test_poles_match_per_value(self, pole_values):
+        assert poles_csv(io.StringIO(), pole_values) == poles_csv_per_value(io.StringIO(), pole_values)
+
+    def test_pow10_table_is_exact(self):
+        hi, hi_high, hi_low, lo, ex = _pow10_table()
+        assert np.array_equal(hi_high + hi_low, hi)
+        for i, s in enumerate(range(-295, 346)):
+            rest = Fraction(10) ** s / Fraction(2) ** int(ex[i])
+            assert hi[i] == float(rest) and 1.0 <= hi[i] < 2.0
+            assert lo[i] == float(rest - Fraction(hi[i]))
 
 
 class TestWav:
