@@ -7,7 +7,6 @@ from .complete import (
     orthogonal_completion,
     random_orthogonal,
     random_uniallpass,
-    select_rank1_roots,
     siso_completion,
 )
 from .core import (

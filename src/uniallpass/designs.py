@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .system import DelayVector, FdnSystem
-from .verify import dsim_from_lyapunov
 
 # orthogonality tolerance of the lattice's mixing matrix
 _ORTHO_TOL = 1e-9
@@ -49,8 +48,7 @@ def gardner_nested(gains, delays):
 
     The feedback matrix is upper Hessenberg with a unit superdiagonal and the
     impulse enters through the last line.  The certifying similarity is
-    recovered numerically from the Lyapunov solution (it comes out as
-    dsim_i = 1 / prod_{k >= i} (1 - g_k^2)).
+    dsim_i = 1 / prod_{k >= i} (1 - g_k^2).
     """
     g = _check_gains(gains)
     n = g.size
@@ -67,9 +65,8 @@ def gardner_nested(gains, delays):
     b[n - 1] = 1.0
     c = np.array([eps[i] * np.prod(1.0 - g[i:] ** 2) for i in range(n)])
     d = float(g[n - 1])
-    fdn = FdnSystem.siso(a, b, c, d, delays)
-    dsim = dsim_from_lyapunov(fdn.a, fdn.b)
-    return fdn, dsim
+    dsim = 1.0 / np.cumprod((1.0 - g**2)[::-1])[::-1]
+    return FdnSystem.siso(a, b, c, d, delays), dsim
 
 
 def poletti_unitary(unitary, gain: float, delays):

@@ -32,10 +32,17 @@ class SchurPair:
 
 @dataclass(frozen=True, eq=False)
 class UniallpassCertificate:
-    """Result of the sufficient (delay-independent) allpass check."""
+    """Result of the sufficient (delay-independent) allpass check.
+
+    ``residual`` is max|U W U^T - W|, which damps the entries of a line with
+    a tiny ``dsim`` entry; ``balanced_residual`` is max|V V^T - I| for the
+    balanced V = T^-1 U T, T = sqrt(W), which does not (inf unless every
+    entry of ``dsim`` is positive).  The verdict needs both below ``tol``.
+    """
 
     dsim: np.ndarray
     residual: float
+    balanced_residual: float
     verdict: bool
     tol: float
 
@@ -193,14 +200,20 @@ def dsim_from_hadamard_quotient(sys: SystemMatrix, tol=1e-6):
 
 def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCertificate:
     """Sufficient certificate: with W = diag(dsim, I_P), test U W U^T = W for
-    the block system matrix U.  A pass with positive ``dsim`` certifies the
-    allpass property for every delay vector."""
+    the block system matrix U, both as is and balanced by sqrt(W).  A pass
+    (positive ``dsim``) certifies the allpass property for every delay
+    vector."""
     dsim = np.asarray(dsim, dtype=float).ravel()
     u = SystemMatrix.from_fdn(fdn).u
     w = np.concatenate([dsim, np.ones(fdn.n_io)])
     residual = float(np.max(np.abs((u * w[None, :]) @ u.T - np.diag(w))))
-    verdict = bool(residual < tol and np.all(dsim > 0))
-    return UniallpassCertificate(dsim=dsim, residual=residual, verdict=verdict, tol=float(tol))
+    balanced = np.inf
+    if np.all(dsim > 0):
+        t = np.sqrt(w)
+        v = (u * t[None, :]) / t[:, None]
+        balanced = float(np.max(np.abs(v @ v.T - np.eye(w.size))))
+    verdict = bool(residual < tol and balanced < tol)
+    return UniallpassCertificate(dsim, residual, balanced, verdict, float(tol))
 
 
 def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:

@@ -6,6 +6,7 @@ from oracles import orthogonal_completion_eigh
 from uniallpass import (
     CompletionError,
     FdnSystem,
+    SystemMatrix,
     admissibility,
     apply_diagonal_similarity,
     certify_uniallpass,
@@ -21,9 +22,13 @@ from uniallpass import (
     random_orthogonal,
     random_uniallpass,
     schroeder_series,
-    select_rank1_roots,
     siso_completion,
 )
+
+
+def _tf_diff_up_to_sign(f1, f2, zs):
+    negated = FdnSystem(f2.a, f2.b, -f2.c, -f2.d, f2.delays)
+    return min(tf_max_diff(f1, f2, zs), tf_max_diff(f1, negated, zs))
 
 
 class TestAdmissibility:
@@ -191,33 +196,26 @@ class TestSisoCompletion:
         with pytest.raises(CompletionError):
             siso_completion(np.zeros((2, 2)))
 
-    def test_zero_row_solution_rejected(self):
-        # the nested chain's input gain is zero on all lines but one, so the
-        # rank-1 solution has zero rows that fix no similarity entry; this
-        # is a typed refusal, not a 0/0
-        fdn, _ = gardner_nested([0.3, 0.4, 0.5, 0.6], [1, 1, 1, 1])
-        with pytest.raises(CompletionError, match="zero row"):
-            siso_completion(fdn.a)
+    def test_nested_chain_completes(self, rng):
+        # the nested chain's input gain is zero on all lines but one; that
+        # only zeroes columns of the rank-one pencil matrix K(dsim)
+        gains, delays = [0.3, 0.4, 0.5, 0.6], [1, 2, 3, 4]
+        reference, _ = gardner_nested(gains, delays)
+        fdn, trace = siso_completion(reference.a, delays=delays)
+        assert certify_uniallpass(fdn, trace.dsim).verdict
+        zs = unit_circle_points(rng, 16)
+        assert _tf_diff_up_to_sign(reference, fdn, zs) < 1e-8
 
     def test_sign_of_direct_gain_is_a_gauge(self, rng):
-        # negating d negates every quadratic root, hence X, and leaves dsim
-        # unchanged; the completion with d = -|det A| is the returned one
-        # with (c, d) negated, which certifies with the same residual
+        # dsim does not depend on the sign of d: the completion with
+        # d = -|det A| is the returned one with (c, d) negated, which
+        # certifies with the same residual
         delays = [3, 1, 5, 2]
         decay = decay_gains(delays, 0.95)
         nodes = choose_dsim(decay)
         a = cauchy_unitary(nodes, decay**2 * nodes) * decay[None, :]
         fdn, trace = siso_completion(a, delays=delays)
         assert np.max(trace.dsim) == 1.0
-        a_inv = np.linalg.inv(a)
-        d = -trace.d
-        x = select_rank1_roots(
-            a_inv,
-            -d * (a * a.T - a_inv * a_inv.T - np.outer(trace.a_gap, trace.a_gap)),
-            a_inv.T * d * d * np.outer(trace.a_gap, trace.a_gap),
-            d * trace.a_gap,
-        )
-        np.testing.assert_allclose(x, -trace.x, rtol=1e-12, atol=0)
         flipped = FdnSystem.siso(a, fdn.b.ravel(), -fdn.c.ravel(), -fdn.d[0, 0], delays)
         residual = certify_uniallpass(fdn, trace.dsim).residual
         assert certify_uniallpass(flipped, trace.dsim).residual == residual
@@ -248,34 +246,58 @@ class TestSisoCompletion:
         assert tf_max_diff(fdn1, fdn2, zs) < 1e-9
 
 
-class TestSelectRank1Roots:
-    def test_forward_constructed_system(self, rng):
-        # build quadratics from a known certified completion and recover X
-        gains = [0.35, 0.55, 0.75]
-        reference, dsim = schroeder_series(gains, [1, 1, 1])
-        a = reference.a
-        # make the matrix fully connected by a random similarity-of-basis trick:
-        # use the homogeneous construction instead
-        decay = decay_gains([2, 1, 3], 0.92)
-        nodes = choose_dsim(decay)
-        a = cauchy_unitary(nodes, decay**2 * nodes) * decay[None, :]
-        fdn, trace = siso_completion(a)
-        a_inv = np.linalg.inv(a)
-        a_gap = np.diag(a) - np.diag(a_inv)
-        d = trace.d
-        rhs = d * (a * a.T - a_inv * a_inv.T - np.outer(a_gap, a_gap))
-        x = select_rank1_roots(
-            a_inv, -rhs, a_inv.T * d * d * np.outer(a_gap, a_gap), d * a_gap
-        )
-        # recovery up to the scalar split: compare projectively
-        ratio = x / trace.x
-        assert np.max(np.abs(ratio - 1.0)) < 1e-8
+class TestPencilCompletion:
+    def test_paper_chains_complete_with_constructor_response(self, rng):
+        # Schroeder's series and Gardner's nested chains, N 2-6, plus nested
+        # chains of twelve lines: each completes to its constructor's H
+        gen = np.random.default_rng(7)
+        zs = unit_circle_points(rng, 8)
+        sizes = [int(n) for n in gen.integers(2, 7, 24)] + [12] * 4
+        for i, n in enumerate(sizes):
+            build = gardner_nested if i % 2 or n == 12 else schroeder_series
+            delays = random_delays(gen, n, 6)
+            reference, _ = build(gen.uniform(-0.9, 0.9, n), delays)
+            fdn, trace = siso_completion(reference.a, delays=delays)
+            assert certify_uniallpass(fdn, trace.dsim).verdict
+            assert _tf_diff_up_to_sign(reference, fdn, zs) < 1e-8, (build.__name__, n)
 
-    def test_single_entry(self):
-        x = select_rank1_roots(
-            np.array([[2.0]]), np.array([[-6.0]]), np.array([[4.5]]), np.array([1.5])
-        )
-        assert x[0, 0] == pytest.approx(1.5)
+    def test_hidden_similarity_recovered(self):
+        # a scaled random system hides dsim = 1 / t^2 behind its similarity;
+        # beyond two lines the certifying dsim is unique and comes back to
+        # rounding
+        for n in [1, *range(3, 17)]:
+            for seed in range(3):
+                gen = np.random.default_rng(seed)
+                plain = SystemMatrix(random_orthogonal(n + 1, gen), n).to_fdn([1] * n)
+                t = np.exp(gen.uniform(-1.0, 1.0, n))
+                scaled = apply_diagonal_similarity(plain, t)
+                _, trace = siso_completion(scaled.a)
+                expected = 1.0 / t**2
+                expected /= np.max(expected)
+                np.testing.assert_allclose(trace.dsim, expected, rtol=1e-10, atol=0)
+
+    def test_wide_node_span_recovered(self):
+        # acceptance seed 20030: N = 6 with nodes spanning 7.8 decades, which
+        # needs the balanced refinement to reach the smallest entry
+        gen = np.random.default_rng(20_030)
+        n = int(gen.integers(2, 7))
+        delays = random_delays(gen, n, 12)
+        gamma = float(gen.uniform(0.8, 0.99))
+        decay = decay_gains(delays, gamma)
+        nodes = choose_dsim(decay, slack=float(gen.uniform(0.6, 0.95)))
+        a = cauchy_unitary(nodes, decay**2 * nodes) * decay[None, :]
+        assert n == 6 and np.log10(np.max(nodes) / np.min(nodes)) > 7.5
+        _, trace = siso_completion(a, delays=delays)
+        np.testing.assert_allclose(trace.dsim, nodes / np.max(nodes), rtol=1e-10, atol=0)
+
+    def test_spurious_eigenvector_refused_by_census(self):
+        # the pencil also yields a positive vector with an entry near 1e-17;
+        # its balanced corner has singular values (1, 0.786, 0.016), so the
+        # census refuses it and the chain's own dsim is returned
+        gains = [0.786, -0.621, 0.026]
+        reference, dsim = schroeder_series(gains, [3, 1, 2])
+        _, trace = siso_completion(reference.a, delays=[3, 1, 2])
+        np.testing.assert_allclose(trace.dsim, dsim / np.max(dsim), rtol=1e-10, atol=0)
 
 
 class TestRandomUniallpass:

@@ -77,14 +77,29 @@ class TestGardnerNested:
         cert = certify_uniallpass(fdn, dsim)
         assert cert.verdict and cert.residual < 1e-12
 
-    def test_lyapunov_matches_product_magnitude(self):
-        # recovered similarity is +1 / prod_{k >= i} (1 - g_k^2); the sign is
-        # positive by positive semidefiniteness of the Gram solution
-        g = fv.CLASSIC_GAINS
-        _, dsim = gardner_nested(g, [1] * 6)
-        expected = np.array([1.0 / np.prod(1.0 - g[i:] ** 2) for i in range(6)])
-        np.testing.assert_allclose(dsim, expected, atol=1e-10)
-        assert np.all(dsim > 0)
+    def test_lyapunov_matches_product_magnitude(self, rng):
+        # the stated dsim_i = 1 / prod_{k >= i} (1 - g_k^2) is the Gram
+        # solution's diagonal, which is positive by semidefiniteness
+        for n in range(1, 9):
+            g = rng.uniform(-0.9, 0.9, n)
+            fdn, dsim = gardner_nested(g, [1] * n)
+            np.testing.assert_allclose(dsim_from_lyapunov(fdn.a, fdn.b), dsim, rtol=1e-11, atol=0)
+            assert np.all(dsim > 0)
+            assert certify_uniallpass(fdn, dsim).residual < 1e-12
+
+    def test_closed_form_certifies_long_chain(self):
+        # N = 32: the Kronecker Lyapunov solve's diagonal test refused this
+        # chain (off/diag mass 2.75e-6); the closed form certifies it
+        fdn, dsim = gardner_nested(np.random.default_rng(13).uniform(-0.9, 0.9, 32), [1] * 32)
+        assert certify_uniallpass(fdn, dsim).verdict
+
+    def test_long_chain_refused_only_by_absolute_gauge(self):
+        # dsim up to 1.9e8 lifts the absolute residual above tol although the
+        # balanced system matrix is orthogonal to rounding
+        fdn, dsim = gardner_nested(np.random.default_rng(35).uniform(-0.9, 0.9, 32), [1] * 32)
+        cert = certify_uniallpass(fdn, dsim)
+        assert cert.residual > 1e-8 and cert.balanced_residual < 1e-12
+        assert not cert.verdict
 
     def test_recursion_form(self, rng):
         g = [0.35, -0.2, 0.55]

@@ -27,6 +27,7 @@ from uniallpass import (
     schroeder_series,
     schur_complements,
 )
+from uniallpass.complete import _complete_balanced
 
 
 class TestSchurComplements:
@@ -221,6 +222,18 @@ class TestCertificate:
         cert = certify_uniallpass(fdn, [0.0, 1.0, 1.0])
         assert cert.residual < 1e-12
         assert not cert.verdict
+
+    def test_tiny_dsim_entry_seen_by_balanced_residual(self):
+        # a spurious similarity with a 1e-17 entry damps that line out of the
+        # absolute residual; the balanced residual refuses it
+        reference, _ = schroeder_series([0.786, -0.621, 0.026], [3, 1, 2])
+        dsim = [7.54754241e-17, 1.0, 0.614774588]
+        fdn, cert = _complete_balanced(reference.a, dsim, [3, 1, 2], 1e-8)
+        assert cert.residual < 1e-9
+        assert cert.balanced_residual > 0.1
+        assert not cert.verdict
+        assert check_minor_condition(fdn).deviation > 1.0
+        assert not is_allpass(fdn).allpass
 
     def test_expansive_feedback_never_certifies(self, rng):
         # U W U^T = W with positive W gives A D A^T <= D, a spectral radius of
