@@ -55,8 +55,10 @@ def _float_list(text):
 
 
 def _verify_report(fdn, dsim, tol):
-    """Certification summary dict embedded in output JSON."""
+    """Certification summary dict embedded in output JSON, the dsim it used
+    and its certificate (None without a similarity candidate)."""
     report = {}
+    cert = None
     if dsim is None:
         try:
             dsim = dsim_from_lyapunov(fdn.a, fdn.b, tol)
@@ -81,12 +83,12 @@ def _verify_report(fdn, dsim, tol):
         }
     except (np.linalg.LinAlgError, ValueError) as exc:
         report["minor_condition"] = {"verdict": False, "detail": str(exc)}
-    return report, dsim
+    return report, dsim, cert
 
 
 def _emit_system(args, fdn, dsim, meta=None, tol=None):
     tol = tol if tol is not None else _default_tol()
-    verify, dsim = _verify_report(fdn, dsim, tol)
+    verify, dsim, _ = _verify_report(fdn, dsim, tol)
     text = serialize.dumps_system(fdn, dsim=dsim, meta=meta, verify=verify)
     if args.output:
         with open(args.output, "w", newline="\n") as fh:
@@ -183,11 +185,11 @@ def _cmd_verify(args):
     fdn, dsim, _ = serialize.load_system(args.input)
     if args.delays:
         fdn = fdn.with_delays(args.delays)
-    report, dsim = _verify_report(fdn, dsim, tol)
-    cert = report.get("certificate")
+    report, _, cert = _verify_report(fdn, dsim, tol)
     if cert is not None:
         print(
-            f"certificate: verdict={cert['verdict']} residual={cert['residual']:.6g} tol={tol:g}"
+            f"certificate: verdict={cert.verdict} residual={cert.residual:.6g} "
+            f"balanced={cert.balanced_residual:.6g} tol={tol:g}"
         )
     else:
         print(f"certificate: no similarity candidate ({report['lyapunov']['detail']})")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complete import _complete_balanced
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _pole_radius
 from .errors import ConditioningError, InterleavingError
 from .system import DelayVector, FdnSystem
 
@@ -173,9 +173,7 @@ def design_homogeneous_siso(
             raise ValueError("dsim entries must be positive")
     dq_nodes = decay**2 * d_nodes
     unitary = cauchy_unitary(d_nodes, dq_nodes)
-    n = len(m)
-    rho = np.linalg.norm(unitary @ unitary.T - np.eye(n), 2)
-    bound = float(gamma * (rho + n * np.finfo(float).eps))
+    bound = _pole_radius(gamma, unitary)
     if bound > _POLE_TOL:
         raise ConditioningError(
             f"pole modulus bound {bound:.3g} about {gamma} exceeds {_POLE_TOL:g}", residual=bound

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from uniallpass import DelayVector, FdnSystem
+from oracles import multiset_max_distance, poles_companion
+from uniallpass import DelayVector, FdnSystem, gcp, poles
 
 
 @pytest.fixture
@@ -48,3 +49,23 @@ def tf_max_diff(f1, f2, zs):
     h1 = frequency_response(f1, zs)
     h2 = frequency_response(f2, zs)
     return float(np.max(np.abs(h1 - h2)))
+
+
+def circle_route_poles(fdn, companion=True):
+    """The poles that ``poles`` returns for a homogeneous-decay system,
+    checked to come from the circle route, to be exactly closed under
+    conjugation and to match the Aberth solve and (unless ``companion`` is
+    False) the companion-matrix eigenvalues as multisets to 1e-10."""
+    import uniallpass.core as core
+
+    m = fdn.delays.as_array()
+    factor = core._homogeneous_factor(fdn.a, m)
+    assert factor is not None, "not homogeneous to the route's radius"
+    p = poles(fdn)
+    np.testing.assert_array_equal(p, core._circle_poles(factor[1], m, factor[0]))
+    assert np.array_equal(np.sort_complex(p), np.sort_complex(p.conj()))
+    aberth = core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m))
+    assert multiset_max_distance(p, aberth) < 1e-10
+    if companion:
+        assert multiset_max_distance(p, poles_companion(gcp(fdn.a, fdn.delays))) < 1e-10
+    return p

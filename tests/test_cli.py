@@ -5,7 +5,8 @@ import pytest
 
 import fixture_values as fv
 from oracles import impulse_loop
-from uniallpass import delay_dependent_allpass, design_homogeneous_siso
+from uniallpass import delay_dependent_allpass, design_homogeneous_siso, schroeder_series
+from uniallpass.complete import _complete_balanced
 from uniallpass.cli import main
 from uniallpass.serialize import load_system, save_system, write_wav
 
@@ -108,6 +109,20 @@ class TestVerifyCommand:
         assert run_cli("verify", str(path)) == 0
         out = capsys.readouterr().out
         assert "verdict=True" in out
+
+    def test_balanced_residual_explains_refusal(self, tmp_path, capsys):
+        # the spurious Schroeder completion: its absolute residual lies far
+        # below tol, and the printed balanced residual is what refuses it
+        reference, _ = schroeder_series([0.786, -0.621, 0.026], [3, 1, 2])
+        dsim = [7.54754241e-17, 1.0, 0.614774588]
+        fdn, _ = _complete_balanced(reference.a, dsim, [3, 1, 2], 1e-8)
+        path = tmp_path / "spurious.json"
+        save_system(path, fdn, dsim=dsim)
+        assert run_cli("verify", str(path)) == 1
+        line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("certificate:"))
+        fields = dict(field.split("=") for field in line.split()[1:])
+        assert fields["verdict"] == "False"
+        assert float(fields["residual"]) < float(fields["tol"]) < float(fields["balanced"])
 
     def test_missing_file_is_usage_error(self, capsys):
         assert run_cli("verify", "/nonexistent/x.json") == 2

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fixture_values as fv
-from conftest import random_delays, random_stable_fdn, unit_circle_points
+from conftest import circle_route_poles, random_delays, random_stable_fdn, unit_circle_points
 from oracles import (
     dft_impulse,
     embedding_matrix,
@@ -425,13 +425,20 @@ class TestPoles:
 def assert_matches_companion(fdn):
     """The Aberth poles equal the companion-matrix eigenvalues as multisets
     to 1e-10, and their sorted moduli to 1e-12; they are exactly closed
-    under conjugation, real poles with imaginary part 0.0."""
-    p = poles(fdn)
+    under conjugation, real poles with imaginary part 0.0.  ``poles``
+    returns them, or for a homogeneous-decay system the circle route's
+    poles (see ``circle_route_poles``)."""
+    m = fdn.delays.as_array()
+    p = core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m))
     ref = poles_companion(denominator_poly(fdn))
     assert p.shape == (fdn.order,)
     assert multiset_max_distance(p, ref) < 1e-10
     assert np.max(np.abs(np.sort(np.abs(p)) - np.sort(np.abs(ref)))) < 1e-12
     assert np.array_equal(np.sort_complex(p), np.sort_complex(p.conj()))
+    if core._homogeneous_factor(fdn.a, m) is None:
+        np.testing.assert_array_equal(poles(fdn), p)
+    else:
+        circle_route_poles(fdn)
     return p
 
 
@@ -591,9 +598,69 @@ class TestAberthAgainstCompanion:
 
         monkeypatch.setattr(core, "_newton_polygon_starts", two_stray)
         monkeypatch.setattr(core, "_MAX_SWEEPS", 30)
-        p = poles(design.fdn)
+        # the Aberth solve itself: poles takes the circle route here
+        m = design.fdn.delays.as_array()
+        p = core._aberth_poles(design.fdn, *core._gcp_terms(design.fdn.a, m))
         assert p.shape == (1350,)
         assert np.max(np.abs(np.abs(p) - 0.999)) < 1e-12
+        assert multiset_max_distance(poles(design.fdn), p) < 1e-10
+
+
+class TestCircleRoute:
+    @pytest.mark.parametrize("gain", [0.6, -0.6])
+    @pytest.mark.parametrize("delay", [1, 9])
+    def test_odd_order_real_pole(self, gain, delay):
+        # a single line of odd delay: z**m = gain has the one real root
+        # gain**(1/m), exactly real, next to (m - 1) / 2 conjugate pairs
+        fdn = FdnSystem.siso([[gain]], [1.0], [1.0], 0.0, [delay])
+        p = circle_route_poles(fdn)
+        root = np.sign(gain) * abs(gain) ** (1.0 / delay)
+        np.testing.assert_array_equal(p[p.imag == 0], [root])
+
+    def test_odd_order_design_real_pole(self):
+        p = circle_route_poles(design_homogeneous_siso([2, 3], 0.9).fdn)
+        assert np.sum(p.imag == 0) == 1
+
+    def test_close_roots_fall_back_to_aberth(self):
+        # nine lines on odd delays 61-77 at gamma 0.99999: roots nearly
+        # coincide, so the sign changes miss some of the 621 poles
+        design = design_homogeneous_siso(list(range(61, 78, 2)), 0.99999)
+        fdn = design.fdn
+        m = fdn.delays.as_array()
+        gamma, u, _ = core._homogeneous_factor(fdn.a, m)
+        assert core._circle_poles(u, m, gamma) is None
+        np.testing.assert_array_equal(poles(fdn), core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m)))
+
+    def test_other_systems_never_enter_the_route(self, monkeypatch, rng):
+        def never(*args):
+            raise AssertionError("the circle route ran")
+
+        monkeypatch.setattr(core, "_circle_poles", never)
+        design = design_homogeneous_siso([3, 7, 2, 5], 0.93)
+        systems = [
+            schroeder_series([0.5, -0.6, 0.7], [3, 1, 4])[0],
+            poletti_unitary(random_orthogonal(3, rng), 0.7, [5, 7, 11])[0],
+            FdnSystem(design.fdn.a * (1.0 + 1e-9), design.fdn.b, design.fdn.c, design.fdn.d, design.fdn.delays),
+        ]
+        for fdn in systems:
+            assert core._homogeneous_factor(fdn.a, fdn.delays.as_array()) is None
+            assert poles(fdn).shape == (fdn.order,)
+            is_allpass(fdn)
+
+    def test_is_allpass_proves_stability_without_a_solve(self, monkeypatch, no_pole_solve):
+        fdn = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999).fdn
+        report = is_allpass(fdn)
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "_homogeneous_factor", lambda a, m: None)
+        assert report == is_allpass(fdn)
+        assert report.allpass
+
+    def test_unstable_homogeneous_line_still_raises(self):
+        # gamma = 1.5**(1/3) > 1: the solve runs and reports every pole
+        fdn = FdnSystem.siso([[1.5]], [1.0], [1.0], 0.0, [3])
+        with pytest.raises(UnstableError) as exc:
+            is_allpass(fdn)
+        assert multiset_max_distance(exc.value.poles, poles(fdn)) < 1e-12
 
 
 class TestLoopLogDerivative:
