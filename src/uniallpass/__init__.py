@@ -3,7 +3,6 @@
 from .complete import (
     AdmissibilityReport,
     SisoCompletionTrace,
-    admissibility,
     orthogonal_completion,
     random_orthogonal,
     random_uniallpass,
@@ -11,15 +10,12 @@ from .complete import (
 )
 from .core import (
     AllpassReport,
-    denominator_poly,
     frequency_response,
     gcp,
     impulse_response,
     is_allpass,
     numerator_poly,
-    ordered_subsets,
     poles,
-    principal_minor,
     principal_minor_list,
 )
 from .designs import (
@@ -52,7 +48,6 @@ from .verify import (
     SchurPair,
     UniallpassCertificate,
     apply_diagonal_similarity,
-    balanced_residuals,
     certify_uniallpass,
     check_minor_condition,
     dsim_from_hadamard_quotient,

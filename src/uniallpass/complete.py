@@ -61,11 +61,6 @@ class SisoCompletionTrace:
     dsim: np.ndarray
 
 
-def admissibility(a, p: int, tol=1e-9) -> AdmissibilityReport:
-    """Classify the singular values of ``a`` against the embedding bands."""
-    return _census(np.asarray(a, dtype=float), p, tol)[0]
-
-
 def _census(a, p, tol=1e-9):
     """Admissibility report of ``a`` and the SVD (U, s, V^T) it reads."""
     n = a.shape[0]

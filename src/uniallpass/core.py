@@ -40,6 +40,16 @@ and exactly real roots.  Start points come from the Newton polygon of the
 coefficients, in conjugate pairs; a pair that meets the real axis splits
 into two real iterates and two real iterates that meet merge into a pair,
 whichever a real quadratic fitted there says.
+
+Loop matrices
+-------------
+Outside the Aberth sweeps, every stack of loop matrices diag(z**m_i) - X
+(for H itself, for the circle route's determinants and Newton traces) comes
+from one helper that forms and reduces them in chunks of at most
+``_STACK_ENTRIES`` entries, so no order leads to a large array.  The
+allpass test evaluates H once, on 4 * order uniform and a few random
+unit-circle points: unitarity is measured on all of them and the numerator
+of det H is fitted on the uniform ones.
 """
 
 from __future__ import annotations
@@ -116,15 +126,20 @@ class AllpassReport:
     tol: float
 
 
-def _loop_matrices(fdn: FdnSystem, zs):
-    """Stacked loop matrices diag(z**m_i) - A for each z."""
-    m = fdn.delays.as_array()
-    zs = np.asarray(zs, dtype=complex)
-    zp = zs[:, None] ** m[None, :]
-    n = fdn.n_delays
-    loop = np.broadcast_to(-fdn.a, (len(zs), n, n)).astype(complex)
-    loop[:, np.arange(n), np.arange(n)] += zp
-    return loop
+def _loop_chunks(x, powers, reduce):
+    """``reduce(P, p)`` over chunks p of the rows of the (K, N) ``powers``,
+    P the stacked loop matrices diag(p[k]) - X, at most ``_STACK_ENTRIES``
+    entries per chunk; the results are concatenated along the first axis."""
+    n = x.shape[0]
+    diag = np.arange(n)
+    chunk = max(1, _STACK_ENTRIES // x.size)
+    parts = []
+    for start in range(0, powers.shape[0], chunk):
+        power = powers[start : start + chunk]
+        loop = np.broadcast_to(-x, (power.shape[0], n, n)).astype(complex)
+        loop[:, diag, diag] += power
+        parts.append(reduce(loop, power))
+    return np.concatenate(parts)
 
 
 def frequency_response(fdn: FdnSystem, zs):
@@ -132,17 +147,17 @@ def frequency_response(fdn: FdnSystem, zs):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs == 0):
         raise ValueError("transfer function is undefined at z = 0")
-    loop = _loop_matrices(fdn, zs)
-    rhs = np.empty((len(zs), fdn.n_delays, fdn.n_io), dtype=complex)
-    rhs[:] = fdn.b
+    powers = zs[:, None] ** fdn.delays.as_array()
+
+    def response(loop, _):
+        x = np.linalg.solve(loop, np.broadcast_to(fdn.b, (loop.shape[0],) + fdn.b.shape))
+        return np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d
+
     try:
-        x = np.linalg.solve(loop, rhs)
+        return _loop_chunks(fdn.a, powers, response)
     except np.linalg.LinAlgError:
-        dets = np.linalg.det(loop)
-        bad = zs[int(np.argmin(np.abs(dets)))]
-        raise PoleEvaluationError(bad) from None
-    h = np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d
-    return h
+        dets = _loop_chunks(fdn.a, powers, lambda loop, _: np.linalg.det(loop))
+        raise PoleEvaluationError(zs[int(np.argmin(np.abs(dets)))]) from None
 
 
 def impulse_response(fdn: FdnSystem, length: int):
@@ -160,22 +175,7 @@ def impulse_response(fdn: FdnSystem, length: int):
     return np.ascontiguousarray(np.transpose(h, (1, 2, 0)))
 
 
-def principal_minor(m, subset) -> float:
-    """Determinant of the principal submatrix on ``subset`` (0-based row and
-    column indices); the empty subset yields 1."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    idx = sorted(int(i) for i in subset)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate indices in subset {subset}")
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise ValueError(f"subset {subset} out of range for size {n}")
-    if not idx:
-        return 1.0
-    return float(np.linalg.det(m[np.ix_(idx, idx)]))
-
-
-def ordered_subsets(n: int):
+def _ordered_subsets(n: int):
     """All subsets of range(n) sorted by (cardinality, lexicographic)."""
     out = []
     for k in range(n + 1):
@@ -184,7 +184,7 @@ def ordered_subsets(n: int):
 
 
 def _ordered_masks(n: int):
-    """Bitmasks of :func:`ordered_subsets` (n), in the same order.
+    """Bitmasks of :func:`_ordered_subsets` (n), in the same order.
 
     Two subsets of equal size compare lexicographically as their masks with
     the bit order reversed compare descending: the first index where they
@@ -204,7 +204,7 @@ def principal_minor_list(m):
     """Principal minors in (cardinality, lexicographic) subset order."""
     m = np.asarray(m, dtype=float)
     minors = principal_minors_all(m)
-    subsets = ordered_subsets(m.shape[0])
+    subsets = _ordered_subsets(m.shape[0])
     return subsets, minors[_ordered_masks(m.shape[0])]
 
 
@@ -254,27 +254,19 @@ def _gcp_terms(a, m):
     return coeffs_z[::-1].copy(), floor_z[::-1].copy()
 
 
-def denominator_poly(fdn: FdnSystem):
-    """Denominator of H(z), ascending in z^-1 (monic)."""
-    return gcp(fdn.a, fdn.delays)
-
-
-def _numerator_fit(fdn: FdnSystem, den, reduce=None):
-    """z^-1 coefficients of H (or of ``reduce(H)``, e.g. ``np.linalg.det``)
-    times the denominator.  On K uniform unit-circle nodes a z^-1 polynomial
-    is the length-K DFT of its zero-padded coefficients, so the
-    least-squares fit is the head of one inverse FFT.  Returns (real
-    coefficients, trailing axis of length order + 1; largest sample
-    mismatch of the fit; largest sample magnitude)."""
-    order = fdn.order
-    count = order + 1 + _FIT_PAD
-    zs = np.exp(2j * np.pi * np.arange(count) / count)
-    h = frequency_response(fdn, zs)
-    if reduce is not None:
-        h = reduce(h)
+def _numerator_fit(samples, den):
+    """z^-1 coefficients of the product of ``den`` (length order + 1) and
+    ``samples`` of H, or of a function of H such as det H, on K >= order + 1
+    uniform unit-circle nodes exp(2 pi i k / K), stacked along the first
+    axis.  On those nodes a z^-1 polynomial is the length-K DFT of its
+    zero-padded coefficients, so the least-squares fit is the head of one
+    inverse FFT.  Returns (real coefficients, trailing axis of length
+    order + 1; largest sample mismatch of the fit; largest sample
+    magnitude)."""
+    count = samples.shape[0]
     den_values = np.fft.fft(den, count)
-    values = h * den_values.reshape((count,) + (1,) * (h.ndim - 1))
-    coeffs = np.fft.ifft(values, axis=0)[: order + 1].real
+    values = samples * den_values.reshape((count,) + (1,) * (samples.ndim - 1))
+    coeffs = np.fft.ifft(values, axis=0)[: den.size].real
     resid = float(np.max(np.abs(np.fft.fft(coeffs, count, axis=0) - values)))
     scale = float(np.max(np.abs(values)))
     return np.moveaxis(coeffs, 0, -1), resid, scale
@@ -290,7 +282,9 @@ def numerator_poly(fdn: FdnSystem, tol=1e-6):
     fitted polynomial and the samples.  A residual above ``tol`` times the
     sample magnitude raises :class:`ConditioningError`.
     """
-    coeffs, resid, scale = _numerator_fit(fdn, denominator_poly(fdn))
+    count = fdn.order + 1 + _FIT_PAD
+    h = frequency_response(fdn, np.exp(2j * np.pi * np.arange(count) / count))
+    coeffs, resid, scale = _numerator_fit(h, gcp(fdn.a, fdn.delays))
     if resid > tol * max(1.0, scale):
         raise ConditioningError(
             f"numerator fit residual {resid:.3g} exceeds tolerance", residual=resid
@@ -374,23 +368,6 @@ def _homogeneous_factor(a, m):
     return gamma, u, radius
 
 
-def _circle_chunks(u, m, phi, reduce):
-    """``reduce(P, w**m)`` for the loop matrices P = diag(w**m) - U at
-    w = exp(i phi), stacked in chunks of ``_STACK_ENTRIES`` entries.  The
-    powers are formed as exp(i m phi), of modulus one to rounding: w**m
-    from a rounded w drifts off the circle by about m eps, which misleads
-    the Newton steps once they are that short."""
-    n = m.size
-    chunk = max(1, _STACK_ENTRIES // u.size)
-    parts = []
-    for start in range(0, phi.size, chunk):
-        power = np.exp(1j * phi[start : start + chunk, None] * m)
-        loop = np.broadcast_to(-u, (power.shape[0], n, n)).astype(complex)
-        loop[:, np.arange(n), np.arange(n)] += power
-        parts.append(reduce(loop, power))
-    return np.concatenate(parts)
-
-
 def _circle_poles(u, m, gamma):
     """All poles of the network with feedback matrix U diag(gamma**m), U
     orthogonal, as gamma times the roots w = exp(i phi) of g(w) =
@@ -415,7 +392,11 @@ def _circle_poles(u, m, gamma):
     ends = [1.0] * (sign < 0) + [-1.0] * (sign * (-1) ** order < 0)
     count = _CIRCLE_SAMPLES * order
     phi = np.pi * (np.arange(count) + 0.5) / count
-    rotated = _circle_chunks(u, m, phi, lambda loop, _: np.linalg.det(loop)) * np.exp(-0.5j * order * phi)
+    # powers as exp(i m phi), of modulus one to rounding: w**m from a rounded
+    # w drifts off the circle by about m eps, which misleads the Newton steps
+    # once they are that short
+    dets = _loop_chunks(u, np.exp(1j * phi[:, None] * m), lambda loop, _: np.linalg.det(loop))
+    rotated = dets * np.exp(-0.5j * order * phi)
     # rotated = sqrt(s) r, with r real
     values = rotated.real if sign > 0 else rotated.imag
     bound = n * n * _EPS * np.prod(1.0 + np.linalg.norm(u, axis=1))
@@ -437,7 +418,7 @@ def _circle_poles(u, m, gamma):
             return None
         sweeps += 1
         try:
-            t = _circle_chunks(u, m, x[active], trace)
+            t = _loop_chunks(u, np.exp(1j * x[active, None] * m), trace)
         except np.linalg.LinAlgError:
             # an iterate exactly on a root; the general solve takes over
             return None
@@ -811,15 +792,6 @@ def _aberth_poles(fdn: FdnSystem, den, floor):
     return roots
 
 
-def _allpass_grid(fdn: FdnSystem):
-    order = fdn.order
-    k = 4 * max(order, 1)
-    omega = 2.0 * np.pi * np.arange(k) / k
-    rng = np.random.default_rng(_GRID_SEED)
-    omega = np.concatenate([omega, rng.uniform(0.0, 2.0 * np.pi, _GRID_RANDOM)])
-    return np.exp(1j * omega)
-
-
 def reversal_check(num, den):
     """Best-case deviation of ``num`` from +-1 times the reversed ``den``.
 
@@ -835,15 +807,18 @@ def reversal_check(num, den):
 
 
 def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
-    """Two independent allpass tests for the system's own delay vector.
+    """Two independent allpass tests for the system's own delay vector, from
+    one evaluation of H on 4 * order uniform plus a few seeded random
+    unit-circle points.
 
-    The grid test measures unitarity of H on 4 * order uniform plus a few
-    random unit-circle points; the reversal test checks that the numerator of
-    det H equals the reversed denominator up to sign.  Systems with a pole of
-    modulus >= 1 (found by the Ehrlich-Aberth solve of :func:`poles`) are
-    rejected with the full pole list.  With homogeneous decay (as in
-    :func:`poles`) and gamma plus the pole radius below 1, stability is
-    proven and no pole is solved.
+    The grid test measures unitarity of H on all of those points; the
+    reversal test fits the numerator of det H on the uniform ones (any
+    K >= order + 1 uniform nodes make the fit one inverse FFT, see
+    :func:`numerator_poly`) and checks that it equals the reversed
+    denominator up to sign.  Systems with a pole of modulus >= 1 (found by
+    the Ehrlich-Aberth solve of :func:`poles`) are rejected with the full
+    pole list.  With homogeneous decay (as in :func:`poles`) and gamma plus
+    the pole radius below 1, stability is proven and no pole is solved.
     """
     _check_pole_order(fdn)
     m = fdn.delays.as_array()
@@ -854,12 +829,13 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
         pole_values = _aberth_poles(fdn, den, floor)
         if not np.all(np.abs(pole_values) < 1.0):
             raise UnstableError(pole_values)
-    zs = _allpass_grid(fdn)
-    h = frequency_response(fdn, zs)
+    k = 4 * max(fdn.order, 1)
+    extra = np.random.default_rng(_GRID_SEED).uniform(0.0, 2.0 * np.pi, _GRID_RANDOM)
+    omega = np.concatenate([2.0 * np.pi * np.arange(k) / k, extra])
+    h = frequency_response(fdn, np.exp(1j * omega))
     prod = h @ np.conj(np.swapaxes(h, 1, 2))
-    eye = np.eye(fdn.n_io)
-    grid_dev = float(np.max(np.abs(prod - eye)))
-    num_det, _, _ = _numerator_fit(fdn, den, np.linalg.det)
+    grid_dev = float(np.max(np.abs(prod - np.eye(fdn.n_io))))
+    num_det = _numerator_fit(np.linalg.det(h[:k]), den)[0]
     rev_dev, sign = reversal_check(num_det, den)
     return AllpassReport(
         allpass=bool(grid_dev < tol and rev_dev < tol),

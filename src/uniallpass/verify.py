@@ -247,15 +247,3 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
         sufficient=fdn.is_siso,
         tol=float(tol),
     )
-
-
-def balanced_residuals(fdn: FdnSystem):
-    """Max-norm defects of the three orthogonality identities of a balanced
-    system: AA^T + BB^T = I, AC^T + BD^T = 0, CC^T + DD^T = I."""
-    a, b, c, d = fdn.a, fdn.b, fdn.c, fdn.d
-    eye_n = np.eye(fdn.n_delays)
-    eye_p = np.eye(fdn.n_io)
-    r1 = float(np.max(np.abs(a @ a.T + b @ b.T - eye_n)))
-    r2 = float(np.max(np.abs(a @ c.T + b @ d.T)))
-    r3 = float(np.max(np.abs(c @ c.T + d @ d.T - eye_p)))
-    return r1, r2, r3

@@ -9,7 +9,8 @@ recursion step per sample, numerator coefficients from a dense Vandermonde
 least-squares solve, orthogonal completions from eigen-factors of the two
 defect Gram matrices, the classic designs from their scalar
 product/recursion forms, and CSV text from Python's own "%.17g" applied
-one row tuple at a time.
+one row tuple at a time.  The balanced residuals restate the three
+orthogonality identities of a balanced system block by block.
 """
 
 import numpy as np
@@ -123,7 +124,7 @@ def numerator_vandermonde(fdn, reduce=None, pad=8):
     with ``np.linalg.lstsq``.  Returns (real coefficients with the sample's
     trailing shape plus (order + 1,), largest sample mismatch of the fit,
     largest sample magnitude)."""
-    from uniallpass import denominator_poly, frequency_response
+    from uniallpass import frequency_response, gcp
 
     order = fdn.order
     count = order + 1 + pad
@@ -131,7 +132,7 @@ def numerator_vandermonde(fdn, reduce=None, pad=8):
     h = frequency_response(fdn, zs)
     if reduce is not None:
         h = reduce(h)
-    den = polyval_zinv(denominator_poly(fdn), zs)
+    den = polyval_zinv(gcp(fdn.a, fdn.delays), zs)
     values = h * den.reshape((count,) + (1,) * (h.ndim - 1))
     vand = zs[:, None] ** (-np.arange(order + 1))[None, :]
     flat = values.reshape(count, -1)
@@ -149,6 +150,31 @@ def balanced_form(fdn: FdnSystem, dsim) -> FdnSystem:
     if np.any(dsim <= 0):
         raise ValueError("balanced form requires a strictly positive dsim")
     return apply_diagonal_similarity(fdn, np.sqrt(dsim))
+
+
+def principal_minor(m, subset) -> float:
+    """Determinant of the principal submatrix on ``subset`` (0-based row and
+    column indices); the empty subset yields 1."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    idx = sorted(int(i) for i in subset)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"duplicate indices in subset {subset}")
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError(f"subset {subset} out of range for size {n}")
+    if not idx:
+        return 1.0
+    return float(np.linalg.det(m[np.ix_(idx, idx)]))
+
+
+def balanced_residuals(fdn: FdnSystem):
+    """Max-norm defects of the three orthogonality identities of a balanced
+    system: AA^T + BB^T = I, AC^T + BD^T = 0, CC^T + DD^T = I."""
+    a, b, c, d = fdn.a, fdn.b, fdn.c, fdn.d
+    r1 = float(np.max(np.abs(a @ a.T + b @ b.T - np.eye(fdn.n_delays))))
+    r2 = float(np.max(np.abs(a @ c.T + b @ d.T)))
+    r3 = float(np.max(np.abs(c @ c.T + d @ d.T - np.eye(fdn.n_io))))
+    return r1, r2, r3
 
 
 def principal_minors_loop(m):

@@ -7,7 +7,6 @@ from uniallpass import (
     CompletionError,
     FdnSystem,
     SystemMatrix,
-    admissibility,
     apply_diagonal_similarity,
     certify_uniallpass,
     check_minor_condition,
@@ -24,6 +23,7 @@ from uniallpass import (
     schroeder_series,
     siso_completion,
 )
+from uniallpass.complete import _census
 
 
 def _tf_diff_up_to_sign(f1, f2, zs):
@@ -33,7 +33,7 @@ def _tf_diff_up_to_sign(f1, f2, zs):
 
 class TestAdmissibility:
     def test_uniform_contraction_full_mimo(self):
-        report = admissibility(0.6 * np.eye(4), 4)
+        report = _census(0.6 * np.eye(4), 4)[0]
         assert report.admissible_for(4)
         assert report.below == 4 and report.ones == 0
         assert report.min_io == 4
@@ -41,18 +41,18 @@ class TestAdmissibility:
     def test_orthogonal_corner_single_channel(self, rng):
         big = random_orthogonal(6, rng)
         a = big[:5, :5]
-        report = admissibility(a, 1)
+        report = _census(a, 1)[0]
         assert report.ones == 4 and report.below == 1
         assert report.admissible_for(1)
         assert report.min_io == 1
 
     def test_orthogonal_matrix_inadmissible_for_one(self, rng):
-        report = admissibility(random_orthogonal(4, rng), 1)
+        report = _census(random_orthogonal(4, rng), 1)[0]
         assert report.below == 0
         assert not report.admissible_for(1)
 
     def test_expansive_matrix_never_adds_up(self, rng):
-        report = admissibility(1.5 * random_orthogonal(3, rng), 1)
+        report = _census(1.5 * random_orthogonal(3, rng), 1)[0]
         assert report.min_io is None
 
 

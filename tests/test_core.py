@@ -15,6 +15,7 @@ from oracles import (
     numerator_vandermonde,
     poles_companion,
     polyval_zinv,
+    principal_minor,
 )
 from uniallpass import (
     ConditioningError,
@@ -23,7 +24,6 @@ from uniallpass import (
     PoleEvaluationError,
     UnstableError,
     delay_dependent_allpass,
-    denominator_poly,
     design_homogeneous_siso,
     frequency_response,
     gardner_nested,
@@ -31,17 +31,15 @@ from uniallpass import (
     impulse_response,
     is_allpass,
     numerator_poly,
-    ordered_subsets,
     poles,
     poletti_unitary,
-    principal_minor,
     principal_minor_list,
     random_orthogonal,
     random_uniallpass,
     schroeder_series,
 )
 import uniallpass.core as core
-from uniallpass.core import reversal_check
+from uniallpass.core import _ordered_subsets, reversal_check
 
 
 def unit_delay():
@@ -68,7 +66,7 @@ class TestTransferFunction:
     def test_matches_coefficient_form(self, rng):
         # full-precision numerator/denominator of the bundled counterexample
         fdn = delay_dependent_allpass()
-        den = denominator_poly(fdn)
+        den = gcp(fdn.a, fdn.delays)
         num, _ = numerator_poly(fdn)
         zs = unit_circle_points(rng, 16)
         h = frequency_response(fdn, zs)[:, 0, 0]
@@ -80,6 +78,18 @@ class TestTransferFunction:
         fdn = FdnSystem.siso([[1.0]], [1.0], [1.0], 0.0, [1])
         with pytest.raises(PoleEvaluationError):
             frequency_response(fdn, [1.0])
+
+    def test_pole_evaluation_error_in_a_later_chunk(self):
+        # sixteen unit loops: diag(z) - I is singular at z = 1 alone, placed
+        # just past the first stack of 16 x 16 loop matrices
+        n = 16
+        fdn = FdnSystem(np.eye(n), np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)), [1] * n)
+        index = core._STACK_ENTRIES // (n * n) + 3
+        zs = np.exp(2j * np.pi * (np.arange(index + 100) + 0.5) / (index + 100))
+        zs[index] = 1.0
+        with pytest.raises(PoleEvaluationError) as exc:
+            frequency_response(fdn, zs)
+        assert exc.value.z == 1.0
 
 
 class TestZeroFeedbackResponse:
@@ -152,7 +162,7 @@ class TestPrincipalMinors:
     def test_counterexample_inverse_list(self):
         fdn = delay_dependent_allpass()
         subsets, values = principal_minor_list(np.linalg.inv(fdn.a))
-        assert subsets == ordered_subsets(3)
+        assert subsets == _ordered_subsets(3)
         np.testing.assert_allclose(values, fv.CE_MINORS_A_INV, atol=fv.MINOR_TOL)
 
     def test_jacobi_identity(self, rng):
@@ -161,7 +171,7 @@ class TestPrincipalMinors:
             a = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
             a_inv = np.linalg.inv(a)
             det_a = np.linalg.det(a)
-            for subset in ordered_subsets(4):
+            for subset in _ordered_subsets(4):
                 comp = tuple(i for i in range(4) if i not in subset)
                 lhs = principal_minor(a_inv, subset)
                 rhs = principal_minor(a, comp) / det_a
@@ -229,7 +239,7 @@ class TestGcp:
 class TestRationalForm:
     def test_scalar_allpass_coefficients(self):
         fdn = schroeder_section(0.5, 3)
-        den = denominator_poly(fdn)
+        den = gcp(fdn.a, fdn.delays)
         num, resid = numerator_poly(fdn)
         np.testing.assert_allclose(den, [1.0, 0.0, 0.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(num[0, 0], [0.5, 0.0, 0.0, 1.0], atol=1e-12)
@@ -239,7 +249,7 @@ class TestRationalForm:
     def test_counterexample_lists(self, delays):
         fdn = delay_dependent_allpass(delays)
         np.testing.assert_allclose(
-            denominator_poly(fdn), fv.CE_COEFFS[delays]["den"], atol=fv.COEFF_TOL
+            gcp(fdn.a, fdn.delays), fv.CE_COEFFS[delays]["den"], atol=fv.COEFF_TOL
         )
         num, _ = numerator_poly(fdn)
         np.testing.assert_allclose(
@@ -249,7 +259,7 @@ class TestRationalForm:
     def test_evaluation_matches_transfer(self, rng):
         for _ in range(8):
             fdn = random_stable_fdn(rng, n=int(rng.integers(1, 5)))
-            den = denominator_poly(fdn)
+            den = gcp(fdn.a, fdn.delays)
             num, _ = numerator_poly(fdn)
             zs = unit_circle_points(rng, 12)
             h = frequency_response(fdn, zs)[:, 0, 0]
@@ -284,7 +294,7 @@ class TestNumeratorFitGate:
         assert np.max(np.abs(coeffs - ref)) <= 1e-12 * scale
         assert abs(resid - ref_resid) <= 1e-12 * scale
         ref_det, _, det_scale = numerator_vandermonde(fdn, np.linalg.det)
-        ref_dev, ref_sign = reversal_check(ref_det, denominator_poly(fdn))
+        ref_dev, ref_sign = reversal_check(ref_det, gcp(fdn.a, fdn.delays))
         report = is_allpass(fdn)
         assert abs(report.reversal_deviation - ref_dev) <= 1e-12 * det_scale
         assert report.sign == ref_sign
@@ -430,7 +440,7 @@ def assert_matches_companion(fdn):
     poles (see ``circle_route_poles``)."""
     m = fdn.delays.as_array()
     p = core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m))
-    ref = poles_companion(denominator_poly(fdn))
+    ref = poles_companion(gcp(fdn.a, fdn.delays))
     assert p.shape == (fdn.order,)
     assert multiset_max_distance(p, ref) < 1e-10
     assert np.max(np.abs(np.sort(np.abs(p)) - np.sort(np.abs(ref)))) < 1e-12
@@ -712,8 +722,9 @@ class TestIsAllpass:
         # network is not even stable
         with pytest.raises(UnstableError):
             is_allpass(fdn.with_delays([2, 1, 1]))
-        den = denominator_poly(fdn.with_delays([2, 1, 1]))
-        num, _ = numerator_poly(fdn.with_delays([2, 1, 1]))
+        unstable = fdn.with_delays([2, 1, 1])
+        den = gcp(unstable.a, unstable.delays)
+        num, _ = numerator_poly(unstable)
         dev, _ = reversal_check(num[0, 0], den)
         assert dev > 1.0
 
@@ -728,6 +739,79 @@ class TestIsAllpass:
         fdn = random_stable_fdn(rng, n=3)
         rep = is_allpass(fdn)
         assert not rep.allpass
+
+    def test_one_transfer_function_pass(self, monkeypatch):
+        calls = []
+        response = core.frequency_response
+
+        def counting(fdn, zs):
+            calls.append(len(zs))
+            return response(fdn, zs)
+
+        monkeypatch.setattr(core, "frequency_response", counting)
+        fdn, _ = schroeder_series([0.3, -0.5, 0.7], [3, 1, 4])
+        assert is_allpass(fdn).allpass
+        assert calls == [4 * fdn.order + core._GRID_RANDOM]
+
+    def test_reversal_deviation_matches_numerator_poly(self):
+        # the fit on the 4 * order grid measures what the numerator fit on
+        # order + 9 nodes measures; for SISO det H = H
+        rng = np.random.default_rng(16)
+        systems = []
+        for seed in range(10):
+            n = int(rng.integers(1, 7))
+            systems.append(random_uniallpass(n, 1, seed, scaled=True, delays=random_delays(rng, n, 30)))
+        for build in (schroeder_series, gardner_nested):
+            for _ in range(5):
+                n = int(rng.integers(2, 7))
+                gains = rng.uniform(0.2, 0.8, n) * rng.choice([-1.0, 1.0], n)
+                systems.append(build(list(gains), list(rng.integers(1, 40, n)))[0])
+        for fdn in systems:
+            ref, _ = reversal_check(numerator_poly(fdn)[0][0, 0], gcp(fdn.a, fdn.delays))
+            assert abs(is_allpass(fdn).reversal_deviation - ref) < 1e-11
+
+
+class TestStackBudget:
+    """No stacked LAPACK call gets more than ``_STACK_ENTRIES`` entries,
+    at an order where one unchunked stack of loop matrices would."""
+
+    @pytest.fixture
+    def stack_sizes(self, monkeypatch):
+        sizes = []
+        for name in ("solve", "det", "inv"):
+
+            def wrapped(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                a = np.asarray(a)
+                if a.ndim > 2:
+                    sizes.append(a.size)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, wrapped)
+        return sizes
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        fdn = design_homogeneous_siso([600, 650, 610, 640, 620, 630, 615, 645], 0.9995).fdn
+        assert fdn.order == 5010
+        return fdn
+
+    def assert_within_budget(self, sizes):
+        assert sizes and max(sizes) <= core._STACK_ENTRIES
+
+    def test_frequency_response(self, design, stack_sizes):
+        zs = np.exp(2j * np.pi * np.arange(4 * design.order) / (4 * design.order))
+        assert frequency_response(design, zs).shape == (zs.size, 1, 1)
+        self.assert_within_budget(stack_sizes)
+
+    def test_is_allpass(self, design, stack_sizes):
+        assert is_allpass(design).allpass
+        self.assert_within_budget(stack_sizes)
+
+    def test_circle_poles(self, design, stack_sizes):
+        m = design.delays.as_array()
+        gamma, u, _ = core._homogeneous_factor(design.a, m)
+        assert core._circle_poles(u, m, gamma).shape == (design.order,)
+        self.assert_within_budget(stack_sizes)
 
 
 class TestConcurrencySafety:

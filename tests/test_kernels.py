@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_fdn
-from oracles import impulse_loop, principal_minors_loop
+from oracles import impulse_loop, principal_minor, principal_minors_loop
 from uniallpass import (
     DelayVector,
     gardner_nested,
     poletti_unitary,
-    principal_minor,
     principal_minor_list,
     schroeder_series,
 )

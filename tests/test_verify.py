@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 import fixture_values as fv
 from conftest import random_delays, random_stable_fdn, tf_max_diff, unit_circle_points
-from oracles import balanced_form
+from oracles import balanced_form, balanced_residuals
 from uniallpass import (
     FdnSystem,
     NotCertifiableError,
     SystemMatrix,
     UnstableError,
     apply_diagonal_similarity,
-    balanced_residuals,
     certify_uniallpass,
     check_minor_condition,
     delay_dependent_allpass,
