@@ -23,10 +23,9 @@ gamma) with g(w) = det(diag(w**m_i) - U), and on |w| = 1 g times
 w**(-L/2) is a real function of the angle, up to a constant phase.  Where
 that radius is at most 1e-12 gamma, :func:`poles` counts the sign changes
 of that function on 8 L points of the circle and refines each by Newton
-steps in the angle, O(order N^3) work in all; :func:`is_allpass` needs no
-poles there, since gamma plus the radius bounds every modulus.  Where the
-sign changes miss a root (close or multiple roots), and for every other
-system, :func:`poles` finds all roots at once by Ehrlich-Aberth iteration
+steps in the angle, O(order N^3) work in all.  Where the sign changes miss
+a root (close or multiple roots), and for every other system, :func:`poles`
+finds all roots at once by Ehrlich-Aberth iteration
 on f itself: with P(z) = diag(z**m_i) - A, each sweep needs only the Newton
 ratio f/f' = 1 / trace(P^-1 P'), one small N x N inverse per iterate, and
 never forms an order x order matrix.  Where P is too near singular for that
@@ -40,6 +39,13 @@ and exactly real roots.  Start points come from the Newton polygon of the
 coefficients, in conjugate pairs; a pair that meets the real axis splits
 into two real iterates and two real iterates that meet merge into a pair,
 whichever a real quadratic fitted there says.
+
+Stability needs no poles where A is a contraction in some norm that
+diagonal matrices of modulus one preserve: if A x = diag(z**m_i) x with
+|z| >= 1 then ||A x|| >= ||x||.  :func:`is_allpass` proves it, for every
+delay vector at once, from ||A||_2 < 1 or from a positive v with |A| v < v
+(||.||_inf after scaling by diag(v)), each with a rounding margin (see
+:func:`_contraction_proof`), and solves for poles only where neither holds.
 
 Loop matrices
 -------------
@@ -344,6 +350,36 @@ def _pole_radius(gamma, u):
     n = u.shape[0]
     rho = np.linalg.norm(u @ u.T - np.eye(n), 2)
     return float(gamma * (rho + n * _EPS))
+
+
+def _contraction_proof(a):
+    """True when every pole of a network with feedback matrix ``a`` lies
+    strictly inside the unit circle, for every delay vector.
+
+    A pole z with |z| >= 1 has A x = D x for some x != 0 and D =
+    diag(z**m_i), and every norm with ||D y|| >= ||y|| for such D then gives
+    ||A|| >= 1.  Two such norms are tried:
+
+    (i) the spectral norm.  LAPACK's SVD returns the singular values of
+        A + E with ||E||_2 of order N eps ||A||_2 (a 1 x 1 matrix's exactly),
+        so ||A||_2 (1 + N^2 eps) < 1 proves it with a factor N to spare;
+    (ii) ||y||_v = max_i |y_i| / v_i for v = (I - |A|)^-1 1, a positive
+        vector with |A| v < v whenever the spectral radius of |A| is below
+        one; then ||A||_v = max_i (|A| v)_i / v_i.  Any computed v > 0
+        serves.  The N nonnegative products of a row of |A| v sum in
+        floating point to within a relative N u / (1 - N u), u = eps / 2,
+        and the product by 1 + (N + 2) eps rounds by u more, so
+        fl(|A| v) (1 + (N + 2) eps) < v proves |A| v < v.
+    """
+    n = a.shape[0]
+    if np.linalg.norm(a, 2) * (1.0 + n * n * _EPS) < 1.0:
+        return True
+    absolute = np.abs(a)
+    try:
+        v = np.linalg.solve(np.eye(n) - absolute, np.ones(n))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all((v > 0.0) & (v < np.inf)) and np.all(absolute @ v * (1.0 + (n + 2) * _EPS) < v))
 
 
 def _homogeneous_factor(a, m):
@@ -815,17 +851,23 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     reversal test fits the numerator of det H on the uniform ones (any
     K >= order + 1 uniform nodes make the fit one inverse FFT, see
     :func:`numerator_poly`) and checks that it equals the reversed
-    denominator up to sign.  Systems with a pole of modulus >= 1 (found by
-    the Ehrlich-Aberth solve of :func:`poles`) are rejected with the full
-    pole list.  With homogeneous decay (as in :func:`poles`) and gamma plus
-    the pole radius below 1, stability is proven and no pole is solved.
+    denominator up to sign.
+
+    Stability is proven without poles, for every delay vector, when
+    ||A||_2 (1 + N^2 eps) < 1, or when v = (I - |A|)^-1 1 is positive with
+    fl(|A| v) (1 + (N + 2) eps) < v: either way diag(z**m_i)^-1 A is a
+    strict contraction for |z| >= 1, in the 2-norm or in the diag(v)-scaled
+    max norm, so det(diag(z**m_i) - A) has no root there (margins in
+    :func:`_contraction_proof`).  Otherwise the poles come from the
+    Ehrlich-Aberth solve of :func:`poles`, limited to orders up to 2**15
+    (:class:`FdnError` above), and a system with a pole of modulus >= 1 is
+    rejected with the full pole list.
     """
-    _check_pole_order(fdn)
-    m = fdn.delays.as_array()
-    den, floor = _gcp_terms(fdn.a, m)
-    factor = _homogeneous_factor(fdn.a, m)
-    # homogeneous decay: every pole lies within the radius of gamma
-    if factor is None or factor[0] + factor[2] >= 1.0:
+    proven = _contraction_proof(fdn.a)
+    if not proven:
+        _check_pole_order(fdn)
+    den, floor = _gcp_terms(fdn.a, fdn.delays.as_array())
+    if not proven:
         pole_values = _aberth_poles(fdn, den, floor)
         if not np.all(np.abs(pole_values) < 1.0):
             raise UnstableError(pole_values)

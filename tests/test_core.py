@@ -31,6 +31,7 @@ from uniallpass import (
     impulse_response,
     is_allpass,
     numerator_poly,
+    orthogonal_completion,
     poles,
     poletti_unitary,
     principal_minor_list,
@@ -661,7 +662,7 @@ class TestCircleRoute:
         fdn = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999).fdn
         report = is_allpass(fdn)
         monkeypatch.undo()
-        monkeypatch.setattr(core, "_homogeneous_factor", lambda a, m: None)
+        monkeypatch.setattr(core, "_contraction_proof", lambda a: False)
         assert report == is_allpass(fdn)
         assert report.allpass
 
@@ -671,6 +672,92 @@ class TestCircleRoute:
         with pytest.raises(UnstableError) as exc:
             is_allpass(fdn)
         assert multiset_max_distance(exc.value.poles, poles(fdn)) < 1e-12
+
+
+def contraction_sweep(family):
+    """Four seeded networks of one family whose feedback matrix is a
+    contraction, of order below 500 so that the Aberth solve stays cheap.
+    "redrawn" gives the "homogeneous" designs on new delays."""
+    rng = np.random.default_rng(1700)
+    systems = []
+    for _ in range(4):
+        n = int(rng.integers(2, 7))
+        delays = rng.integers(3, 60, n).tolist()
+        if family in ("homogeneous", "redrawn"):
+            fdn = design_homogeneous_siso(delays, float(rng.uniform(0.95, 0.999))).fdn
+            redraw = rng.integers(3, 60, n).tolist()
+            if family == "redrawn":
+                fdn = fdn.with_delays(redraw)
+        elif family == "poletti":
+            fdn, _ = poletti_unitary(random_orthogonal(n, rng), float(rng.uniform(-0.9, 0.9)), delays)
+        elif family == "schroeder":
+            n = int(rng.integers(4, 9))
+            gains = rng.uniform(0.5, 0.8, n) * rng.choice([-1.0, 1.0], n)
+            fdn, _ = schroeder_series(gains, rng.integers(3, 60, n).tolist())
+        else:
+            a = rng.standard_normal((n, n))
+            a *= rng.uniform(0.5, 0.95) / np.linalg.norm(a, 2)
+            fdn = orthogonal_completion(a, n, delays)
+        systems.append(fdn)
+    return systems
+
+
+class TestContractionProof:
+    @pytest.mark.parametrize("family", ["homogeneous", "redrawn", "poletti", "schroeder", "completion"])
+    def test_proof_agrees_with_the_solve(self, monkeypatch, no_pole_solve, family):
+        systems = contraction_sweep(family)
+        proven = [is_allpass(fdn) for fdn in systems]
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "_contraction_proof", lambda a: False)
+        for fdn, report in zip(systems, proven):
+            assert report == is_allpass(fdn)
+            assert report.allpass
+            a, m = fdn.a, fdn.delays.as_array()
+            norm = np.linalg.norm(a, 2)
+            if family == "schroeder":
+                # these chains need the scaled max norm: ||A||_2 > 1
+                assert norm > 1.0
+                v = np.linalg.solve(np.eye(m.size) - np.abs(a), np.ones(m.size))
+                norm = np.max(np.abs(a) @ v / v)
+            else:
+                assert norm < 1.0
+            # ||A|| < 1 in a norm kept by diag(z**m_i) puts every pole
+            # inside |z| = ||A||**(1 / max m)
+            p = core._aberth_poles(fdn, *core._gcp_terms(a, m))
+            assert np.max(np.abs(p)) <= norm ** (1.0 / m.max()) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("family", ["orthogonal", "schroeder"])
+    def test_lossless_feedback_falls_back_and_raises(self, monkeypatch, rng, family):
+        # ||A||_2 = 1 with poles on the circle, and a unit entry of |A|:
+        # neither norm proves stability
+        if family == "orthogonal":
+            u = random_orthogonal(4, rng)
+            fdn = FdnSystem(u, np.zeros((4, 1)), np.zeros((1, 4)), np.ones((1, 1)), [3, 5, 7, 2])
+        else:
+            # the constructor refuses |g| >= 1; a section of gain 1 puts its
+            # line's poles on the circle
+            import uniallpass.designs as designs
+
+            monkeypatch.setattr(designs, "_check_gains", lambda g: np.asarray(g, dtype=float))
+            with np.errstate(divide="ignore"):
+                fdn, _ = designs.schroeder_series([0.6, -0.5, 0.7, 1.0], [9, 4, 6, 5])
+        assert not core._contraction_proof(fdn.a)
+        with pytest.raises(UnstableError) as exc:
+            is_allpass(fdn)
+        m = fdn.delays.as_array()
+        np.testing.assert_array_equal(exc.value.poles, core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m)))
+        assert np.max(np.abs(exc.value.poles)) >= 1.0
+
+    def test_long_single_line_needs_no_solve(self, no_pole_solve):
+        # gain 0.5 on a line of 20000 samples: the rounding of gamma**m keeps
+        # it off the circle route of poles, but ||A||_2 = 0.5
+        fdn, _ = schroeder_series([0.5], [20000])
+        assert is_allpass(fdn).allpass
+
+    def test_proof_lifts_the_order_budget(self, no_pole_solve):
+        fdn, _ = schroeder_series([0.5, -0.4], [core._MAX_ORDER - 100, 300])
+        assert fdn.order > core._MAX_ORDER
+        assert is_allpass(fdn).allpass
 
 
 class TestLoopLogDerivative:
@@ -701,10 +788,11 @@ class TestPoleSolveLimits:
 
         monkeypatch.setattr(core, "_newton_polygon_starts", never)
         monkeypatch.setattr(core, "principal_minors_all", never)
-        fdn = FdnSystem.siso([[0.5]], [1.0], [1.0], 0.0, [core._MAX_ORDER + 1])
-        for call in (poles, is_allpass):
+        # is_allpass solves for poles only where no contraction proves
+        # stability, as for a line of gain 1.5
+        for call, gain in ((poles, 0.5), (is_allpass, 1.5)):
             with pytest.raises(FdnError, match="order"):
-                call(fdn)
+                call(FdnSystem.siso([[gain]], [1.0], [1.0], 0.0, [core._MAX_ORDER + 1]))
 
 
 class TestIsAllpass:
