@@ -52,7 +52,6 @@ from .verify import (
     check_minor_condition,
     dsim_from_hadamard_quotient,
     dsim_from_lyapunov,
-    lyapunov_gram,
     schur_complements,
 )
 

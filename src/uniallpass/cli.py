@@ -11,7 +11,6 @@ variable or per-invocation flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -62,8 +61,8 @@ def _verify_report(fdn, dsim, tol):
     if dsim is None:
         try:
             dsim = dsim_from_lyapunov(fdn.a, fdn.b, tol)
-        except (NotCertifiableError, UnstableError) as exc:
-            dsim = getattr(exc, "candidate", None)
+        except NotCertifiableError as exc:
+            dsim = exc.candidate
             report["lyapunov"] = {"ok": False, "detail": str(exc)}
     if dsim is not None:
         cert = certify_uniallpass(fdn, dsim, tol)
@@ -138,18 +137,17 @@ def _read_matrix(path):
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise serialize.SchemaError(
-                f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+        data = serialize._parse_json(text)
         if isinstance(data, dict):
             if "A" not in data:
                 raise serialize.SchemaError('matrix JSON object needs an "A" field')
             data = data["A"]
-        return np.asarray(data, dtype=float)
-    return np.atleast_2d(np.loadtxt(path))
+        matrix = np.asarray(data, dtype=float)
+    else:
+        matrix = np.atleast_2d(np.loadtxt(path))
+    if not np.all(np.isfinite(matrix)):
+        raise serialize.SchemaError("matrix entries must be finite")
+    return matrix
 
 
 def _cmd_complete(args):

@@ -26,9 +26,8 @@ class NotCertifiableError(FdnError):
     """Diagonal-similarity recovery failed; the system may still be allpass
     for particular delays, just not certifiable by this route."""
 
-    def __init__(self, message, candidate=None, gram=None):
+    def __init__(self, message, candidate=None):
         self.candidate = candidate
-        self.gram = gram
         super().__init__(message)
 
 

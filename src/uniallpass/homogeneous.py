@@ -30,7 +30,8 @@ from .system import DelayVector, FdnSystem
 
 # largest accepted bound on the deviation of a design pole modulus from gamma
 _POLE_TOL = 1e-6
-# smallest accepted gap between a node and a scaled node of the Cauchy factor
+# smallest accepted relative gap between a node and a scaled node of the
+# Cauchy factor
 _GAP_TOL = 1e-10
 # orthogonality tolerance of the Cauchy factor
 _ORTHO_TOL = 1e-9
@@ -62,18 +63,18 @@ def decay_gains(delays, gamma: float):
 
 def choose_dsim(decay, slack=0.9):
     """Node vector satisfying the interleaving constraint by construction:
-    d_1 = 1 and d_i = d_{i-1} / (slack * decay_i^2).  Smaller slack spreads
-    the nodes further apart."""
+    d_i = d_{i-1} / (slack * decay_i^2), built as a cumulative sum of logs
+    and scaled to a largest entry of 1.  Smaller slack spreads the nodes
+    further apart.  The scale is free (it moves gain between b and c, not
+    the transfer function), but the absolute certificate residual grows
+    with max(dsim), so the largest node is pinned to 1."""
     decay = np.asarray(decay, dtype=float).ravel()
     if not 0.0 < slack < 1.0:
         raise ValueError(f"slack must lie in (0, 1), got {slack}")
     if np.any((decay <= 0) | (decay >= 1)):
         raise ValueError("decay gains must lie strictly inside (0, 1)")
-    d = np.empty(decay.size)
-    d[0] = 1.0
-    for i in range(1, decay.size):
-        d[i] = d[i - 1] / (slack * decay[i] ** 2)
-    return d
+    log_d = np.cumsum(np.concatenate([[0.0], -np.log(slack) - 2.0 * np.log(decay[1:])]))
+    return np.exp(log_d - log_d[-1])
 
 
 def validate_interleaving(d, dq):
@@ -88,55 +89,41 @@ def validate_interleaving(d, dq):
         raise ValueError("node vectors must have equal length")
     order = np.argsort(d)
     ds, dqs = d[order], dq[order]
-    for i in range(d.size):
-        if not dqs[i] < ds[i]:
-            return False, i
-        if i > 0 and not ds[i - 1] < dqs[i]:
-            return False, i
+    bad = ~(dqs < ds)
+    bad[1:] |= ~(ds[:-1] < dqs[1:])
+    if np.any(bad):
+        return False, int(np.argmax(bad))
     return True, None
-
-
-def _log_products(nodes, others):
-    """log |prod (x - others)| and its sign at each x in nodes, skipping
-    exact self-pairings. Stays in log space so long products do not overflow."""
-    diffs = nodes[:, None] - others[None, :]
-    mask = diffs != 0.0
-    signs = np.where(np.sum((diffs < 0) & mask, axis=1) % 2 == 1, -1.0, 1.0)
-    logs = np.where(mask, np.log(np.abs(np.where(mask, diffs, 1.0))), 0.0).sum(axis=1)
-    return logs, signs
 
 
 def cauchy_unitary(d, dq):
     """Orthogonal matrix U_ij = sqrt(beta_i alpha_j) / (d_i - dq_j).
 
     With node polynomials A(x) = prod (x - d_k) and B(x) = prod (x - dq_k),
-    alpha_i = -A(dq_i) / B'(dq_i) and beta_i = B(d_i) / A'(d_i); strict
-    interleaving guarantees both are positive.  Products are evaluated in
-    log-magnitude plus sign form so large N does not overflow.
+    alpha_j = -A(dq_j) / B'(dq_j) and beta_i = B(d_i) / A'(d_i); strict
+    interleaving makes both positive, so only their logarithms are needed:
+    the column and row sums of G = log|d_i - dq_j| less the self-gap sums
+    sum_{k != j} log|dq_j - dq_k| and sum_{k != i} log|d_i - d_k|.  Staying
+    in log space keeps long products from overflowing.  A relative node gap
+    |d_i - dq_j| / max(|d_i|, |dq_j|) below ``_GAP_TOL`` is refused: rounding
+    of dq = decay^2 d is relative, so that gap sets the accuracy.
     """
     d = np.asarray(d, dtype=float).ravel()
     dq = np.asarray(dq, dtype=float).ravel()
     ok, idx = validate_interleaving(d, dq)
     if not ok:
         raise InterleavingError(f"nodes are not strictly interleaved at sorted position {idx}", index=idx)
-    gaps = np.abs(d[:, None] - dq[None, :])
-    if float(gaps.min()) < _GAP_TOL:
-        raise InterleavingError(f"near-coincident nodes, smallest gap {float(gaps.min()):.3g}")
+    diffs = d[:, None] - dq[None, :]
+    gap = float(np.min(np.abs(diffs) / np.maximum(np.abs(d)[:, None], np.abs(dq)[None, :])))
+    if gap < _GAP_TOL:
+        raise InterleavingError(f"near-coincident nodes, smallest relative gap {gap:.3g}")
     n = d.size
-    log_a_at_dq, sign_a_at_dq = _log_products(dq, d)
-    log_bp_at_dq, sign_bp_at_dq = _log_products(dq, dq)  # B'(dq_i) = prod_{k != i}
-    log_b_at_d, sign_b_at_d = _log_products(d, dq)
-    log_ap_at_d, sign_ap_at_d = _log_products(d, d)
-    alpha_sign = -sign_a_at_dq * sign_bp_at_dq
-    beta_sign = sign_b_at_d * sign_ap_at_d
-    if np.any(alpha_sign <= 0) or np.any(beta_sign <= 0):
-        raise InterleavingError("interleaving violated: nonpositive Cauchy weights")
-    log_alpha = log_a_at_dq - log_bp_at_dq
-    log_beta = log_b_at_d - log_ap_at_d
-    u = np.sign(d[:, None] - dq[None, :]) * np.exp(
-        0.5 * (log_beta[:, None] + log_alpha[None, :]) - np.log(gaps)
-    )
-    residual = float(np.max(np.abs(u @ u.T - np.eye(n))))
+    eye = np.eye(n)
+    log_gaps = np.log(np.abs(diffs))
+    log_alpha = log_gaps.sum(axis=0) - np.log(np.abs(dq[:, None] - dq[None, :]) + eye).sum(axis=1)
+    log_beta = log_gaps.sum(axis=1) - np.log(np.abs(d[:, None] - d[None, :]) + eye).sum(axis=1)
+    u = np.sign(diffs) * np.exp(0.5 * (log_beta[:, None] + log_alpha[None, :]) - log_gaps)
+    residual = float(np.max(np.abs(u @ u.T - eye)))
     if residual > _ORTHO_TOL:
         raise ConditioningError(
             f"Cauchy factor lost orthogonality, residual {residual:.3g}", residual=residual

@@ -88,12 +88,22 @@ def save_system(path, fdn: FdnSystem, dsim=None, meta=None, verify=None):
         fh.write(dumps_system(fdn, dsim=dsim, meta=meta, verify=verify))
 
 
-def loads_system(text: str):
-    """Parse system JSON; returns (system, dsim-or-None, full payload)."""
+def _reject_constant(name):
+    raise SchemaError(f"non-finite value {name} is not allowed")
+
+
+def _parse_json(text: str):
+    """json.loads without the NaN and Infinity literals that Python accepts
+    and the writer never emits; malformed text raises SchemaError."""
     try:
-        payload = json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def loads_system(text: str):
+    """Parse system JSON; returns (system, dsim-or-None, full payload)."""
+    payload = _parse_json(text)
     if not isinstance(payload, dict):
         raise SchemaError("top-level JSON value must be an object")
     schema = payload.get("schema")
@@ -104,13 +114,18 @@ def loads_system(text: str):
         raise SchemaError(f"missing required fields: {', '.join(missing)}")
     try:
         fdn = FdnSystem(payload["A"], payload["B"], payload["C"], payload["D"], payload["delays"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from None
+    # an overflowing literal such as 1e999 parses to inf
+    if not all(np.all(np.isfinite(m)) for m in (fdn.a, fdn.b, fdn.c, fdn.d)):
+        raise SchemaError("system matrices must be finite")
     dsim = payload.get("dsim")
     if dsim is not None:
         dsim = np.asarray(dsim, dtype=float)
         if dsim.shape != (fdn.n_delays,):
             raise SchemaError(f"dsim has shape {dsim.shape}, expected ({fdn.n_delays},)")
+        if not np.all(np.isfinite(dsim)):
+            raise SchemaError("dsim must be finite")
     return fdn, dsim, payload
 
 

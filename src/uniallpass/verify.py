@@ -3,10 +3,10 @@
 A system is certified once a positive diagonal ``dsim`` makes the block
 system matrix an isometry of the weighted inner product diag(dsim, I); the
 certificate then covers every choice of delay lengths.  Two recovery routes
-for ``dsim`` are provided (a dense Lyapunov solve and an Engel-Schneider
-style Hadamard quotient), plus the exhaustive principal-minor condition that
-is necessary in general and equivalent for single-input single-output
-systems.
+for ``dsim`` are provided (the diagonal of the Stein equation, one N x N
+solve, and an Engel-Schneider style Hadamard quotient), plus the exhaustive
+principal-minor condition that is necessary in general and equivalent for
+single-input single-output systems.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL
-from .errors import NotCertifiableError, UnstableError
+from .errors import NotCertifiableError
 from .kernels import principal_minors_all
 from .system import FdnSystem, SystemMatrix
 
@@ -97,49 +97,36 @@ def apply_diagonal_similarity(fdn: FdnSystem, t) -> FdnSystem:
     )
 
 
-def lyapunov_gram(a, b):
-    """Solve X - A X A^T = B B^T by the Kronecker-vectorized linear system.
+def dsim_from_lyapunov(a, b, tol=DEFAULT_TOL):
+    """Diagonal similarity candidate from the Stein equation
+    X - A X A^T = B B^T.
 
-    Requires spectral radius of A below one (unique solution).
+    A certifying ``dsim`` is a diagonal solution, so only the diagonal is
+    solved: (I - A o A) d = rowsum(B o B), N unknowns.  ``d`` is accepted
+    when the residual of A diag(d) A^T + B B^T - diag(d), whose diagonal
+    vanishes by construction, is at most ``tol`` times ||d|| in the
+    Frobenius norm and every entry is positive; otherwise raises
+    :class:`NotCertifiableError` carrying ``d`` (None when I - A o A is
+    singular).
     """
     a = np.asarray(a, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape[0] != a.shape[0]:
         b = b.T
-    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
-    if radius >= 1.0:
-        raise UnstableError(np.linalg.eigvals(a), f"spectral radius {radius:.6g} >= 1")
-    n = a.shape[0]
-    lhs = np.eye(n * n) - np.kron(a, a)
-    x = np.linalg.solve(lhs, (b @ b.T).ravel()).reshape(n, n)
-    return 0.5 * (x + x.T)
-
-
-def dsim_from_lyapunov(a, b, tol=DEFAULT_TOL):
-    """Diagonal similarity candidate from the Lyapunov solution.
-
-    Succeeds only when the Gram solution X is diagonal (off-diagonal
-    Frobenius mass below ``tol`` times the diagonal mass) and positive;
-    otherwise raises :class:`NotCertifiableError` carrying the candidate.
-    """
-    x = lyapunov_gram(a, b)
-    diag = np.diag(x).copy()
-    off = x - np.diag(diag)
-    diag_mass = float(np.linalg.norm(diag))
-    off_mass = float(np.linalg.norm(off))
-    if diag_mass == 0.0 or off_mass > tol * diag_mass:
+    try:
+        d = np.linalg.solve(np.eye(a.shape[0]) - a * a, np.sum(b * b, axis=1))
+    except np.linalg.LinAlgError:
+        raise NotCertifiableError("Stein diagonal system I - A o A is singular") from None
+    residual = float(np.linalg.norm((a * d[None, :]) @ a.T + b @ b.T - np.diag(d)))
+    mass = float(np.linalg.norm(d))
+    if not residual <= tol * mass:
         raise NotCertifiableError(
-            f"Lyapunov solution is not diagonal (off/diag mass {off_mass / max(diag_mass, 1e-300):.3g})",
-            candidate=diag,
-            gram=x,
+            f"Lyapunov solution is not diagonal (residual/mass {residual / max(mass, 1e-300):.3g})",
+            candidate=d,
         )
-    if np.any(diag <= 0):
-        raise NotCertifiableError(
-            "Lyapunov solution has nonpositive diagonal entries",
-            candidate=diag,
-            gram=x,
-        )
-    return diag
+    if np.any(d <= 0):
+        raise NotCertifiableError("Lyapunov solution has nonpositive diagonal entries", candidate=d)
+    return d
 
 
 def dsim_from_hadamard_quotient(sys: SystemMatrix, tol=1e-6):
@@ -168,19 +155,6 @@ def dsim_from_hadamard_quotient(sys: SystemMatrix, tol=1e-6):
     quot = np.where(support, s_inv, 0.0) / np.where(support, a.T, 1.0)
     if np.any(quot[support] <= 0):
         raise NotCertifiableError("Hadamard quotient has inconsistent signs")
-    # connectivity of the pattern graph (needed to relate all scales)
-    reach = np.zeros(n, dtype=bool)
-    reach[0] = True
-    frontier = [0]
-    adjacency = support | support.T
-    while frontier:
-        node = frontier.pop()
-        for other in np.nonzero(adjacency[node])[0]:
-            if not reach[other]:
-                reach[other] = True
-                frontier.append(int(other))
-    if not np.all(reach):
-        raise NotCertifiableError("feedback pattern is disconnected; scales cannot be related")
     rows_i, cols_j = np.nonzero(support)
     logs = np.log(quot[rows_i, cols_j])
     design = np.zeros((len(logs), n))
@@ -188,7 +162,11 @@ def dsim_from_hadamard_quotient(sys: SystemMatrix, tol=1e-6):
     design[np.arange(len(logs)), cols_j] -= 1.0
     # pin the gauge u_0 = 0
     design = design[:, 1:]
-    u, *_ = np.linalg.lstsq(design, logs, rcond=None)
+    u, _, rank, _ = np.linalg.lstsq(design, logs, rcond=None)
+    # the pattern graph is connected exactly when its incidence matrix,
+    # gauge column removed, has full column rank
+    if rank < n - 1:
+        raise NotCertifiableError("feedback pattern is disconnected; scales cannot be related")
     fit = design @ u
     if float(np.max(np.abs(fit - logs))) > tol:
         raise NotCertifiableError(

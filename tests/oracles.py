@@ -7,7 +7,8 @@ from the eigenvalues of the characteristic polynomial's companion matrix,
 impulse responses from frequency sampling plus an inverse DFT or from one
 recursion step per sample, numerator coefficients from a dense Vandermonde
 least-squares solve, orthogonal completions from eigen-factors of the two
-defect Gram matrices, the classic designs from their scalar
+defect Gram matrices, the full Lyapunov Gram matrix from the
+Kronecker-vectorized Stein equation, the classic designs from their scalar
 product/recursion forms, and CSV text from Python's own "%.17g" applied
 one row tuple at a time.  The balanced residuals restate the three
 orthogonality identities of a balanced system block by block.
@@ -15,7 +16,7 @@ orthogonality identities of a balanced system block by block.
 
 import numpy as np
 
-from uniallpass import FdnSystem, apply_diagonal_similarity
+from uniallpass import FdnSystem, UnstableError, apply_diagonal_similarity
 
 
 def perm_sign(perm):
@@ -150,6 +151,23 @@ def balanced_form(fdn: FdnSystem, dsim) -> FdnSystem:
     if np.any(dsim <= 0):
         raise ValueError("balanced form requires a strictly positive dsim")
     return apply_diagonal_similarity(fdn, np.sqrt(dsim))
+
+
+def lyapunov_gram(a, b):
+    """Solve X - A X A^T = B B^T by the Kronecker-vectorized N^2 x N^2
+    linear system.  Requires spectral radius of A below one (unique
+    solution)."""
+    a = np.asarray(a, dtype=float)
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if b.shape[0] != a.shape[0]:
+        b = b.T
+    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+    if radius >= 1.0:
+        raise UnstableError(np.linalg.eigvals(a), f"spectral radius {radius:.6g} >= 1")
+    n = a.shape[0]
+    lhs = np.eye(n * n) - np.kron(a, a)
+    x = np.linalg.solve(lhs, (b @ b.T).ravel()).reshape(n, n)
+    return 0.5 * (x + x.T)
 
 
 def principal_minor(m, subset) -> float:

@@ -8,7 +8,7 @@ from oracles import impulse_loop
 from uniallpass import delay_dependent_allpass, design_homogeneous_siso, schroeder_series
 from uniallpass.complete import _complete_balanced
 from uniallpass.cli import main
-from uniallpass.serialize import load_system, save_system, write_wav
+from uniallpass.serialize import dumps_system, load_system, save_system, write_wav
 
 
 def run_cli(*argv):
@@ -135,6 +135,15 @@ class TestVerifyCommand:
         )
         assert run_cli("verify", str(out)) == 0
         assert "(necessary condition only)" in capsys.readouterr().out
+
+    def test_no_similarity_candidate_reported(self, tmp_path, capsys):
+        # A = 1 makes the Stein diagonal system singular: no dsim to certify
+        from uniallpass import FdnSystem
+
+        path = tmp_path / "lossless.json"
+        save_system(path, FdnSystem([[1.0]], [[1.0]], [[1.0]], [[1.0]], [2]))
+        run_cli("verify", str(path))
+        assert "certificate: no similarity candidate" in capsys.readouterr().out
 
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "ce.json"
@@ -274,3 +283,38 @@ class TestExportCommand:
         dst = tmp_path / "out.json"
         assert run_cli("export", str(src), "-o", str(dst)) == 0
         assert src.read_bytes() == dst.read_bytes()
+
+
+class TestNonFiniteInput:
+    """Python's json reads NaN and Infinity; the loaders refuse them, as the
+    writer does, with a schema error (exit 1)."""
+
+    @pytest.fixture
+    def system_file(self, tmp_path):
+        fdn, dsim = schroeder_series([0.5], [2])
+        payload = json.loads(dumps_system(fdn, dsim=dsim))
+        payload["A"] = [[float("inf")]]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify",), ("simulate", "--length", "4"), ("poles",), ("export",)],
+    )
+    def test_system_file_refused(self, system_file, capsys, argv):
+        command, *rest = argv
+        assert run_cli(command, str(system_file), *rest) == 1
+        captured = capsys.readouterr()
+        assert "non-finite value Infinity" in captured.err
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("a.json", '{"A": [[0.5, NaN], [0.0, 0.5]]}'), ("a.txt", "0.5 nan\n0.0 0.5\n"), ("b.json", "[[1e999]]")],
+    )
+    def test_matrix_file_refused(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("complete", str(path), "--mode", "orthogonal") == 1
+        assert "finite" in capsys.readouterr().err

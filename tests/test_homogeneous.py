@@ -66,6 +66,12 @@ class TestChooseDsim:
     def test_single_line(self):
         assert choose_dsim(np.array([0.7])).tolist() == [1.0]
 
+    def test_largest_node_is_one(self):
+        decay = decay_gains(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA)
+        d = choose_dsim(decay)
+        assert d[-1] == d.max() == 1.0
+        np.testing.assert_allclose(d[1:] / d[:-1], 1.0 / (0.9 * decay[1:] ** 2), rtol=1e-13)
+
     def test_constructed_nodes_interleave(self):
         decay = decay_gains(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA)
         d = choose_dsim(decay)
@@ -132,6 +138,15 @@ class TestCauchyUnitary:
     def test_near_coincident_nodes_rejected(self):
         with pytest.raises(InterleavingError):
             cauchy_unitary([1.0, 2.0], [1.0 - 1e-12, 1.5])
+
+    def test_gap_test_is_relative(self):
+        # the same node pattern at any scale: gaps of 5e-19 pass when the
+        # nodes themselves are about 1e-18
+        for scale in (1.0, 1e-18, 1e18):
+            u = cauchy_unitary(scale * np.array([1.0, 2.0]), scale * np.array([0.5, 1.5]))
+            np.testing.assert_allclose(u, cauchy_unitary([1.0, 2.0], [0.5, 1.5]), rtol=1e-14, atol=1e-15)
+        with pytest.raises(InterleavingError, match="relative"):
+            cauchy_unitary([1e-18, 2e-18], [1e-18 * (1 - 1e-12), 1.5e-18])
 
     def test_large_order_stays_finite(self, rng):
         # log-domain products keep N = 24 well-conditioned
@@ -259,12 +274,37 @@ class TestDesign:
         solved_moduli(design)
         assert is_allpass(design.fdn).allpass
 
-    def test_ill_conditioned_spec_refused(self):
-        # dsim spans nine decades, so the absolute certificate residual
-        # (about 9e-7) refuses the design
+    def test_nine_decade_spec_designs(self):
+        # dsim spans nine decades; nodes scaled to a largest entry of 1 keep
+        # the absolute certificate residual at rounding level
+        design = design_homogeneous_siso([1009, 1151, 1277, 1361, 1453, 1583, 1693, 1787], 0.999)
+        assert design.dsim.max() == 1.0
+        assert certify_uniallpass(design.fdn, design.dsim).verdict
+        assert is_allpass(design.fdn).allpass
+
+    def test_unscaled_nodes_refused(self):
+        # the same spec's nodes grown from d_1 = 1 reach 1.9e9, and the
+        # absolute certificate residual refuses the design
+        delays = [1009, 1151, 1277, 1361, 1453, 1583, 1693, 1787]
+        decay = decay_gains(delays, 0.999)
+        nodes = np.cumprod(np.concatenate([[1.0], 1.0 / (0.9 * decay[1:] ** 2)]))
         with pytest.raises(ConditioningError, match="certification") as exc:
-            design_homogeneous_siso([1009, 1151, 1277, 1361, 1453, 1583, 1693, 1787], 0.999)
+            design_homogeneous_siso(delays, 0.999, dsim=nodes)
         assert exc.value.residual > 1e-8
+
+    @pytest.mark.parametrize(
+        "n, low, high, gamma",
+        [(8, 1000, 1800, 0.999), (16, 500, 1800, 0.9995), (16, 1000, 1800, 0.999), (32, 300, 600, 0.9995)],
+    )
+    def test_audio_decay_specs_design(self, n, low, high, gamma, no_pole_solve):
+        # orders 10995, 16014, 20929 and 14000, nodes spanning 9e6 to 3e17:
+        # all were refused while the nodes grew from d_1 = 1
+        delays = np.random.default_rng(3).integers(low, high, n)
+        design = design_homogeneous_siso(delays, gamma)
+        assert certify_uniallpass(design.fdn, design.dsim).verdict
+        assert gamma - 1e-12 < design.pole_modulus_min <= design.pole_modulus_max < gamma + 1e-12
+        if n <= 16:
+            assert is_allpass(design.fdn).allpass
 
     def test_enclosure_holds_at_order_3000(self):
         # the companion eigensolve takes about 30 s at order 3000, twice the

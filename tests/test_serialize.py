@@ -71,6 +71,22 @@ class TestSystemJson:
         with pytest.raises(SchemaError, match="schema"):
             loads_system(json.dumps(payload))
 
+    @pytest.mark.parametrize("field, value", [("A", "NaN"), ("dsim", "-Infinity"), ("delays", "Infinity")])
+    def test_non_finite_literals_rejected(self, field, value):
+        fdn = random_uniallpass(1, 1, seed=2)
+        payload = json.loads(dumps_system(fdn, dsim=[1.0]))
+        payload[field] = [[value]] if field == "A" else [value]
+        text = json.dumps(payload).replace(f'"{value}"', value)
+        with pytest.raises(SchemaError, match=f"non-finite value {value}"):
+            loads_system(text)
+
+    def test_overflowing_literal_rejected(self):
+        # 1e999 is valid JSON that parses to inf
+        payload = json.loads(dumps_system(random_uniallpass(1, 1, seed=2)))
+        payload["D"] = "big"
+        with pytest.raises(SchemaError, match="finite"):
+            loads_system(json.dumps(payload).replace('"big"', "[[1e999]]"))
+
     def test_malformed_json_reports_location(self):
         with pytest.raises(SchemaError, match="line 1"):
             loads_system("{not json")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import fixture_values as fv
 from conftest import random_delays, random_stable_fdn, tf_max_diff, unit_circle_points
-from oracles import balanced_form, balanced_residuals
+from oracles import balanced_form, balanced_residuals, lyapunov_gram
 from uniallpass import (
     FdnSystem,
     NotCertifiableError,
@@ -17,8 +17,8 @@ from uniallpass import (
     delay_dependent_allpass,
     dsim_from_hadamard_quotient,
     dsim_from_lyapunov,
+    gardner_nested,
     is_allpass,
-    lyapunov_gram,
     poletti_unitary,
     principal_minor_list,
     random_orthogonal,
@@ -142,6 +142,36 @@ class TestLyapunovRoute:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableError):
             lyapunov_gram(2.0 * np.eye(2), np.eye(2))
+        with pytest.raises(NotCertifiableError, match="nonpositive"):
+            dsim_from_lyapunov(2.0 * np.eye(2), np.eye(2))
+
+    def test_nonpositive_solution_rejected(self):
+        # the second line is never reached: its diagonal entry solves to 0
+        with pytest.raises(NotCertifiableError, match="nonpositive") as err:
+            dsim_from_lyapunov(np.diag([0.5, 0.5]), [[1.0], [0.0]])
+        np.testing.assert_allclose(err.value.candidate, [4.0 / 3.0, 0.0], atol=1e-15)
+
+    def test_singular_stein_diagonal_rejected(self):
+        with pytest.raises(NotCertifiableError, match="singular") as err:
+            dsim_from_lyapunov([[1.0]], [[1.0]])
+        assert err.value.candidate is None
+
+    def test_matches_full_gram_oracle(self, rng):
+        # the N x N diagonal solve against the N^2 x N^2 Kronecker solve on
+        # 60 seeded certified systems of every family
+        systems = []
+        for seed in range(45):
+            n, p = 1 + seed % 12, 1 + seed % 3
+            systems.append(random_uniallpass(n, p, seed=100 + seed, scaled=True))
+        for n in range(1, 6):
+            gains = rng.uniform(-0.9, 0.9, n)
+            systems.append(schroeder_series(gains, [1] * n)[0])
+            systems.append(gardner_nested(gains, [1] * n)[0])
+            systems.append(poletti_unitary(random_orthogonal(n, rng), float(gains[0]), [1] * n)[0])
+        for fdn in systems:
+            np.testing.assert_allclose(
+                dsim_from_lyapunov(fdn.a, fdn.b), np.diag(lyapunov_gram(fdn.a, fdn.b)), rtol=1e-9, atol=0
+            )
 
 
 class TestHadamardRoute:
@@ -190,6 +220,12 @@ class TestHadamardRoute:
     def test_inconsistent_system_rejected(self):
         with pytest.raises(NotCertifiableError):
             dsim_from_hadamard_quotient(SystemMatrix.from_fdn(delay_dependent_allpass()))
+
+    def test_disconnected_pattern_rejected(self):
+        # an identity mixing matrix leaves three uncoupled lines
+        fdn, _ = poletti_unitary(np.eye(3), 0.5, [1, 2, 3])
+        with pytest.raises(NotCertifiableError, match="disconnected"):
+            dsim_from_hadamard_quotient(SystemMatrix.from_fdn(fdn))
 
 
 class TestCertificate:
