@@ -45,17 +45,29 @@ diagonal matrices of modulus one preserve: if A x = diag(z**m_i) x with
 |z| >= 1 then ||A x|| >= ||x||.  :func:`is_allpass` proves it, for every
 delay vector at once, from ||A||_2 < 1 or from a positive v with |A| v < v
 (||.||_inf after scaling by diag(v)), each with a rounding margin (see
-:func:`_contraction_proof`), and solves for poles only where neither holds.
+:func:`_contraction_proof`).  A certified network that is no contraction
+(Gardner chains, orthogonal splits with P < N) embeds in a lossless one,
+whose poles all lie on the unit circle (Schlecht & Habets, IEEE TSP 2017):
+a pole on or outside the circle would lie near one of them, and
+:func:`_lossless_proof` counts them by the circle route's sign changes and
+rules that out from the smallest singular value of the loop matrix at
+each.  Only where neither proof closes does :func:`is_allpass` solve for
+poles.
 
 Loop matrices
 -------------
 Outside the Aberth sweeps, every stack of loop matrices diag(z**m_i) - X
-(for H itself, for the circle route's determinants and Newton traces) comes
-from one helper that forms and reduces them in chunks of at most
-``_STACK_ENTRIES`` entries, so no order leads to a large array.  The
-allpass test evaluates H once, on 4 * order uniform and a few random
-unit-circle points: unitarity is measured on all of them and the numerator
-of det H is fitted on the uniform ones.
+(for H itself, for the circle route's determinants and Newton traces, for
+the FFT denominator and for the lossless route's singular values) comes
+from one helper that forms their diagonals and reduces them in chunks of at
+most ``_LOOP_ENTRIES`` complex entries, so no order leads to a large
+array.  The allpass test evaluates H once, on 4 * order uniform and a few
+random unit-circle points: unitarity is measured on all of them and the
+numerator of det H is fitted on the uniform ones.  Its denominator, the
+loop determinant's z^-1 coefficients, is one inverse real FFT of loop
+determinants on order + 1 uniform nodes; the principal-minor sweep of
+:func:`gcp`, limited to N <= 20, serves the Aberth solve and the public
+coefficients only.
 """
 
 from __future__ import annotations
@@ -67,8 +79,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConditioningError, FdnError, PoleEvaluationError, UnstableError
-from .kernels import _STACK_ENTRIES, impulse_kernel, principal_minors_all
-from .system import DelayVector, FdnSystem
+from .kernels import _MAX_SWEEP_N, _STACK_ENTRIES, impulse_kernel, principal_minors_all
+from .system import DelayVector, FdnSystem, SystemMatrix
 
 DEFAULT_TOL = 1e-8
 # seeded random unit-circle samples added to the allpass test's uniform grid
@@ -113,6 +125,15 @@ _HOMOGENEOUS_RADIUS = 1e-12
 # the whole circle.  At 4 per circle, close roots shared a sample interval
 # (and fell back) in 26 of 180 long-delay and 3 of 180 paper-scale designs.
 _CIRCLE_SAMPLES = 4
+# Complex entries per stack of loop matrices, 256 KB.  At 2^17 (2 MB) the
+# lossless count's 32 L pass set a process's peak memory at small orders,
+# and was no faster.
+_LOOP_ENTRIES = 1 << 14
+# The lossless embedding of a network is counted at 8 L, then 32 L samples
+# per circle; it is tried only where ||V^T V - I||_2 of the balanced system
+# matrix is at most _LOSSLESS_DELTA (rounding level for a certified one).
+_LOSSLESS_SAMPLES = (_CIRCLE_SAMPLES, 4 * _CIRCLE_SAMPLES)
+_LOSSLESS_DELTA = 1e-10
 
 
 @dataclass(frozen=True)
@@ -132,20 +153,31 @@ class AllpassReport:
     tol: float
 
 
-def _loop_chunks(x, powers, reduce):
-    """``reduce(P, p)`` over chunks p of the rows of the (K, N) ``powers``,
-    P the stacked loop matrices diag(p[k]) - X, at most ``_STACK_ENTRIES``
-    entries per chunk; the results are concatenated along the first axis."""
+def _loop_chunks(x, points, powers, reduce):
+    """``reduce(P, p)`` over chunks of the 1-D ``points``, p = powers(chunk)
+    the (k, N) diagonals of the stacked complex loop matrices P =
+    diag(p[k]) - X; each chunk holds at most ``_LOOP_ENTRIES`` entries, and
+    only one chunk's stack exists at a time.  The results are concatenated
+    along the first axis."""
     n = x.shape[0]
     diag = np.arange(n)
-    chunk = max(1, _STACK_ENTRIES // x.size)
+    chunk = max(1, _LOOP_ENTRIES // x.size)
     parts = []
-    for start in range(0, powers.shape[0], chunk):
-        power = powers[start : start + chunk]
+    for start in range(0, points.size, chunk):
+        power = powers(points[start : start + chunk])
         loop = np.broadcast_to(-x, (power.shape[0], n, n)).astype(complex)
         loop[:, diag, diag] += power
         parts.append(reduce(loop, power))
+        # freed before the next chunk's stack is built
+        del loop
     return np.concatenate(parts)
+
+
+def _unit_powers(m):
+    """Powers of the points exp(i phi), given the angles phi, as exp(i m
+    phi): of modulus one to rounding, where w**m from a rounded w drifts off
+    the circle by about m eps."""
+    return lambda phi: np.exp(1j * phi[:, None] * m)
 
 
 def frequency_response(fdn: FdnSystem, zs):
@@ -153,16 +185,19 @@ def frequency_response(fdn: FdnSystem, zs):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs == 0):
         raise ValueError("transfer function is undefined at z = 0")
-    powers = zs[:, None] ** fdn.delays.as_array()
+    m = fdn.delays.as_array()
+
+    def powers(z):
+        return z[:, None] ** m
 
     def response(loop, _):
         x = np.linalg.solve(loop, np.broadcast_to(fdn.b, (loop.shape[0],) + fdn.b.shape))
         return np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d
 
     try:
-        return _loop_chunks(fdn.a, powers, response)
+        return _loop_chunks(fdn.a, zs, powers, response)
     except np.linalg.LinAlgError:
-        dets = _loop_chunks(fdn.a, powers, lambda loop, _: np.linalg.det(loop))
+        dets = _loop_chunks(fdn.a, zs, powers, lambda loop, _: np.linalg.det(loop))
         raise PoleEvaluationError(zs[int(np.argmin(np.abs(dets)))]) from None
 
 
@@ -219,7 +254,8 @@ def gcp(a, delays):
 
     The returned vector has length order + 1 and is monic: ``coeffs[0] == 1``.
     Its roots (see :func:`poles`) are the system poles.  With unit delays it
-    reduces to the ordinary characteristic polynomial of A.
+    reduces to the ordinary characteristic polynomial of A.  It sums the
+    2^N principal minors of A, so N > 20 raises :class:`FdnError`.
     """
     a = np.asarray(a, dtype=float)
     m = delays.as_array() if isinstance(delays, DelayVector) else DelayVector(delays).as_array()
@@ -234,9 +270,12 @@ def _gcp_terms(a, m):
     Hadamard's inequality its error is at most k^2 eps times the product of
     those rows' norms in A (zero for the empty minor).  A coefficient's
     bound is the sum of the bounds of the minors that form it; one below its
-    bound cannot be told from zero.
+    bound cannot be told from zero.  N > 20 raises :class:`FdnError` before
+    the sweep.
     """
     n = a.shape[0]
+    if n > _MAX_SWEEP_N:
+        raise FdnError(f"principal-minor coefficients limited to N <= {_MAX_SWEEP_N}, got {n}")
     order = int(m.sum())
     minors = principal_minors_all(a)
     # per subset (bitmask): size, delay sum and log of the product of its
@@ -258,6 +297,28 @@ def _gcp_terms(a, m):
     coeffs_z = np.bincount(ksum, weights=signs * minors[::-1], minlength=order + 1)
     floor_z = np.bincount(ksum, weights=bounds[::-1], minlength=order + 1)
     return coeffs_z[::-1].copy(), floor_z[::-1].copy()
+
+
+def _circle_denominator(a, m):
+    """The :func:`gcp` coefficients of (A, m) from det(diag(z**m) - A)
+    z**-order on the K = order + 1 uniform unit-circle nodes z_j =
+    exp(2 pi i j / K): there a z^-1 polynomial of degree order is the DFT of
+    its coefficients, and A is real, so the nodes with 0 <= j <= K / 2 give
+    them by one inverse real FFT, to an absolute error of about eps times
+    the largest |det| on the circle.  ``coeffs[0]`` is set to its exact
+    value 1."""
+    count = int(m.sum()) + 1
+    j = np.arange(count // 2 + 1)
+
+    def powers(k):
+        # z_k**m_i = exp(2 pi i (k m_i mod K) / K): reduced exactly in integers
+        return np.exp(2j * np.pi * ((k[:, None] * m) % count) / count)
+
+    dets = _loop_chunks(a, j, powers, lambda loop, _: np.linalg.det(loop))
+    # z_j**-order = z_j, as order = K - 1
+    coeffs = np.fft.irfft(dets * np.exp(2j * np.pi * j / count), count)
+    coeffs[0] = 1.0
+    return coeffs
 
 
 def _numerator_fit(samples, den):
@@ -319,9 +380,10 @@ def poles(fdn: FdnSystem):
     noise floor of the determinant, roughly eps**(1/k): about 1e-5 for a
     triple pole.  Where the loop matrix is too near singular to trust, a
     root is accepted only when the coefficients of the loop determinant
-    (:func:`gcp`) confirm it.  Orders above 2**15 raise
-    :class:`FdnError` before the coefficients are formed; roots still moving
-    after 100 sweeps raise :class:`ConditioningError`.
+    (:func:`gcp`) confirm it.  Orders above 2**15, and N above the
+    coefficients' sweep budget of 20, raise :class:`FdnError` before the
+    coefficients are formed; roots still moving after 100 sweeps raise
+    :class:`ConditioningError`.
     """
     _check_pole_order(fdn)
     m = fdn.delays.as_array()
@@ -382,6 +444,90 @@ def _contraction_proof(a):
     return bool(np.all((v > 0.0) & (v < np.inf)) and np.all(absolute @ v * (1.0 + (n + 2) * _EPS) < v))
 
 
+def _stein_diagonal(a, b):
+    """d with (I - A o A) d = rowsum(B o B): the diagonal of the Stein
+    equation X - A X A^T = B B^T, which every certifying dsim solves, N
+    unknowns; None where that system is singular."""
+    try:
+        return np.linalg.solve(np.eye(a.shape[0]) - a * a, np.sum(b * b, axis=1))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _lossless_proof(fdn: FdnSystem):
+    """True when the lossless embedding of a certified network proves that
+    every pole of ``fdn`` lies strictly inside the unit circle; False
+    wherever the argument below does not close.
+
+    Let d solve the Stein diagonal (:func:`_stein_diagonal`), T =
+    sqrt(diag(d, 1_P)) and V = T^-1 U T the balanced system matrix, with
+    delta = ||V^T V - I||_2 plus 16 (N + P) eps for the rounding of V, of
+    V^T V and of its norm.  Only d > 0 with delta <= ``_LOSSLESS_DELTA``
+    enters: a certified network, whose V is orthogonal.  A_bal = V[:N, :N]
+    is a diagonal similarity of A, so the loop determinants, and the poles,
+    agree.
+
+    (i) A pole z with |z| >= 1 has A_bal x = diag(z**m) x, ||x|| = 1, and
+        ||V [x; 0]||^2 <= 1 + delta gives |z|**(2 m_min) <= 1 + delta and
+        ||c_bal x||^2 <= delta.
+    (ii) Lift x to the state of the lossless network with feedback matrix V
+        and delays (m, 1_P) in which line i holds x_i z**k: its state matrix
+        S moves it to z times itself but for c_bal x on the P unit lines, and
+        its norm squared is at least mu = sum_i m_i |x_i|^2.  The state
+        matrix S_Q of the orthogonal polar factor Q of V is orthogonal and
+        differs from S by at most ||V - Q||_2 <= delta on the line outputs,
+        so Bauer-Fike (constant 1) puts an eigenvalue of S_Q within
+        (sqrt(delta) + delta) / sqrt(mu) of z.
+    (iii) The L + P roots w_j of det(diag(w**m, w 1_P) - V), counted by
+        :func:`_circle_poles` at 8 L, then 32 L samples per circle, lie
+        within 2 delta of the eigenvalues of S_Q (delta from S_Q to S, and
+        delta, their pole radius, from S to the roots).  Every root found,
+        and no two within 2 r, r = sqrt(delta) + 3 delta, match them one to
+        one, so |z - w_j| <= (sqrt(delta) + delta) / sqrt(mu) + 2 delta <= r
+        for some j.
+    (iv) Then sigma_min(diag(w_j**m) - A_bal) <= ||(diag(w_j**m) -
+        diag(z**m)) x|| <= (1 + r)**m_max (sqrt(m_max) (sqrt(delta) +
+        delta) + 2 m_max delta), as |w**k - z**k| <= k |w - z| (1 + r)**k
+        and sum_i m_i^2 |x_i|^2 <= m_max mu.
+
+    So sigma_min above that bound at every w_j, plus 4 (N^2 + m_max) eps
+    for the SVD (of order N eps ||.||_2, with ||.||_2 <= 3) and the powers
+    exp(i m phi), rules out every pole on or outside the circle.  A short
+    count, roots within 2 r or a sigma_min below the bound return False.
+    """
+    a, m = fdn.a, fdn.delays.as_array()
+    n = m.size
+    d = _stein_diagonal(a, fdn.b)
+    if d is None or not np.all((d > 0.0) & (d < np.inf)):
+        return False
+    t = np.sqrt(np.concatenate((d, np.ones(fdn.n_io))))
+    v = SystemMatrix.from_fdn(fdn).u * t[None, :] / t[:, None]
+    size = v.shape[0]
+    delta = float(np.linalg.norm(v.T @ v - np.eye(size), 2)) + 16.0 * size * _EPS
+    if not delta <= _LOSSLESS_DELTA:
+        return False
+    lines = np.concatenate((m, np.ones(fdn.n_io, dtype=m.dtype)))
+    for samples in _LOSSLESS_SAMPLES:
+        roots = _circle_poles(v, lines, 1.0, samples)
+        if roots is not None:
+            break
+    else:
+        return False
+    radius = math.sqrt(delta) + 3.0 * delta
+    phi = np.sort(np.angle(roots))
+    gaps = np.diff(phi, append=phi[0] + 2.0 * np.pi)
+    if not np.all(2.0 * np.sin(0.5 * gaps) > 2.0 * radius):
+        return False
+    # A_bal is real: a conjugate root gives the same singular values
+    upper = phi[phi >= 0.0]
+    smallest = _loop_chunks(
+        v[:n, :n], upper, _unit_powers(m), lambda loop, _: np.linalg.svd(loop, compute_uv=False)[:, -1]
+    )
+    top = int(m.max())
+    bound = (1.0 + radius) ** top * (math.sqrt(top) * (math.sqrt(delta) + delta) + 2.0 * top * delta)
+    return bool(np.all(smallest > bound + 4.0 * (n * n + top) * _EPS))
+
+
 def _homogeneous_factor(a, m):
     """(gamma, U, radius) when A = U diag(gamma**m) with U orthogonal to
     within a pole radius (:func:`_pole_radius`) of at most
@@ -404,7 +550,7 @@ def _homogeneous_factor(a, m):
     return gamma, u, radius
 
 
-def _circle_poles(u, m, gamma):
+def _circle_poles(u, m, gamma, samples=_CIRCLE_SAMPLES):
     """All poles of the network with feedback matrix U diag(gamma**m), U
     orthogonal, as gamma times the roots w = exp(i phi) of g(w) =
     det(diag(w**m) - U); None when the sign changes below do not account
@@ -415,7 +561,7 @@ def _circle_poles(u, m, gamma):
     roots are conjugate pairs exp(+-i phi), phi in (0, pi), and the roots
     w = 1 (where s = -1) and w = -1 (where s (-1)**L = -1) that this
     symmetry forces.  The pairs are the sign changes of r among
-    ``_CIRCLE_SAMPLES`` L samples over (0, pi), counting only samples above
+    ``samples`` L samples over (0, pi), counting only samples above
     the rounding bound N^2 eps prod_i (1 + ||u_i||) of the determinant
     (Hadamard).  Each bracket is refined by Newton steps in phi from its
     secant point, with r'/r = i (sum_i m_i w**m_i [P^-1]_ii - L/2) from the
@@ -426,12 +572,12 @@ def _circle_poles(u, m, gamma):
     n, order = m.size, int(m.sum())
     sign = (-1) ** n * (1 if np.linalg.det(u) > 0 else -1)
     ends = [1.0] * (sign < 0) + [-1.0] * (sign * (-1) ** order < 0)
-    count = _CIRCLE_SAMPLES * order
+    count = samples * order
     phi = np.pi * (np.arange(count) + 0.5) / count
-    # powers as exp(i m phi), of modulus one to rounding: w**m from a rounded
-    # w drifts off the circle by about m eps, which misleads the Newton steps
-    # once they are that short
-    dets = _loop_chunks(u, np.exp(1j * phi[:, None] * m), lambda loop, _: np.linalg.det(loop))
+    # powers as exp(i m phi): a drift off the circle would mislead the
+    # Newton steps once they are that short
+    powers = _unit_powers(m)
+    dets = _loop_chunks(u, phi, powers, lambda loop, _: np.linalg.det(loop))
     rotated = dets * np.exp(-0.5j * order * phi)
     # rotated = sqrt(s) r, with r real
     values = rotated.real if sign > 0 else rotated.imag
@@ -454,7 +600,7 @@ def _circle_poles(u, m, gamma):
             return None
         sweeps += 1
         try:
-            t = _loop_chunks(u, np.exp(1j * x[active, None] * m), trace)
+            t = _loop_chunks(u, x[active], powers, trace)
         except np.linalg.LinAlgError:
             # an iterate exactly on a root; the general solve takes over
             return None
@@ -851,26 +997,31 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     reversal test fits the numerator of det H on the uniform ones (any
     K >= order + 1 uniform nodes make the fit one inverse FFT, see
     :func:`numerator_poly`) and checks that it equals the reversed
-    denominator up to sign.
+    denominator up to sign.  The denominator comes from one inverse FFT of
+    loop determinants on order + 1 nodes (:func:`_circle_denominator`), so
+    no route sweeps principal minors for it.
 
-    Stability is proven without poles, for every delay vector, when
-    ||A||_2 (1 + N^2 eps) < 1, or when v = (I - |A|)^-1 1 is positive with
-    fl(|A| v) (1 + (N + 2) eps) < v: either way diag(z**m_i)^-1 A is a
-    strict contraction for |z| >= 1, in the 2-norm or in the diag(v)-scaled
-    max norm, so det(diag(z**m_i) - A) has no root there (margins in
-    :func:`_contraction_proof`).  Otherwise the poles come from the
-    Ehrlich-Aberth solve of :func:`poles`, limited to orders up to 2**15
-    (:class:`FdnError` above), and a system with a pole of modulus >= 1 is
-    rejected with the full pole list.
+    Stability is proven without a pole solve in two ways.  For every delay
+    vector, when ||A||_2 (1 + N^2 eps) < 1, or when v = (I - |A|)^-1 1 is
+    positive with fl(|A| v) (1 + (N + 2) eps) < v: either way
+    diag(z**m_i)^-1 A is a strict contraction for |z| >= 1, in the 2-norm
+    or in the diag(v)-scaled max norm, so det(diag(z**m_i) - A) has no root
+    there (margins in :func:`_contraction_proof`).  Otherwise, for the
+    system's own delays, when the Stein diagonal certifies the network and
+    its lossless embedding keeps every loop matrix at its roots clear of
+    singular (:func:`_lossless_proof`).  Where neither closes, the poles
+    come from the Ehrlich-Aberth solve of :func:`poles`, limited to orders
+    up to 2**15 and to N <= 20 for its coefficients (:class:`FdnError`
+    beyond either), and a system with a pole of modulus >= 1 is rejected
+    with the full pole list.
     """
-    proven = _contraction_proof(fdn.a)
-    if not proven:
+    m = fdn.delays.as_array()
+    if not (_contraction_proof(fdn.a) or _lossless_proof(fdn)):
         _check_pole_order(fdn)
-    den, floor = _gcp_terms(fdn.a, fdn.delays.as_array())
-    if not proven:
-        pole_values = _aberth_poles(fdn, den, floor)
+        pole_values = _aberth_poles(fdn, *_gcp_terms(fdn.a, m))
         if not np.all(np.abs(pole_values) < 1.0):
             raise UnstableError(pole_values)
+    den = _circle_denominator(fdn.a, m)
     k = 4 * max(fdn.order, 1)
     extra = np.random.default_rng(_GRID_SEED).uniform(0.0, 2.0 * np.pi, _GRID_RANDOM)
     omega = np.concatenate([2.0 * np.pi * np.arange(k) / k, extra])

@@ -64,6 +64,8 @@ def impulse_kernel(a, b, c, d, delays, length):
 # scratch memory to a few MB at N = 20, where the largest cardinality group
 # alone would need 150 MB.
 _STACK_ENTRIES = 1 << 17
+# Largest N of the 2^N sweep: 2^20 minors.
+_MAX_SWEEP_N = 20
 
 
 def principal_minors_all(m):
@@ -75,8 +77,8 @@ def principal_minors_all(m):
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     n = m.shape[0]
-    if n > 20:
-        raise ValueError(f"principal-minor sweep limited to N <= 20, got {n}")
+    if n > _MAX_SWEEP_N:
+        raise ValueError(f"principal-minor sweep limited to N <= {_MAX_SWEEP_N}, got {n}")
     count = 1 << n
     masks = np.arange(count)
     sizes = np.zeros(count, dtype=np.int8)

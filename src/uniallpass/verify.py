@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _stein_diagonal
 from .errors import NotCertifiableError
-from .kernels import principal_minors_all
+from .kernels import _MAX_SWEEP_N, principal_minors_all
 from .system import FdnSystem, SystemMatrix
 
 
@@ -113,10 +113,9 @@ def dsim_from_lyapunov(a, b, tol=DEFAULT_TOL):
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape[0] != a.shape[0]:
         b = b.T
-    try:
-        d = np.linalg.solve(np.eye(a.shape[0]) - a * a, np.sum(b * b, axis=1))
-    except np.linalg.LinAlgError:
-        raise NotCertifiableError("Stein diagonal system I - A o A is singular") from None
+    d = _stein_diagonal(a, b)
+    if d is None:
+        raise NotCertifiableError("Stein diagonal system I - A o A is singular")
     residual = float(np.linalg.norm((a * d[None, :]) @ a.T + b @ b.T - np.diag(d)))
     mass = float(np.linalg.norm(d))
     if not residual <= tol * mass:
@@ -202,8 +201,8 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
     minimum is below ``tol``.  Subset enumeration is capped at N = 20.
     """
     n = fdn.n_delays
-    if n > 20:
-        raise ValueError(f"minor condition limited to N <= 20, got {n}")
+    if n > _MAX_SWEEP_N:
+        raise ValueError(f"minor condition limited to N <= {_MAX_SWEEP_N}, got {n}")
     s_d = schur_complements(fdn).s_d
     a_inv = np.linalg.inv(fdn.a)
     minors_s = principal_minors_all(s_d)

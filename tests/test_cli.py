@@ -124,6 +124,18 @@ class TestVerifyCommand:
         assert fields["verdict"] == "False"
         assert float(fields["residual"]) < float(fields["tol"]) < float(fields["balanced"])
 
+    def test_uncertified_network_above_the_sweep_budget_refused(self, tmp_path, capsys):
+        # N = 22, not certified and not a contraction: a typed refusal
+        # (exit 1), not a usage error
+        from uniallpass import FdnSystem, random_uniallpass
+
+        fdn = random_uniallpass(22, 1, 5, scaled=True, delays=[1, 2, 3] * 7 + [1])
+        e = np.random.default_rng(1908).standard_normal((22, 22))
+        path = tmp_path / "n22.json"
+        save_system(path, FdnSystem(fdn.a + 1e-3 * e / np.linalg.norm(e, 2), fdn.b, fdn.c, fdn.d, fdn.delays))
+        assert run_cli("verify", str(path)) == 1
+        assert "N <= 20, got 22" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, capsys):
         assert run_cli("verify", "/nonexistent/x.json") == 2
 

@@ -38,6 +38,7 @@ from uniallpass import (
     random_orthogonal,
     random_uniallpass,
     schroeder_series,
+    siso_completion,
 )
 import uniallpass.core as core
 from uniallpass.core import _ordered_subsets, reversal_check
@@ -85,7 +86,7 @@ class TestTransferFunction:
         # just past the first stack of 16 x 16 loop matrices
         n = 16
         fdn = FdnSystem(np.eye(n), np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)), [1] * n)
-        index = core._STACK_ENTRIES // (n * n) + 3
+        index = core._LOOP_ENTRIES // (n * n) + 3
         zs = np.exp(2j * np.pi * (np.arange(index + 100) + 0.5) / (index + 100))
         zs[index] = 1.0
         with pytest.raises(PoleEvaluationError) as exc:
@@ -663,6 +664,7 @@ class TestCircleRoute:
         report = is_allpass(fdn)
         monkeypatch.undo()
         monkeypatch.setattr(core, "_contraction_proof", lambda a: False)
+        monkeypatch.setattr(core, "_lossless_proof", lambda fdn: False)
         assert report == is_allpass(fdn)
         assert report.allpass
 
@@ -709,6 +711,7 @@ class TestContractionProof:
         proven = [is_allpass(fdn) for fdn in systems]
         monkeypatch.undo()
         monkeypatch.setattr(core, "_contraction_proof", lambda a: False)
+        monkeypatch.setattr(core, "_lossless_proof", lambda fdn: False)
         for fdn, report in zip(systems, proven):
             assert report == is_allpass(fdn)
             assert report.allpass
@@ -758,6 +761,172 @@ class TestContractionProof:
         fdn, _ = schroeder_series([0.5, -0.4], [core._MAX_ORDER - 100, 300])
         assert fdn.order > core._MAX_ORDER
         assert is_allpass(fdn).allpass
+
+
+def gardner_sweep(count, low, high, seed):
+    """``count`` seeded Gardner chains of N 3-8 and order in [low, high]."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        order = int(rng.integers(low, high + 1))
+        delays = 1 + rng.multinomial(order - n, np.full(n, 1.0 / n))
+        gains = rng.uniform(0.3, 0.8, n) * rng.choice([-1.0, 1.0], n)
+        systems.append(gardner_nested(list(gains), delays.tolist())[0])
+    return systems
+
+
+def wide_sweep(count, seed, perturb=0.0):
+    """``count`` scaled random certified systems of N 12-14 and delays 1-4,
+    as in the wide-verify benchmark; ``perturb`` adds a random matrix of
+    that 2-norm to A."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(count):
+        n = int(rng.integers(12, 15))
+        fdn = random_uniallpass(n, 1, int(rng.integers(1 << 30)), scaled=True, delays=rng.integers(1, 5, n).tolist())
+        if perturb:
+            e = rng.standard_normal((n, n))
+            fdn = FdnSystem(fdn.a + perturb / np.linalg.norm(e, 2) * e, fdn.b, fdn.c, fdn.d, fdn.delays)
+        systems.append(fdn)
+    return systems
+
+
+class TestLosslessProof:
+    def test_route_agrees_with_the_solve(self):
+        # the gate: a proof only where every Aberth pole lies inside the
+        # circle, and a proof for nearly all of these certified networks
+        systems = gardner_sweep(20, 500, 3000, 1900) + wide_sweep(20, 1901)
+        proven = 0
+        for fdn in systems:
+            assert not core._contraction_proof(fdn.a)
+            route = core._lossless_proof(fdn)
+            p = core._aberth_poles(fdn, *core._gcp_terms(fdn.a, fdn.delays.as_array()))
+            assert np.max(np.abs(p)) < 1.0
+            proven += route
+        assert proven >= 30
+
+    @pytest.mark.parametrize("family", ["gardner", "split"])
+    def test_same_report_as_the_solve(self, monkeypatch, no_pole_solve, family):
+        if family == "gardner":
+            systems = gardner_sweep(4, 20, 200, 1902)
+        else:
+            # orthogonal splits with P < N: A has N - P unit singular values
+            rng = np.random.default_rng(1903)
+            systems = [
+                random_uniallpass(5, p, seed, scaled=True, delays=random_delays(rng, 5, 30))
+                for seed, p in enumerate((1, 2, 3))
+            ]
+        proven = [is_allpass(fdn) for fdn in systems]
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "_lossless_proof", lambda fdn: False)
+        for fdn, report in zip(systems, proven):
+            assert not core._contraction_proof(fdn.a)
+            assert report == is_allpass(fdn)
+            assert report.allpass
+
+    def test_other_systems_never_enter_the_route(self, monkeypatch):
+        entered = []
+        circle = core._circle_poles
+
+        def recording(*args):
+            entered.append(args)
+            return circle(*args)
+
+        monkeypatch.setattr(core, "_circle_poles", recording)
+        rng = np.random.default_rng(1904)
+        # non-contractive and uncertified: a random A of 2-norm 1.2
+        generic = random_stable_fdn(rng, n=4, contraction=1.2)
+        systems = wide_sweep(4, 1905, perturb=1e-3) + [generic]
+        systems += [delay_dependent_allpass(d) for d in ([1, 1, 1], [2, 2, 1], [2, 1, 1])]
+        for fdn in systems:
+            assert not core._contraction_proof(fdn.a)
+            try:
+                is_allpass(fdn, tol=fv.FIXTURE_TOL)
+            except UnstableError:
+                pass
+        assert entered == []
+
+    def test_near_lossless_section_is_not_proven(self):
+        # a gain of 1 - 1e-12 puts poles within about 1e-13 of the circle
+        # and dsim near 1e12: the route must not claim them
+        fdn, _ = gardner_nested([0.5, -0.6, 1.0 - 1e-12, 0.7], [5, 7, 3, 9])
+        assert not core._lossless_proof(fdn)
+        p = core._aberth_poles(fdn, *core._gcp_terms(fdn.a, fdn.delays.as_array()))
+        assert np.max(np.abs(p)) < 1.0
+
+    def test_certified_networks_above_the_sweep_budget(self, monkeypatch, no_pole_solve):
+        def never(*args):
+            raise AssertionError("a principal-minor sweep ran")
+
+        monkeypatch.setattr(core, "principal_minors_all", never)
+        rng = np.random.default_rng(1906)
+        gains = rng.uniform(0.3, 0.8, 24) * rng.choice([-1.0, 1.0], 24)
+        schroeder, _ = schroeder_series(gains, rng.integers(5, 40, 24).tolist())
+        # the N = 32, order-14000 audio-decay design
+        delays = [543, 325, 353, 371, 354, 540, 560, 474, 311, 328, 399, 429, 486, 443, 379, 347,
+                  507, 520, 309, 334, 435, 417, 566, 455, 426, 429, 499, 476, 351, 521, 527, 586]
+        homogeneous = design_homogeneous_siso(delays, 0.9995).fdn
+        for fdn in (schroeder, homogeneous):
+            assert fdn.n_delays > 20
+            assert is_allpass(fdn).allpass
+
+    def test_typed_refusal_above_the_sweep_budget(self):
+        # N = 22, uncertified and not a contraction: only the sweep and the
+        # Aberth solve could decide, and the sweep is out of budget
+        big = random_uniallpass(22, 1, 5, scaled=True, delays=[1, 2, 3] * 7 + [1])
+        e = np.random.default_rng(1908).standard_normal((22, 22))
+        big = FdnSystem(big.a + 1e-3 * e / np.linalg.norm(e, 2), big.b, big.c, big.d, big.delays)
+        assert not core._contraction_proof(big.a) and not core._lossless_proof(big)
+        calls = (
+            lambda: gcp(big.a, big.delays),
+            lambda: numerator_poly(big),
+            lambda: poles(big),
+            lambda: is_allpass(big),
+        )
+        for call in calls:
+            with pytest.raises(FdnError, match=r"N <= 20, got 22"):
+                call()
+
+
+def denominator_systems():
+    """Certified networks of every design family, and wide-verify-like
+    random ones, for the FFT denominator."""
+    rng = np.random.default_rng(1909)
+    systems = []
+    for _ in range(6):
+        n = int(rng.integers(2, 9))
+        delays = rng.integers(1, 200, n).tolist()
+        gains = list(rng.uniform(0.3, 0.9, n) * rng.choice([-1.0, 1.0], n))
+        systems += [
+            schroeder_series(gains, delays)[0],
+            gardner_nested(gains, delays)[0],
+            poletti_unitary(random_orthogonal(n, rng), float(rng.uniform(-0.9, 0.9)), delays)[0],
+            orthogonal_completion(0.9 * random_orthogonal(n, rng), n, delays),
+        ]
+    systems.append(siso_completion(schroeder_series([0.5, -0.6, 0.7], [3, 1, 4])[0].a, [30, 50, 70])[0])
+    return systems + wide_sweep(12, 1910)
+
+
+class TestCircleDenominator:
+    def test_matches_the_minor_sweep(self):
+        # an absolute error of a few eps times the largest |den| on the circle
+        for fdn in denominator_systems():
+            m = fdn.delays.as_array()
+            ref = core._gcp_terms(fdn.a, m)[0]
+            scale = np.max(np.abs(np.fft.fft(ref)))
+            den = core._circle_denominator(fdn.a, m)
+            assert den[0] == 1.0
+            assert np.max(np.abs(den - ref)) <= 16 * m.size * core._EPS * scale
+
+    def test_reversal_verdicts_unchanged(self, monkeypatch):
+        systems = denominator_systems() + [delay_dependent_allpass(d) for d in ([1, 1, 1], [2, 2, 1])]
+        reports = [is_allpass(fdn, tol=fv.FIXTURE_TOL) for fdn in systems]
+        monkeypatch.setattr(core, "_circle_denominator", lambda a, m: core._gcp_terms(a, m)[0])
+        for fdn, report in zip(systems, reports):
+            sweep = is_allpass(fdn, tol=fv.FIXTURE_TOL)
+            assert report.allpass == sweep.allpass and report.sign == sweep.sign
+            assert abs(report.reversal_deviation - sweep.reversal_deviation) < 1e-12
 
 
 class TestLoopLogDerivative:
