@@ -3,14 +3,14 @@
 Subcommands: design (homogeneous | schroeder | gardner | poletti), complete,
 verify, simulate, poles, export.  Systems travel as the canonical JSON schema
 of :mod:`uniallpass.serialize`; design and complete outputs embed their
-certification report under the ``verify`` key.  The default certification
-tolerance (1e-8) can be overridden with the ``UNIALLPASS_TOL`` environment
-variable or per-invocation flags.
+certification report under the ``verify`` key.  The certification
+tolerance (default 1e-8) is set per invocation with ``--tol``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -23,7 +23,7 @@ from .complete import (
     random_uniallpass,
     siso_completion,
 )
-from .core import impulse_response, is_allpass, poles
+from .core import DEFAULT_TOL, impulse_response, is_allpass, poles
 from .designs import gardner_nested, poletti_unitary, schroeder_series
 from .errors import FdnError, NotCertifiableError, UnstableError
 from .homogeneous import design_homogeneous_siso
@@ -35,13 +35,10 @@ from .verify import (
 )
 
 
-def _default_tol():
-    value = os.environ.get("UNIALLPASS_TOL")
-    if value is None:
-        return 1e-8
-    tol = float(value)
-    if tol <= 0:
-        raise ValueError("UNIALLPASS_TOL must be positive")
+def _tolerance(text):
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
     return tol
 
 
@@ -80,13 +77,13 @@ def _verify_report(fdn, dsim, tol):
             "deviation": minor.deviation,
             "sufficient": minor.sufficient,
         }
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, FdnError) as exc:
         report["minor_condition"] = {"verdict": False, "detail": str(exc)}
     return report, dsim, cert
 
 
-def _emit_system(args, fdn, dsim, meta=None, tol=None):
-    tol = tol if tol is not None else _default_tol()
+def _emit_system(args, fdn, dsim, meta=None):
+    tol = args.tol
     verify, dsim, _ = _verify_report(fdn, dsim, tol)
     text = serialize.dumps_system(fdn, dsim=dsim, meta=meta, verify=verify)
     if args.output:
@@ -96,17 +93,16 @@ def _emit_system(args, fdn, dsim, meta=None, tol=None):
         sys.stdout.write(text)
     cert = verify.get("certificate", {})
     if not cert.get("verdict", False):
-        print("warning: output did not certify at the default tolerance", file=sys.stderr)
+        print(f"warning: output did not certify at tolerance {tol:g}", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_design(args):
-    tol = args.tol if args.tol is not None else _default_tol()
     if args.kind == "homogeneous":
         delays = DelayVector(args.delays)
         design = design_homogeneous_siso(
-            delays, args.gamma, dsim=args.dsim, slack=args.slack, tol=tol
+            delays, args.gamma, dsim=args.dsim, slack=args.slack, tol=args.tol
         )
         meta = {
             "design": "homogeneous",
@@ -114,20 +110,20 @@ def _cmd_design(args):
             "pole_modulus_min": design.pole_modulus_min,
             "pole_modulus_max": design.pole_modulus_max,
         }
-        return _emit_system(args, design.fdn, design.dsim, meta=meta, tol=tol)
+        return _emit_system(args, design.fdn, design.dsim, meta=meta)
     if args.kind == "schroeder":
         fdn, dsim = schroeder_series(args.gains, args.delays)
-        return _emit_system(args, fdn, dsim, meta={"design": "schroeder"}, tol=tol)
+        return _emit_system(args, fdn, dsim, meta={"design": "schroeder"})
     if args.kind == "gardner":
         fdn, dsim = gardner_nested(args.gains, args.delays)
-        return _emit_system(args, fdn, dsim, meta={"design": "gardner"}, tol=tol)
+        return _emit_system(args, fdn, dsim, meta={"design": "gardner"})
     if args.kind == "poletti":
         rng = np.random.default_rng(args.seed)
         u = random_orthogonal(args.size, rng)
         delays = args.delays if args.delays else [1] * args.size
         fdn, dsim = poletti_unitary(u, args.gain, delays)
         meta = {"design": "poletti", "gain": args.gain, "seed": args.seed}
-        return _emit_system(args, fdn, dsim, meta=meta, tol=tol)
+        return _emit_system(args, fdn, dsim, meta=meta)
     raise ValueError(f"unknown design kind {args.kind}")
 
 
@@ -151,7 +147,6 @@ def _read_matrix(path):
 
 
 def _cmd_complete(args):
-    tol = args.tol if args.tol is not None else _default_tol()
     if args.random is not None:
         fdn = random_uniallpass(
             args.random, args.p, args.seed, scaled=args.scaled, delays=args.delays
@@ -169,17 +164,17 @@ def _cmd_complete(args):
                     "general completion is implemented for single-channel systems only; "
                     "use --mode orthogonal for P > 1"
                 )
-            fdn, trace = siso_completion(a, delays=delays, tol=tol)
+            fdn, trace = siso_completion(a, delays=delays, tol=args.tol)
             dsim = trace.dsim
         else:
             fdn = orthogonal_completion(a, args.p, delays=delays)
             dsim = np.ones(a.shape[0])
         meta = {"source": "completion", "mode": args.mode}
-    return _emit_system(args, fdn, dsim, meta=meta, tol=tol)
+    return _emit_system(args, fdn, dsim, meta=meta)
 
 
 def _cmd_verify(args):
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = args.tol
     fdn, dsim, _ = serialize.load_system(args.input)
     if args.delays:
         fdn = fdn.with_delays(args.delays)
@@ -314,7 +309,7 @@ def build_parser():
     p_pol.add_argument("--seed", type=int, default=0)
 
     for p in (p_homog, p_sch, p_gar, p_pol):
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("-o", "--output", default=None)
     p_design.set_defaults(func=_cmd_design)
 
@@ -326,14 +321,14 @@ def build_parser():
     p_comp.add_argument("--random", type=int, default=None, help="generate a random N-line system instead")
     p_comp.add_argument("--scaled", action="store_true", help="hide the random system behind a diagonal similarity")
     p_comp.add_argument("--seed", type=int, default=0)
-    p_comp.add_argument("--tol", type=float, default=None)
+    p_comp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_comp.add_argument("-o", "--output", default=None)
     p_comp.set_defaults(func=_cmd_complete)
 
     p_ver = sub.add_parser("verify", help="certify a system file")
     p_ver.add_argument("input")
     p_ver.add_argument("--delays", type=_int_list, default=None)
-    p_ver.add_argument("--tol", type=float, default=None)
+    p_ver.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="render an impulse response")

@@ -19,11 +19,9 @@ import numpy as np
 
 from .core import DEFAULT_TOL
 from .errors import CompletionError
-from .system import FdnSystem, SystemMatrix
+from .system import ORTHO_TOL, FdnSystem, SystemMatrix, balance, orthogonality_residual
 from .verify import apply_diagonal_similarity, certify_uniallpass
 
-# orthogonality tolerance of a completed block matrix
-_ORTHO_TOL = 1e-9
 # seed of the two fixed probe vectors that pose the SISO pencil
 _PENCIL_SEED = 0
 # largest imaginary part of an eigenvector (largest entry 1) taken as real
@@ -102,18 +100,12 @@ def orthogonal_completion(a, p: int, delays=None) -> FdnSystem:
         )
     b, c, d = _dilation(*svd, p)
     u = SystemMatrix.from_blocks(a, b, c, d).u
-    residual = float(np.max(np.abs(u @ u.T - np.eye(n + p))))
-    if residual > _ORTHO_TOL:
+    residual = orthogonality_residual(u)
+    if residual > ORTHO_TOL:
         raise CompletionError(f"completed matrix failed orthogonality, residual {residual:.3g}")
     if delays is None:
         delays = [1] * n
     return FdnSystem(a, b, c, d, delays)
-
-
-def _balance(a, w):
-    """The corner T^-1 A T with T = sqrt(w)."""
-    t = np.sqrt(w)
-    return (a * t[None, :]) / t[:, None]
 
 
 def _complete_balanced(a, dsim, delays, tol):
@@ -121,7 +113,7 @@ def _complete_balanced(a, dsim, delays, tol):
     dominant balanced input gain positive, then un-balance: b = T b_bal,
     c = c_bal T^-1.  Returns the system and its certificate against dsim."""
     t = np.sqrt(dsim)
-    b, c, d = _dilation(*np.linalg.svd(_balance(a, dsim)), 1)
+    b, c, d = _dilation(*np.linalg.svd(balance(a, dsim)), 1)
     b, c, d = b.ravel(), -c.ravel(), -d[0, 0]
     if b[int(np.argmax(np.abs(b)))] < 0:
         b, c = -b, -c
@@ -177,12 +169,12 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL):
     probes = np.random.default_rng(_PENCIL_SEED).standard_normal((2, n))
     candidates = []
     for w0 in _pencil_vectors(a, probes):
-        refined = _pencil_vectors(_balance(a, w0), probes)
+        refined = _pencil_vectors(balance(a, w0), probes)
         if not refined:
             continue
         w = w0 * min(refined, key=lambda v: np.max(np.abs(v - 1.0)))
         w = w / np.max(w)
-        report = _census(_balance(a, w), 1)[0]
+        report = _census(balance(a, w), 1)[0]
         if report.admissible_for(1):
             deviation = np.max(np.abs(report.singular_values[:-1] - 1.0), initial=0.0)
             candidates.append((float(deviation), w))

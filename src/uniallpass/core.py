@@ -27,10 +27,12 @@ steps in the angle, O(order N^3) work in all.  Where the sign changes miss
 a root (close or multiple roots), and for every other system, :func:`poles`
 finds all roots at once by Ehrlich-Aberth iteration
 on f itself: with P(z) = diag(z**m_i) - A, each sweep needs only the Newton
-ratio f/f' = 1 / trace(P^-1 P'), one small N x N inverse per iterate, and
-never forms an order x order matrix.  Where P is too near singular for that
-trace to mean anything, and for systems of order below N^2, where it is the
-dearer evaluation, the ratio comes from the coefficients above instead.
+ratio f/f' = 1 / trace(P^-1 P'), one small N x N inverse per iterate of the
+plain loop matrix, and never forms an order x order matrix.  Where P is too
+near singular or too badly scaled for that trace to mean anything (its
+error estimate says so, and a power z**m_i that under- or overflows makes
+it infinite), and for systems of order below N^2, where it is the dearer
+evaluation, the ratio comes from the coefficients above instead.
 Trailing coefficients below the rounding bound of the minors that form them
 are zero roots.  f is real, so its roots are closed under conjugation: the
 sweeps iterate one root of each conjugate pair and the real roots, which
@@ -56,12 +58,12 @@ poles.
 
 Loop matrices
 -------------
-Outside the Aberth sweeps, every stack of loop matrices diag(z**m_i) - X
-(for H itself, for the circle route's determinants and Newton traces, for
-the FFT denominator and for the lossless route's singular values) comes
-from one helper that forms their diagonals and reduces them in chunks of at
-most ``_LOOP_ENTRIES`` complex entries, so no order leads to a large
-array.  The allpass test evaluates H once, on 4 * order uniform and a few
+Every stack of loop matrices diag(z**m_i) - X (for H itself, for the
+circle route's determinants and Newton traces, for the Aberth sweeps'
+Newton ratios, for the FFT denominator and for the lossless route's
+singular values) comes from one helper that forms their diagonals and
+reduces them in chunks of at most ``_LOOP_ENTRIES`` complex entries, so no
+order leads to a large array.  The allpass test evaluates H once, on 4 * order uniform and a few
 random unit-circle points: unitarity is measured on all of them and the
 numerator of det H is fitted on the uniform ones.  Its denominator, the
 loop determinant's z^-1 coefficients, is one inverse real FFT of loop
@@ -79,8 +81,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConditioningError, FdnError, PoleEvaluationError, UnstableError
-from .kernels import _MAX_SWEEP_N, _STACK_ENTRIES, impulse_kernel, principal_minors_all
-from .system import DelayVector, FdnSystem, SystemMatrix
+from .kernels import _STACK_ENTRIES, impulse_kernel, principal_minors_all, subset_sums
+from .system import DelayVector, FdnSystem, SystemMatrix, balance
 
 DEFAULT_TOL = 1e-8
 # seeded random unit-circle samples added to the allpass test's uniform grid
@@ -114,8 +116,6 @@ _NOISY = 0.01
 # coefficients: there one evaluation costs under 1/N of a loop inverse, and
 # the order is too low for the coefficients to lose accuracy.
 _COEFF_ORDER_RATIO = 1
-# Powers z**m_i beyond 2**+-900 are formed in logarithms.
-_POWER_LOG2_MAX = 900.0
 # Aberth denominators below this fall back to the plain Newton step.
 _ABERTH_TINY = 1e-8
 # A feedback matrix U diag(gamma**m) takes the circle route when the
@@ -165,7 +165,7 @@ def _loop_chunks(x, points, powers, reduce):
     parts = []
     for start in range(0, points.size, chunk):
         power = powers(points[start : start + chunk])
-        loop = np.broadcast_to(-x, (power.shape[0], n, n)).astype(complex)
+        loop = np.negative(x, out=np.empty((power.shape[0], n, n), dtype=complex))
         loop[:, diag, diag] += power
         parts.append(reduce(loop, power))
         # freed before the next chunk's stack is built
@@ -231,14 +231,9 @@ def _ordered_masks(n: int):
     the bit order reversed compare descending: the first index where they
     differ is the highest bit where the reversed masks differ.
     """
-    masks = np.arange(1 << n)
-    sizes = np.zeros(masks.size, dtype=np.int8)
-    reversed_masks = np.zeros_like(masks)
-    for i in range(n):
-        bit = (masks >> i) & 1
-        sizes += bit.astype(np.int8)
-        reversed_masks |= bit << (n - 1 - i)
-    return masks[np.lexsort((-reversed_masks, sizes))]
+    sizes = subset_sums(np.ones(n, dtype=np.int8))
+    reversed_masks = subset_sums(1 << np.arange(n - 1, -1, -1))
+    return np.lexsort((-reversed_masks, sizes))
 
 
 def principal_minor_list(m):
@@ -271,25 +266,17 @@ def _gcp_terms(a, m):
     those rows' norms in A (zero for the empty minor).  A coefficient's
     bound is the sum of the bounds of the minors that form it; one below its
     bound cannot be told from zero.  N > 20 raises :class:`FdnError` before
-    the sweep.
+    the sweep (:func:`principal_minors_all`).
     """
     n = a.shape[0]
-    if n > _MAX_SWEEP_N:
-        raise FdnError(f"principal-minor coefficients limited to N <= {_MAX_SWEEP_N}, got {n}")
     order = int(m.sum())
     minors = principal_minors_all(a)
     # per subset (bitmask): size, delay sum and log of the product of its
-    # rows' norms, each built by doubling, one line at a time
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    ksum = np.zeros(1 << n, dtype=np.int64)
-    log_rows = np.zeros(1 << n)
-    # a zero row gives exactly zero minors: its tiny norm makes their bound negligible
-    row_log = np.log(np.maximum(np.linalg.norm(a, axis=1), np.finfo(float).tiny))
-    for i in range(n):
-        lo, hi = 1 << i, 2 << i
-        sizes[lo:hi] = sizes[:lo] + 1
-        ksum[lo:hi] = ksum[:lo] + m[i]
-        log_rows[lo:hi] = log_rows[:lo] + row_log[i]
+    # rows' norms; a zero row gives exactly zero minors, and its tiny norm
+    # makes their bound negligible
+    sizes = subset_sums(np.ones(n, dtype=np.int64))
+    ksum = subset_sums(np.asarray(m, dtype=np.int64))
+    log_rows = subset_sums(np.log(np.maximum(np.linalg.norm(a, axis=1), np.finfo(float).tiny)))
     signs = np.where((n - sizes) % 2 == 1, -1.0, 1.0)
     bounds = sizes**2 * _EPS * np.exp(log_rows)
     # the complement of subset I, whose minor forms the coefficient of
@@ -500,8 +487,7 @@ def _lossless_proof(fdn: FdnSystem):
     d = _stein_diagonal(a, fdn.b)
     if d is None or not np.all((d > 0.0) & (d < np.inf)):
         return False
-    t = np.sqrt(np.concatenate((d, np.ones(fdn.n_io))))
-    v = SystemMatrix.from_fdn(fdn).u * t[None, :] / t[:, None]
+    v = balance(SystemMatrix.from_fdn(fdn).u, np.concatenate((d, np.ones(fdn.n_io))))
     size = v.shape[0]
     delta = float(np.linalg.norm(v.T @ v - np.eye(size), 2)) + 16.0 * size * _EPS
     if not delta <= _LOSSLESS_DELTA:
@@ -649,61 +635,41 @@ def _newton_polygon_starts(coeffs):
     return np.concatenate(upper), np.array(real, dtype=complex)
 
 
-def _loop_args(a, m, zeros):
-    """The leading arguments of :func:`_loop_log_derivative` for feedback
-    matrix ``a``, delays ``m`` and ``zeros`` deflated zero roots."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_log2 = np.log2(np.abs(a))
-        row_log2 = a_log2.max(axis=1)
-        # zero rows (maximum -inf) add nothing to the column bound
-        by_row = np.where(np.isfinite(row_log2)[:, None], a_log2 - row_log2[:, None], -np.inf)
-    return -a, row_log2, by_row.max(axis=0), m, zeros
-
-
-def _loop_log_derivative(a_neg, a_row_log2, a_col_log2, m, zeros, zr):
+def _loop_log_derivative(a, m, zeros, zr):
     """f'/f at each of ``zr`` for f(z) = det(diag(z**m) - A) / z**zeros, from
-    the loop matrix P = diag(z**m) - A, with an error scale for it.
-
-    P is equilibrated as R = D_r P D_c: rows, then columns, scaled by powers
-    of two (exact) so that each has largest entry about one.  The scales are
-    chosen from logarithms: ``a_row_log2`` holds the row maxima of log2|A|,
-    ``a_col_log2`` the column maxima of log2|A| after each row is divided by
-    its maximum (a bound on the column maxima after row scaling).  A power
-    z**m_i outside the normal floating-point range is formed in logarithms
-    together with its scales, so nothing under- or overflows however long a
-    line is.  Then f'/f = (sum_i m_i t_i [R^-1]_ii - zeros) / z, where t_i
-    is the scaled power d_r,i z**m_i d_c,i, at most a few in modulus.  An
+    the loop matrix P = diag(z**m) - A (:func:`_loop_chunks`), with an error
+    scale for it: f'/f = (sum_i m_i z**m_i [P^-1]_ii - zeros) / z.  An
     inverse computed with relative error eps moves this trace by about
-    eps ||R^-1||^2 max(m), returned over |z| as the error scale (infinite
-    where R is exactly singular or the ratio is not finite).
+    eps max(m) (max|P| max|P^-1|)^2, returned over |z| as the error scale.
+    It is infinite where a power z**m_i is zero or not finite, where P is
+    exactly singular and where the ratio is not finite: the coefficients
+    carry those iterates.
     """
-    n = m.size
-    log2_mod = np.log2(np.abs(zr))[:, None] * m
-    row_exp = -np.rint(np.maximum(log2_mod, a_row_log2))
-    col_exp = -np.rint(np.maximum(log2_mod + row_exp, a_col_log2))
-    row_exp = row_exp.astype(np.int64)
-    col_exp = col_exp.astype(np.int64)
-    scale = row_exp + col_exp
-    loop = np.ldexp(a_neg, row_exp[:, :, None] + col_exp[:, None, :]).astype(complex)
-    lead = zr[:, None] ** m * np.ldexp(1.0, scale)
-    # powers outside the normal range are formed in logarithms instead
-    far = np.abs(log2_mod) > _POWER_LOG2_MAX
-    if far.any():
-        log_power = np.log(zr)[:, None] * m + scale * np.log(2.0)
-        lead[far] = np.exp(log_power[far])
-    loop[:, np.arange(n), np.arange(n)] += lead
-    try:
-        inv = np.linalg.inv(loop)
-        exact = np.zeros(zr.size, dtype=bool)
-    except np.linalg.LinAlgError:
-        # an iterate sits on a point where R is exactly singular; a
-        # placeholder inverse keeps the others' arithmetic finite
-        exact = np.linalg.det(loop) == 0
-        loop[exact] = np.eye(n)
-        inv = np.linalg.inv(loop)
-    logd = ((np.diagonal(inv, axis1=1, axis2=2) * (m * lead)).sum(axis=1) - zeros) / zr
-    error = (_EPS * m.max()) * np.abs(inv).max(axis=(1, 2)) ** 2 / np.abs(zr)
-    error[exact | ~np.isfinite(logd)] = np.inf
+    eye = np.eye(m.size)
+
+    def terms(loop, power):
+        bad = ~np.all(np.isfinite(power) & (power != 0.0), axis=1)
+        largest = np.abs(loop).max(axis=(1, 2))
+        # a power that under- or overflowed leaves no usable P; placeholders,
+        # here and below, keep the other iterates' inverses finite
+        loop[bad] = eye
+        try:
+            inv = np.linalg.inv(loop)
+        except np.linalg.LinAlgError:
+            # an iterate sits on a point where P is exactly singular
+            exact = np.linalg.det(loop) == 0
+            loop[exact] = eye
+            bad |= exact
+            inv = np.linalg.inv(loop)
+        growth = (largest * np.abs(inv).max(axis=(1, 2))) ** 2
+        growth[bad] = np.inf
+        trace = (np.diagonal(inv, axis1=1, axis2=2) * (m * power)).sum(axis=1)
+        return np.stack((trace, growth), axis=1)
+
+    parts = _loop_chunks(a, zr, lambda z: z[:, None] ** m, terms)
+    logd = (parts[:, 0] - zeros) / zr
+    error = (_EPS * m.max()) * parts[:, 1].real / np.abs(zr)
+    error[~np.isfinite(logd)] = np.inf
     return logd, error
 
 
@@ -771,21 +737,23 @@ def _aberth_steps(loop_args, tables, z, zr, rows, reach):
     z**zeros, whose coefficients give ``tables`` (:func:`_poly_tables`), and which
     of them have converged.
 
-    The Newton ratio comes from the loop matrix (:func:`_loop_log_derivative`)
-    wherever its error scale makes the step trustworthy: an estimated step
-    error below a tenth of the step or below ``_LOOP_TRUST`` of |z|.  Such
-    an iterate converges when its step is below ``_STEP_TOL`` of |z|.
-    Elsewhere the loop matrix is too near singular for its trace to mean
-    anything.  That happens at multiple roots, but also away from any root
-    wherever a rank-deficient part of A meets long lines: there z**m_i is
-    tiny and P is nearly -A.  Those iterates step by the coefficients of f
+    The Newton ratio comes from the plain loop matrix P = diag(z**m) - A
+    (:func:`_loop_log_derivative`) wherever its error scale makes the step
+    trustworthy: an estimated step error below a tenth of the step or below
+    ``_LOOP_TRUST`` of |z|.  Such an iterate converges when its step is
+    below ``_STEP_TOL`` of |z|.  Elsewhere P is too near singular or too
+    badly scaled for its trace to mean anything.  That happens at multiple
+    roots, but also away from any root wherever a rank-deficient part of A
+    meets long lines (there z**m_i is tiny and P is nearly -A), and wherever
+    a power z**m_i under- or overflows, which makes the error scale
+    infinite.  Those iterates step by the coefficients of f
     (:func:`_poly_log_derivative`).  The coefficients settle them, and every
     iterate whose loop step is near its own noise floor (which can lie above
     ``_STEP_TOL``): it converges when their residual or step is at rounding
     level.  That stops multiple roots at their noise floor, and keeps a
-    singular loop matrix away from any root from reading as one.  With
-    ``loop_args`` None (orders below ``_COEFF_ORDER_RATIO`` N^2) the
-    coefficients carry every iterate.
+    singular loop matrix away from any root from reading as one.
+    ``loop_args`` is (A, m, zeros); with None instead (orders below
+    ``_COEFF_ORDER_RATIO`` N^2) the coefficients carry every iterate.
     """
     radius = np.abs(zr)
     diff = zr[:, None] - z
@@ -940,7 +908,7 @@ def _aberth_poles(fdn: FdnSystem, den, floor):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         loop_args = None
         if deg >= _COEFF_ORDER_RATIO * a.size:
-            loop_args = _loop_args(a, fdn.delays.as_array(), order - deg)
+            loop_args = (a, fdn.delays.as_array(), order - deg)
         while active.size:
             # active pairs come first; a pair stands for two roots
             na = int(np.searchsorted(active, nu))

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .system import DelayVector, FdnSystem
-
-# orthogonality tolerance of the lattice's mixing matrix
-_ORTHO_TOL = 1e-9
+from .system import ORTHO_TOL, DelayVector, FdnSystem, orthogonality_residual
 
 
 def _check_gains(g):
@@ -80,7 +77,7 @@ def poletti_unitary(unitary, gain: float, delays):
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("mixing matrix must be square")
-    if float(np.max(np.abs(u @ u.T - np.eye(n)))) > _ORTHO_TOL:
+    if orthogonality_residual(u) > ORTHO_TOL:
         raise ValueError("mixing matrix is not orthogonal")
     gain = float(gain)
     if abs(gain) >= 1.0:

@@ -26,15 +26,13 @@ import numpy as np
 from .complete import _complete_balanced
 from .core import DEFAULT_TOL, _pole_radius
 from .errors import ConditioningError, InterleavingError
-from .system import DelayVector, FdnSystem
+from .system import ORTHO_TOL, DelayVector, FdnSystem, orthogonality_residual
 
 # largest accepted bound on the deviation of a design pole modulus from gamma
 _POLE_TOL = 1e-6
 # smallest accepted relative gap between a node and a scaled node of the
 # Cauchy factor
 _GAP_TOL = 1e-10
-# orthogonality tolerance of the Cauchy factor
-_ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +121,8 @@ def cauchy_unitary(d, dq):
     log_alpha = log_gaps.sum(axis=0) - np.log(np.abs(dq[:, None] - dq[None, :]) + eye).sum(axis=1)
     log_beta = log_gaps.sum(axis=1) - np.log(np.abs(d[:, None] - d[None, :]) + eye).sum(axis=1)
     u = np.sign(diffs) * np.exp(0.5 * (log_beta[:, None] + log_alpha[None, :]) - log_gaps)
-    residual = float(np.max(np.abs(u @ u.T - eye)))
-    if residual > _ORTHO_TOL:
+    residual = orthogonality_residual(u)
+    if residual > ORTHO_TOL:
         raise ConditioningError(
             f"Cauchy factor lost orthogonality, residual {residual:.3g}", residual=residual
         )

@@ -11,6 +11,8 @@ matrix products and one scatter.
 
 import numpy as np
 
+from .errors import FdnError
+
 # The kernels are plain numpy; the flag stays for result files that record it.
 HAVE_NUMBA = False
 
@@ -68,23 +70,32 @@ _STACK_ENTRIES = 1 << 17
 _MAX_SWEEP_N = 20
 
 
+def subset_sums(values):
+    """Sum of ``values`` over the set bits of every bitmask of
+    range(len(values)), indexed by mask and of the dtype of ``values``:
+    built by doubling, one entry at a time."""
+    values = np.asarray(values)
+    out = np.zeros(1 << values.size, dtype=values.dtype)
+    for i in range(values.size):
+        lo = 1 << i
+        np.add(out[:lo], values[i], out=out[lo : 2 * lo])
+    return out
+
+
 def principal_minors_all(m):
     """Determinants of all 2^N principal submatrices, indexed by bitmask.
 
     ``out[mask]`` is the minor on the rows and columns of the set bits of
     ``mask``, and ``out[0] = 1``.  Each minor comes from its own LU
     factorization, as ``np.linalg.det`` of that submatrix alone would give.
+    N > 20 raises :class:`FdnError` before the sweep.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
     n = m.shape[0]
     if n > _MAX_SWEEP_N:
-        raise ValueError(f"principal-minor sweep limited to N <= {_MAX_SWEEP_N}, got {n}")
-    count = 1 << n
-    masks = np.arange(count)
-    sizes = np.zeros(count, dtype=np.int8)
-    for i in range(n):
-        sizes += ((masks >> i) & 1).astype(np.int8)
-    out = np.empty(count)
+        raise FdnError(f"principal-minor sweep limited to N <= {_MAX_SWEEP_N}, got {n}")
+    sizes = subset_sums(np.ones(n, dtype=np.int8))
+    out = np.empty(sizes.size)
     out[0] = 1.0
     for k in range(1, n + 1):
         group = np.flatnonzero(sizes == k)

@@ -11,6 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# largest max|U U^T - I| of a matrix taken as orthogonal
+ORTHO_TOL = 1e-9
+
+
+def orthogonality_residual(u):
+    """max|U U^T - I| of a square matrix ``u``."""
+    return float(np.max(np.abs(u @ u.T - np.eye(u.shape[0]))))
+
+
+def balance(x, w):
+    """The diagonal similarity T^-1 X T with T = sqrt(diag(w))."""
+    t = np.sqrt(w)
+    return (x * t[None, :]) / t[:, None]
+
 
 def _frozen_array(values, dtype=float, ndim=None, name="array"):
     arr = np.array(values, dtype=dtype)

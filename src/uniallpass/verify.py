@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, _stein_diagonal
 from .errors import NotCertifiableError
-from .kernels import _MAX_SWEEP_N, principal_minors_all
-from .system import FdnSystem, SystemMatrix
+from .kernels import principal_minors_all
+from .system import FdnSystem, SystemMatrix, balance, orthogonality_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +186,7 @@ def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCerti
     residual = float(np.max(np.abs((u * w[None, :]) @ u.T - np.diag(w))))
     balanced = np.inf
     if np.all(dsim > 0):
-        t = np.sqrt(w)
-        v = (u * t[None, :]) / t[:, None]
-        balanced = float(np.max(np.abs(v @ v.T - np.eye(w.size))))
+        balanced = orthogonality_residual(balance(u, w))
     verdict = bool(residual < tol and balanced < tol)
     return UniallpassCertificate(dsim, residual, balanced, verdict, float(tol))
 
@@ -198,11 +196,10 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
 
     Finds the sign s in {+1, -1} minimizing
     max over subsets I of |det S_D(I) - s det A^-1(I)| and passes when the
-    minimum is below ``tol``.  Subset enumeration is capped at N = 20.
+    minimum is below ``tol``.  Subset enumeration is capped at N = 20
+    (:class:`FdnError` beyond it).
     """
     n = fdn.n_delays
-    if n > _MAX_SWEEP_N:
-        raise ValueError(f"minor condition limited to N <= {_MAX_SWEEP_N}, got {n}")
     s_d = schur_complements(fdn).s_d
     a_inv = np.linalg.inv(fdn.a)
     minors_s = principal_minors_all(s_d)

@@ -157,14 +157,40 @@ class TestVerifyCommand:
         run_cli("verify", str(path))
         assert "certificate: no similarity candidate" in capsys.readouterr().out
 
-    def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
+    def test_tolerance_override(self, tmp_path, capsys):
         path = tmp_path / "ce.json"
         save_system(path, delay_dependent_allpass())
         # the bundled counterexample is allpass for its own delays only at
         # fixture precision, so loosening the default tolerance flips verify
         assert run_cli("verify", str(path)) == 1
-        monkeypatch.setenv("UNIALLPASS_TOL", "0.05")
-        assert run_cli("verify", str(path)) == 0
+        assert run_cli("verify", str(path), "--tol", "0.05") == 0
+        assert "tol=0.05" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # a NaN tolerance used to read the certified reference design as not
+        # allpass, and a negative one to report a failed certification at a
+        # rounding-level residual
+        path = tmp_path / "h.json"
+        design = design_homogeneous_siso(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA)
+        save_system(path, design.fdn, dsim=design.dsim)
+        commands = [
+            ("verify", str(path)),
+            ("design", "homogeneous", "--delays", delays_arg(fv.HOMOG_DELAYS), "--gamma", str(fv.HOMOG_GAMMA)),
+        ]
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*command, "--tol", tol)
+            assert exc.value.code == 2
+            assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    def test_uncertified_output_names_the_tolerance(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code = run_cli(
+            "design", "schroeder", "--gains", "0.5,-0.6", "--delays", "3,5", "--tol", "1e-30", "-o", str(out)
+        )
+        assert code == 1
+        assert "did not certify at tolerance 1e-30" in capsys.readouterr().err
 
 
 class TestCompleteCommand:

@@ -23,6 +23,7 @@ from uniallpass import (
     FdnSystem,
     PoleEvaluationError,
     UnstableError,
+    apply_diagonal_similarity,
     delay_dependent_allpass,
     design_homogeneous_siso,
     frequency_response,
@@ -557,6 +558,21 @@ class TestAberthAgainstCompanion:
         p = assert_matches_companion(design.fdn)
         assert np.max(np.abs(np.abs(p) - fv.HOMOG_GAMMA)) < 1e-12
 
+    def test_badly_scaled_certified_networks(self):
+        # certified networks behind a diagonal similarity of up to exp(+-3),
+        # with one line of 200-900 samples: the loop matrix is badly scaled
+        # and its powers span many decades, yet the poles match the state
+        # matrix's eigenvalues
+        rng = np.random.default_rng(2020)
+        for n in range(2, 9):
+            delays = rng.integers(1, 20, n)
+            delays[rng.integers(n)] = rng.integers(200, 901)
+            fdn = random_uniallpass(n, 1, int(rng.integers(1 << 30)), delays=delays.tolist())
+            fdn = apply_diagonal_similarity(fdn, np.exp(rng.uniform(-3.0, 3.0, n)))
+            assert fdn.order >= core._COEFF_ORDER_RATIO * n * n
+            ref = np.linalg.eigvals(embedding_matrix(fdn.a, fdn.delays))
+            assert multiset_max_distance(poles(fdn), ref) < 1e-10
+
     def test_poletti_lattice(self, rng):
         fdn, _ = poletti_unitary(random_orthogonal(4, rng), 0.7, [5, 7, 11, 13])
         assert fdn.n_io == 4
@@ -930,15 +946,32 @@ class TestCircleDenominator:
 
 
 class TestLoopLogDerivative:
+    # f = z**4000 (z**3 + 0.5) with the zero roots deflated: f'/f is
+    # 3 z**2 / (z**3 + 0.5)
+    fdn = schroeder_series([0.0, 0.5], [4000, 3])[0]
+    tables = core._poly_tables(np.array([0.5, 0.0, 0.0, 1.0]))
+
+    def loop_args(self):
+        return self.fdn.a, self.fdn.delays.as_array(), 4000
+
     @pytest.mark.parametrize("radius", [0.8, 3.0])
     def test_powers_beyond_the_float_range(self, radius):
-        # f = z**4000 (z**3 + 0.5) with the zero roots deflated: f'/f is
-        # 3 z**2 / (z**3 + 0.5), although z**4000 under- or overflows here
-        fdn, _ = schroeder_series([0.0, 0.5], [4000, 3])
+        # z**4000 under- or overflows here: the loop matrix's error scale is
+        # infinite, and the coefficients carry these iterates
         z = radius * np.exp([0.3j, 2.0j])
-        args = core._loop_args(fdn.a, fdn.delays.as_array(), 4000)
         with np.errstate(all="ignore"):
-            logd, error = core._loop_log_derivative(*args, z)
+            _, error = core._loop_log_derivative(*self.loop_args(), z)
+            step, gap, done = core._aberth_steps(self.loop_args(), self.tables, z, z, np.arange(2), 10.0)
+            repulsion = 1.0 / (z - z[::-1])
+            expected = core._coefficient_steps(self.tables, z, np.abs(z), repulsion, 10.0)
+        assert np.all(error == np.inf)
+        for value, reference in zip((step, gap, done), expected):
+            np.testing.assert_array_equal(value, reference)
+
+    @pytest.mark.parametrize("radius", [0.9999, 1.0, 1.0001])
+    def test_in_range_points(self, radius):
+        z = radius * np.exp([0.3j, 2.0j])
+        logd, error = core._loop_log_derivative(*self.loop_args(), z)
         np.testing.assert_allclose(logd, 3 * z**2 / (z**3 + 0.5), rtol=1e-12)
         assert np.all(error < 1e-10)
 

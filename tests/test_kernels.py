@@ -7,6 +7,7 @@ from conftest import random_stable_fdn
 from oracles import impulse_loop, principal_minor, principal_minors_loop
 from uniallpass import (
     DelayVector,
+    FdnError,
     gardner_nested,
     poletti_unitary,
     principal_minor_list,
@@ -101,5 +102,5 @@ def test_principal_minors_indexing(rng):
 
 
 def test_minor_sweep_size_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(FdnError, match=r"N <= 20, got 21"):
         principal_minors_all(np.eye(21))

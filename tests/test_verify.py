@@ -7,6 +7,7 @@ import fixture_values as fv
 from conftest import random_delays, random_stable_fdn, tf_max_diff, unit_circle_points
 from oracles import balanced_form, balanced_residuals, lyapunov_gram
 from uniallpass import (
+    FdnError,
     FdnSystem,
     NotCertifiableError,
     SystemMatrix,
@@ -304,7 +305,7 @@ class TestMinorCondition:
     def test_size_guard(self):
         fdn = random_uniallpass(2, 1, seed=0, delays=[1, 1])
         big = FdnSystem(np.eye(21) * 0.5, np.ones((21, 1)), np.ones((1, 21)), np.eye(1), [1] * 21)
-        with pytest.raises(ValueError):
+        with pytest.raises(FdnError, match=r"N <= 20, got 21"):
             check_minor_condition(big)
         assert check_minor_condition(fdn).verdict
 
