@@ -10,7 +10,6 @@ tolerance (default 1e-8) is set per invocation with ``--tol``.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -23,7 +22,7 @@ from .complete import (
     random_uniallpass,
     siso_completion,
 )
-from .core import DEFAULT_TOL, impulse_response, is_allpass, poles
+from .core import DEFAULT_TOL, check_tolerance, impulse_response, is_allpass, poles
 from .designs import gardner_nested, poletti_unitary, schroeder_series
 from .errors import FdnError, NotCertifiableError, UnstableError
 from .homogeneous import design_homogeneous_siso
@@ -36,10 +35,10 @@ from .verify import (
 
 
 def _tolerance(text):
-    tol = float(text)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
-    return tol
+    try:
+        return check_tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_list(text):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, check_tolerance
 from .errors import CompletionError
 from .system import ORTHO_TOL, FdnSystem, SystemMatrix, balance, orthogonality_residual
 from .verify import apply_diagonal_similarity, certify_uniallpass
@@ -159,6 +159,7 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL):
     For one or two delay lines the completion is not unique; the first
     candidate that certifies is returned.
     """
+    tol = check_tolerance(tol)
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     det_a = float(np.linalg.det(a))

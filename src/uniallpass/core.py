@@ -201,14 +201,30 @@ def frequency_response(fdn: FdnSystem, zs):
         raise PoleEvaluationError(zs[int(np.argmin(np.abs(dets)))]) from None
 
 
+def check_tolerance(tol) -> float:
+    """``tol`` as a float; raises ValueError unless it is finite and
+    positive (a NaN tolerance fails every comparison, an infinite one passes
+    every residual, and a non-positive one refuses an exact result)."""
+    value = float(tol)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    return value
+
+
 def impulse_response(fdn: FdnSystem, length: int):
     """Time-domain response tensor of shape (P, P, length).
 
     Entry [p, q, n] is output channel p at sample n when a unit impulse
     drives input channel q.  The recursion keeps one ring buffer of size m_i
-    per delay line and advances all lines in blocks of min(delays) samples,
-    one pair of matrix products per block.
+    per delay line and advances all lines in blocks of max(min(delays), 64)
+    samples (fewer where N is large, see
+    :func:`uniallpass.kernels.block_size`): one pair of matrix products per
+    block, and one more with a lifted map for the lines shorter than a
+    block.  ``length`` must be a Python or numpy integer, not a bool;
+    anything else raises TypeError.
     """
+    if isinstance(length, bool) or not isinstance(length, (int, np.integer)):
+        raise TypeError(f"length must be an integer, got {length!r}")
     length = int(length)
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -336,6 +352,7 @@ def numerator_poly(fdn: FdnSystem, tol=1e-6):
     fitted polynomial and the samples.  A residual above ``tol`` times the
     sample magnitude raises :class:`ConditioningError`.
     """
+    tol = check_tolerance(tol)
     count = fdn.order + 1 + _FIT_PAD
     h = frequency_response(fdn, np.exp(2j * np.pi * np.arange(count) / count))
     coeffs, resid, scale = _numerator_fit(h, gcp(fdn.a, fdn.delays))
@@ -983,6 +1000,7 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     beyond either), and a system with a pole of modulus >= 1 is rejected
     with the full pole list.
     """
+    tol = check_tolerance(tol)
     m = fdn.delays.as_array()
     if not (_contraction_proof(fdn.a) or _lossless_proof(fdn)):
         _check_pole_order(fdn)
@@ -1003,5 +1021,5 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
         grid_deviation=grid_dev,
         reversal_deviation=rev_dev,
         sign=sign,
-        tol=float(tol),
+        tol=tol,
     )

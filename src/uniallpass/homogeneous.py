@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complete import _complete_balanced
-from .core import DEFAULT_TOL, _pole_radius
+from .core import DEFAULT_TOL, _pole_radius, check_tolerance
 from .errors import ConditioningError, InterleavingError
 from .system import ORTHO_TOL, DelayVector, FdnSystem, orthogonality_residual
 
@@ -146,6 +146,7 @@ def design_homogeneous_siso(
     a bound above 1e-6 refuses the design.  When ``dsim`` is omitted it comes
     from :func:`choose_dsim`.
     """
+    tol = check_tolerance(tol)
     m = delays if isinstance(delays, DelayVector) else DelayVector(delays)
     decay = decay_gains(m, gamma)
     if dsim is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _stein_diagonal
+from .core import DEFAULT_TOL, _stein_diagonal, check_tolerance
 from .errors import NotCertifiableError
 from .kernels import principal_minors_all
 from .system import FdnSystem, SystemMatrix, balance, orthogonality_residual
@@ -109,6 +109,7 @@ def dsim_from_lyapunov(a, b, tol=DEFAULT_TOL):
     :class:`NotCertifiableError` carrying ``d`` (None when I - A o A is
     singular).
     """
+    tol = check_tolerance(tol)
     a = np.asarray(a, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape[0] != a.shape[0]:
@@ -139,6 +140,7 @@ def dsim_from_hadamard_quotient(sys: SystemMatrix, tol=1e-6):
     is a disconnected pattern.  The result is scale-free and normalized to
     ``dsim[0] = 1``.
     """
+    tol = check_tolerance(tol)
     a, b, c, d = sys.blocks
     fdn = FdnSystem(a, b, c, d, [1] * sys.split)
     s_d = schur_complements(fdn).s_d
@@ -180,6 +182,7 @@ def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCerti
     the block system matrix U, both as is and balanced by sqrt(W).  A pass
     (positive ``dsim``) certifies the allpass property for every delay
     vector."""
+    tol = check_tolerance(tol)
     dsim = np.asarray(dsim, dtype=float).ravel()
     u = SystemMatrix.from_fdn(fdn).u
     w = np.concatenate([dsim, np.ones(fdn.n_io)])
@@ -188,7 +191,7 @@ def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCerti
     if np.all(dsim > 0):
         balanced = orthogonality_residual(balance(u, w))
     verdict = bool(residual < tol and balanced < tol)
-    return UniallpassCertificate(dsim, residual, balanced, verdict, float(tol))
+    return UniallpassCertificate(dsim, residual, balanced, verdict, tol)
 
 
 def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
@@ -199,6 +202,7 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
     minimum is below ``tol``.  Subset enumeration is capped at N = 20
     (:class:`FdnError` beyond it).
     """
+    tol = check_tolerance(tol)
     n = fdn.n_delays
     s_d = schur_complements(fdn).s_d
     a_inv = np.linalg.inv(fdn.a)
@@ -219,5 +223,5 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
         deviation=dev,
         worst_subset=subset,
         sufficient=fdn.is_siso,
-        tol=float(tol),
+        tol=tol,
     )

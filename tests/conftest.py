@@ -3,6 +3,7 @@ import pytest
 
 from oracles import multiset_max_distance, poles_companion
 from uniallpass import DelayVector, FdnSystem, gcp, poles
+from uniallpass.kernels import block_size, impulse_kernel, lifted_map
 
 
 @pytest.fixture
@@ -69,3 +70,57 @@ def circle_route_poles(fdn, companion=True):
     if companion:
         assert multiset_max_distance(p, poles_companion(gcp(fdn.a, fdn.delays))) < 1e-10
     return p
+
+
+def _rounding_gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    u = np.finfo(np.float64).eps / 2
+    return k * u / (1 - k * u)
+
+
+def impulse_error_bound(fdn, length):
+    """Bound on |impulse_kernel - impulse_loop| over a render of ``length``.
+
+    Both renders compute the same linear recursion and differ by rounding
+    alone.  Each computed render is the exact response of the network
+    driven by local errors: errors of a line output s_i(n) act as an input
+    to line i at sample n - m_i, and output errors add to y directly.
+
+    - The loop oracle and the kernel's long lines compute every line input
+      x = A s and output y = C s as N-term dot products: local errors at
+      most gamma_N ||A||_inf s_max and gamma_N ||C||_inf s_max per entry
+      [Higham, Accuracy and Stability of Numerical Algorithms, 3.1], where
+      s_max is the largest line output of the render.
+    - A lifted block computes the shorter lines' outputs as fl(F^ k), k the
+      K entries of the known vector and F^ the computed map, where the exact
+      map is F.  fl(F^ k) - F k = (fl(F^ k) - F^ k) + (F^ - F) k, so the
+      error delta is at most (gamma_K ||F^||_inf + ||F^ - F||_inf) s_max.
+      F is rebuilt in extended precision, whose own error is 2^-11 of
+      F^'s.  The exact network reaches those outputs from k when driven by
+      the input w_i(n - m_i) = delta_i(n) - (A delta(n - m_i))_i, so
+      |w| <= (1 + ||A||_inf) max |delta|.
+    - An input of size w on any line reaches any output with gain at most
+      G = max_p sum_n sum_i |g_i[p](n)|, g_i the response of (A, e_i, C, 0)
+      over the render.
+
+    So |kernel - oracle| <= G (w_lifted + 2 gamma_N ||A||_inf s_max)
+    + 2 gamma_N ||C||_inf s_max, the two renders' bounds added.  s_max and
+    G are magnitudes read off the kernel's own renders of the line outputs
+    and of the responses g_i.
+    """
+    a, b, c = fdn.a, fdn.b, fdn.c
+    delays = fdn.delays.as_array()
+    n, p = b.shape
+    step = block_size(delays)
+    known, _, f = lifted_map(a, delays, step)
+    f_exact = lifted_map(a.astype(np.longdouble), delays, step)[2]
+    s_max = float(np.max(np.abs(impulse_kernel(a, b, np.eye(n), np.zeros((n, p)), delays, length))))
+    g = impulse_kernel(a, np.eye(n), c, np.zeros((c.shape[0], n)), delays, length)
+    gain = float(np.max(np.abs(g).sum(axis=(0, 2))))
+    a_inf = float(np.max(np.abs(a).sum(axis=1)))
+    c_inf = float(np.max(np.abs(c).sum(axis=1)))
+    f_inf = float(np.max(np.abs(f).sum(axis=1), initial=0.0))
+    f_err = float(np.max(np.abs(f - f_exact).sum(axis=1), initial=0.0))
+    lifted = (1 + a_inf) * (_rounding_gamma(len(known)) * f_inf + f_err) * s_max
+    dots = _rounding_gamma(n) * s_max
+    return gain * (lifted + 2 * a_inf * dots) + 2 * c_inf * dots

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import fixture_values as fv
+from conftest import impulse_error_bound
 from oracles import impulse_loop
-from uniallpass import delay_dependent_allpass, design_homogeneous_siso, schroeder_series
+from uniallpass import (
+    delay_dependent_allpass,
+    design_homogeneous_siso,
+    impulse_response,
+    schroeder_series,
+)
 from uniallpass.complete import _complete_balanced
 from uniallpass.cli import main
 from uniallpass.serialize import dumps_system, load_system, save_system, write_wav
@@ -265,7 +271,10 @@ class TestSimulateAndPoles:
         assert meta["rate"] == 44100
         assert meta["scale"] > 0
 
-    def test_reference_render_bytes_match_per_sample_oracle(self, tmp_path):
+    def test_reference_render_bytes_within_oracle_bound(self, tmp_path):
+        # the reference design's 1-sample line puts it on the lifted blocks,
+        # so the render meets the per-sample oracle within the kernel gate's
+        # rounding bound, and the files hold exactly that render
         design = design_homogeneous_siso(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA)
         path = tmp_path / "ref.json"
         save_system(path, design.fdn, dsim=design.dsim)
@@ -274,11 +283,13 @@ class TestSimulateAndPoles:
             "simulate", str(path), "--length", "2000", "--csv", str(csv_path), "--wav", str(wav),
         ) == 0
         fdn, _, _ = load_system(path)
-        h = impulse_loop(fdn.a, fdn.b, fdn.c, fdn.d, list(fdn.delays), 2000)[:, 0, 0]
+        h = impulse_response(fdn, 2000)[0, 0]
+        loop = impulse_loop(fdn.a, fdn.b, fdn.c, fdn.d, list(fdn.delays), 2000)[:, 0, 0]
+        assert np.max(np.abs(h - loop)) <= impulse_error_bound(fdn, 2000)
         expected = "n,y\n" + "".join(f"{n},{format(float(v), '.17g')}\n" for n, v in enumerate(h))
         assert csv_path.read_bytes() == expected.encode()
-        write_wav(tmp_path / "oracle.wav", h, 48000)
-        assert wav.read_bytes() == (tmp_path / "oracle.wav").read_bytes()
+        write_wav(tmp_path / "render.wav", h, 48000)
+        assert wav.read_bytes() == (tmp_path / "render.wav").read_bytes()
 
     def test_mimo_wav_files(self, tmp_path):
         from uniallpass import poletti_unitary, random_orthogonal

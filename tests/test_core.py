@@ -22,10 +22,15 @@ from uniallpass import (
     FdnError,
     FdnSystem,
     PoleEvaluationError,
+    SystemMatrix,
     UnstableError,
     apply_diagonal_similarity,
+    certify_uniallpass,
+    check_minor_condition,
     delay_dependent_allpass,
     design_homogeneous_siso,
+    dsim_from_hadamard_quotient,
+    dsim_from_lyapunov,
     frequency_response,
     gardner_nested,
     gcp,
@@ -150,6 +155,16 @@ class TestImpulseResponse:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             impulse_response(unit_delay(), 0)
+
+    @pytest.mark.parametrize("length", [2.7, 2.0, True, np.float64(3.0), "4"])
+    def test_length_must_be_an_integer(self, length):
+        # 2.7 used to render 2 samples and True 1
+        with pytest.raises(TypeError, match="length must be an integer"):
+            impulse_response(unit_delay(), length)
+
+    @pytest.mark.parametrize("length", [np.int64(5), np.int32(5), np.uint8(5), 5])
+    def test_length_takes_numpy_integers(self, length):
+        np.testing.assert_array_equal(impulse_response(unit_delay(), length)[0, 0], [0, 1, 0, 0, 0])
 
 
 class TestPrincipalMinors:
@@ -281,7 +296,7 @@ class TestRationalForm:
         _, resid = numerator_poly(fdn)
         assert resid > 0
         with pytest.raises(ConditioningError) as exc:
-            numerator_poly(fdn, tol=0.0)
+            numerator_poly(fdn, tol=np.finfo(float).tiny)
         assert exc.value.residual == resid
 
 
@@ -1116,3 +1131,41 @@ class TestConcurrencySafety:
         batched = frequency_response(fdn, zs)
         single = np.stack([frequency_response(fdn, [z])[0] for z in zs])
         np.testing.assert_allclose(batched, single, atol=1e-13)
+
+
+_TOL_CALLS = {
+    "is_allpass": lambda design, tol: is_allpass(design.fdn, tol),
+    "numerator_poly": lambda design, tol: numerator_poly(design.fdn, tol),
+    "certify_uniallpass": lambda design, tol: certify_uniallpass(design.fdn, design.dsim, tol),
+    "check_minor_condition": lambda design, tol: check_minor_condition(design.fdn, tol),
+    "dsim_from_lyapunov": lambda design, tol: dsim_from_lyapunov(design.fdn.a, design.fdn.b, tol),
+    "dsim_from_hadamard_quotient": lambda design, tol: dsim_from_hadamard_quotient(
+        SystemMatrix.from_fdn(design.fdn), tol
+    ),
+    "siso_completion": lambda design, tol: siso_completion(design.fdn.a, [3, 5], tol),
+    "design_homogeneous_siso": lambda design, tol: design_homogeneous_siso([3, 5], 0.9, tol=tol),
+}
+
+
+class TestTolerances:
+    @pytest.fixture(scope="class")
+    def design(self):
+        return design_homogeneous_siso([3, 5], 0.9)
+
+    @pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_refused(self, design, name, tol):
+        # nan used to read the certified design as not allpass, inf as
+        # allpass whatever the residual, and -1 failed the design itself
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            _TOL_CALLS[name](design, tol)
+
+    @pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+    def test_default_scale_accepted(self, design, name):
+        _TOL_CALLS[name](design, 1e-6)
+
+    def test_validator(self):
+        assert core.check_tolerance(1e-8) == 1e-8
+        assert type(core.check_tolerance(np.float32(0.5))) is float
+        with pytest.raises(ValueError):
+            core.check_tolerance(float("nan"))

@@ -3,35 +3,43 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_stable_fdn
+from conftest import impulse_error_bound, random_stable_fdn
 from oracles import impulse_loop, principal_minor, principal_minors_loop
 from uniallpass import (
     DelayVector,
     FdnError,
     gardner_nested,
+    kernels,
     poletti_unitary,
     principal_minor_list,
     schroeder_series,
 )
-from uniallpass.kernels import impulse_kernel, principal_minors_all
+from uniallpass.kernels import block_size, impulse_kernel, lifted_map, principal_minors_all
 
 
 def _recursion_cases(rng):
-    """(name, system, length) triples covering every block shape: unit and
-    short blocks, mixed delays, single samples, responses shorter than one
-    block, lengths that end inside a block, and a 48k-sample render with
-    audio-length delays."""
+    """(name, system, length) triples covering every block shape: blocks of
+    min(delays) and lifted blocks with 1-sample lines, mixed delays, single
+    samples, responses shorter than one block, lengths that end inside a
+    block, N = 64 lines of 1-3 samples, and 48k-sample renders with
+    audio-length delays, one of them beside a 1-sample line."""
     cases = []
-    for k in range(24):
+    for k in range(32):
         n = int(rng.integers(1, 17))
         p = 1 + k % 4
-        high = int(rng.choice([3, 12, 60]))
-        delays = DelayVector(rng.integers(1, high + 1, size=n))
+        low, high = [(1, 3), (1, 12), (1, 60), (64, 200)][k % 4]
+        delays = DelayVector(rng.integers(low, high + 1, size=n))
         fdn = random_stable_fdn(rng, n=n, p=p, contraction=0.9, delays=delays)
         cases.append((f"random-{k}", fdn, int(rng.integers(1, 700))))
-    for m in (1, 2, 3):
-        fdn = random_stable_fdn(rng, n=4, p=2, delays=DelayVector([m, m + 4, m + 1, 9]))
-        cases += [(f"min{m}-len1", fdn, 1), (f"min{m}-len{6 * m + 1}", fdn, 6 * m + 1)]
+    for m in (1, 2, 3, 64, 100):
+        delays = DelayVector([m, m + 4, m + 1, max(9, m + 8)])
+        fdn = random_stable_fdn(rng, n=4, p=2, delays=delays)
+        step = block_size(delays.as_array())
+        cases += [
+            (f"min{m}-len1", fdn, 1),
+            (f"min{m}-part-block", fdn, step // 2 + 1),
+            (f"min{m}-ragged", fdn, 1 + 3 * step + step // 2),
+        ]
     mixed = random_stable_fdn(rng, n=5, p=3, delays=DelayVector([7, 30, 11, 8, 19]))
     cases += [("short", mixed, 5), ("one-block", mixed, 7), ("ragged", mixed, 7 * 40 + 3)]
     gains = rng.uniform(-0.9, 0.9, 6)
@@ -42,8 +50,12 @@ def _recursion_cases(rng):
         ("gardner", gardner_nested(gains, delays)[0], 500),
         ("poletti", poletti_unitary(unitary, -0.7, [17, 5, 9, 12])[0], 500),
     ]
+    wide = DelayVector(rng.integers(1, 4, size=64))
+    cases.append(("n64", random_stable_fdn(rng, n=64, p=2, contraction=0.9, delays=wide), 600))
     audio = schroeder_series(rng.uniform(0.5, 0.7, 8), rng.integers(1000, 1801, size=8))[0]
     cases.append(("audio", audio, 48000))
+    lattice = poletti_unitary(unitary, -0.6, [1, 1201, 1433, 1087])[0]
+    cases.append(("audio-one-sample-line", lattice, 48000))
     return cases
 
 
@@ -51,11 +63,40 @@ def _render(fn, fdn, length):
     return fn(fdn.a, fdn.b, fdn.c, fdn.d, fdn.delays.as_array(), length)
 
 
-def test_block_recursion_bitwise_equals_per_sample_oracle(rng):
+def test_block_recursion_matches_per_sample_oracle(rng):
+    """Where every line is at least the lift floor, a block is a gather, two
+    stacked matrix products and a scatter per sample row, the oracle's
+    arithmetic exactly: bitwise equal.  A shorter line's outputs come from
+    the lifted map in another summation order: within
+    :func:`conftest.impulse_error_bound`, which needs an extended-precision
+    long double."""
+    assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
     for name, fdn, length in _recursion_cases(rng):
         fast = _render(impulse_kernel, fdn, length)
         assert fast.shape == (length, fdn.n_io, fdn.n_io), name
-        assert np.array_equal(fast, _render(impulse_loop, fdn, length)), name
+        loop = _render(impulse_loop, fdn, length)
+        if min(fdn.delays.as_array()) >= kernels._LIFT_SAMPLES:
+            assert np.array_equal(fast, loop), name
+        else:
+            assert np.max(np.abs(fast - loop)) <= impulse_error_bound(fdn, length), name
+
+
+@pytest.mark.parametrize("n", [1, 6, 16, 64, 128, 512])
+def test_lifted_map_stays_within_entry_budget(rng, n):
+    for delays in (
+        np.ones(n, dtype=np.int64),
+        rng.integers(1, 4, size=n),
+        np.concatenate([[1], rng.integers(1000, 1801, size=n - 1)]),
+        rng.integers(64, 200, size=n),
+    ):
+        step = block_size(delays)
+        known, short, f = lifted_map(np.zeros((n, n)), delays, step)
+        assert delays.min() <= step <= max(delays.min(), kernels._LIFT_SAMPLES)
+        assert f.shape == (short.size, known.size)
+        assert f.size <= kernels._LIFT_ENTRIES
+        assert short.size == step * np.count_nonzero(delays < step)
+    # a lone 1-sample line keeps the full block
+    assert block_size(np.array([1, 1201, 1433, 1087])) == kernels._LIFT_SAMPLES
 
 
 def _gate_matrices(rng, n):
