@@ -41,6 +41,13 @@ def _tolerance(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _wav_rate(text):
+    try:
+        return serialize.check_wav_rate(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _int_list(text):
     return [int(v) for v in text.replace(",", " ").split()]
 
@@ -217,6 +224,9 @@ def _cmd_verify(args):
 
 def _cmd_simulate(args):
     fdn, _, _ = serialize.load_system(args.input)
+    if args.wav and args.multichannel:
+        # one channel per output in each file: the header's byte rate limit
+        serialize.check_wav_rate(args.rate, fdn.n_io)
     response = impulse_response(fdn, args.length)
     if args.csv:
         serialize.impulse_csv(args.csv, response)
@@ -335,7 +345,7 @@ def build_parser():
     p_sim.add_argument("--length", type=int, required=True)
     p_sim.add_argument("--csv", default=None)
     p_sim.add_argument("--wav", default=None)
-    p_sim.add_argument("--rate", type=int, default=48000)
+    p_sim.add_argument("--rate", type=_wav_rate, default=48000)
     p_sim.add_argument("--multichannel", action="store_true")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -22,10 +22,11 @@ Bauer-Fike radius gamma (||U U^T - I||_2 + N eps): f(z) = gamma**L g(z /
 gamma) with g(w) = det(diag(w**m_i) - U), and on |w| = 1 g times
 w**(-L/2) is a real function of the angle, up to a constant phase.  Where
 that radius is at most 1e-12 gamma, :func:`poles` counts the sign changes
-of that function on 8 L points of the circle and refines each by Newton
-steps in the angle, O(order N^3) work in all.  Where the sign changes miss
-a root (close or multiple roots), and for every other system, :func:`poles`
-finds all roots at once by Ehrlich-Aberth iteration
+of that function on 8 L points of the circle, one zero-padded FFT of g's
+coefficients from its values at order / 2 + 1 roots of unity, and refines
+each by Newton steps in the angle, O(order N^3) work in all.  Where the
+sign changes miss a root (close or multiple roots), and for every other
+system, :func:`poles` finds all roots at once by Ehrlich-Aberth iteration
 on f itself: with P(z) = diag(z**m_i) - A, each sweep needs only the Newton
 ratio f/f' = 1 / trace(P^-1 P'), one small N x N inverse per iterate of the
 plain loop matrix, and never forms an order x order matrix.  Where P is too
@@ -394,7 +395,7 @@ def poles(fdn: FdnSystem):
     factor = _homogeneous_factor(fdn.a, m)
     if factor is not None:
         gamma, u, _ = factor
-        roots = _circle_poles(u, m, gamma)
+        roots = _circle_poles(u, m, gamma, _circle_denominator(u, m))
         if roots is not None:
             return roots
     return _aberth_poles(fdn, *_gcp_terms(fdn.a, m))
@@ -483,7 +484,8 @@ def _lossless_proof(fdn: FdnSystem):
         so Bauer-Fike (constant 1) puts an eigenvalue of S_Q within
         (sqrt(delta) + delta) / sqrt(mu) of z.
     (iii) The L + P roots w_j of det(diag(w**m, w 1_P) - V), counted by
-        :func:`_circle_poles` at 8 L, then 32 L samples per circle, lie
+        :func:`_circle_poles` at 8 L, then 32 L samples per circle, both
+        passes FFTs of one set of (L + P) / 2 + 1 node determinants, lie
         within 2 delta of the eigenvalues of S_Q (delta from S_Q to S, and
         delta, their pole radius, from S to the roots).  Every root found,
         and no two within 2 r, r = sqrt(delta) + 3 delta, match them one to
@@ -510,8 +512,9 @@ def _lossless_proof(fdn: FdnSystem):
     if not delta <= _LOSSLESS_DELTA:
         return False
     lines = np.concatenate((m, np.ones(fdn.n_io, dtype=m.dtype)))
+    den = _circle_denominator(v, lines)
     for samples in _LOSSLESS_SAMPLES:
-        roots = _circle_poles(v, lines, 1.0, samples)
+        roots = _circle_poles(v, lines, 1.0, den, samples)
         if roots is not None:
             break
     else:
@@ -553,38 +556,93 @@ def _homogeneous_factor(a, m):
     return gamma, u, radius
 
 
-def _circle_poles(u, m, gamma, samples=_CIRCLE_SAMPLES):
+def _circle_samples(u, m, den, count):
+    """(phi, r, bound): r = g(w) w**(-L/2) at the ``count`` angles phi_k =
+    pi (k + 1/2) / count of the upper half circle, w = exp(i phi), for g(w)
+    = det(diag(w**m) - U) of order L, and a bound on the error of every r.
+
+    ``den`` is :func:`_circle_denominator` (U, m), the z^-1 coefficients of
+    g, so g(w) w**-L = sum_k den_k w**-k.  At w = exp(2 pi i (k + 1/2) / M),
+    M = 2 count >= K = L + 1, that sum is the length-M DFT of den_k
+    exp(-i pi k / M): one zero-padded FFT gives every sample.  Every power
+    of a root of unity here has its exponent reduced exactly in integers,
+    so its angle is below 2 pi, rounded by at most 1.5 eps relative, and
+    the power is within 12 eps of exact.  The bound adds up three errors:
+
+    - den interpolates the node determinants of P_j = diag(z_j**m) - U.
+      LU is exact for P_j with each row perturbed by about N eps of its
+      norm a_i = (1 - 2 u_ii Re z_j**m_i + ||u_i||^2)**(1/2), and the
+      rounded powers add 12 eps to row i, so by Hadamard's inequality the
+      determinant is off by at most eps (N^2 prod_i a_i + 12 sum_i
+      prod_{k != i} a_k), and the twist by z_j adds 12 eps prod_i a_i.  Let
+      beta be the largest of these over the nodes.  The node errors move
+      the interpolant by at most beta Lambda_K on the circle, Lambda_K <=
+      3 + ln(K / 2) the Lebesgue constant of the K-th roots of unity: the
+      Lagrange basis has |l_j(exp(i t))| = |sin(K t / 2)| / (K |sin(t /
+      2)|), t the angle to node j, at most 1 for the nearest node on either
+      side and at most 1 / (2 s) for the s-th next one, s <= K / 2.
+    - den_0 pinned to its exact 1 moves every value by at most that
+      coefficient's error, a mean of node errors: beta more.
+    - The inverse real FFT of length K and the FFT of length M each err by
+      about eps log2(length) of their output in the 2-norm (Higham,
+      Accuracy and Stability of Numerical Algorithms, 24.1), and the twist
+      of den and the product by w**(L/2) by 12 eps each, relative to values
+      of modulus at most ||den||_1 <= sqrt(M) ||den||_2.  On any one sample
+      that is at most eps (24 + log2(K M)) sqrt(M) ||den||_2.
+
+    So bound = beta (4 + ln(K / 2)) + eps (24 + log2(K M)) sqrt(M)
+    ||den||_2.  Either the crude K beta in place of beta Lambda_K, or the
+    a priori row norms 1 + ||u_i|| in place of a_i and of ||den||_2, drops
+    enough genuine samples to count short on seeded N = 18 and 19 designs
+    whose per-sample determinants close."""
+    n, order = m.size, den.size - 1
+    nodes, size = order + 1, 2 * count
+    k = np.arange(count)
+    phi = np.pi * (k + 0.5) / count
+    twisted = den * np.exp(-1j * np.pi * np.arange(nodes) / size)
+    # w**(L/2) = exp(i pi (2 k + 1) L / (2 M))
+    half = np.exp(0.5j * np.pi * (((2 * k + 1) * order) % (4 * size)) / size)
+    rotated = np.fft.fft(twisted, size)[:count] * half
+    j = np.arange(nodes // 2 + 1)
+    # Re z_j**m_i, and a_i at each node (clipped at 0 against rounding)
+    real = np.cos(2.0 * np.pi * ((j[:, None] * m) % nodes) / nodes)
+    rows = np.sqrt(np.maximum(1.0 - 2.0 * np.diagonal(u) * real + np.sum(u * u, axis=1), 0.0))
+    # prod_i a_i and sum_i prod_{k != i} a_k at every node
+    prod, others = np.ones(j.size), np.zeros(j.size)
+    for a in rows.T:
+        prod, others = prod * a, others * a + prod
+    beta = _EPS * float(np.max((n * n + 12) * prod + 12 * others))
+    fft = _EPS * (24 + math.log2(nodes * size)) * math.sqrt(size) * float(np.linalg.norm(den))
+    return phi, rotated, beta * (4.0 + math.log(0.5 * nodes)) + fft
+
+
+def _circle_poles(u, m, gamma, den, samples=_CIRCLE_SAMPLES):
     """All poles of the network with feedback matrix U diag(gamma**m), U
     orthogonal, as gamma times the roots w = exp(i phi) of g(w) =
     det(diag(w**m) - U); None when the sign changes below do not account
-    for every root.
+    for every root.  ``den`` is :func:`_circle_denominator` (U, m), the
+    coefficients of g from its order // 2 + 1 node determinants, so a
+    second call with more ``samples`` forms no determinant anew.
 
     On the unit circle conj g(w) = w**-L s g(w), s = (-1)**N det U = +-1, so
     r(phi) = g(w) w**(-L/2) / sqrt(s) is real, with r(-phi) = s r(phi).  Its
     roots are conjugate pairs exp(+-i phi), phi in (0, pi), and the roots
     w = 1 (where s = -1) and w = -1 (where s (-1)**L = -1) that this
     symmetry forces.  The pairs are the sign changes of r among
-    ``samples`` L samples over (0, pi), counting only samples above
-    the rounding bound N^2 eps prod_i (1 + ||u_i||) of the determinant
-    (Hadamard).  Each bracket is refined by Newton steps in phi from its
-    secant point, with r'/r = i (sum_i m_i w**m_i [P^-1]_ii - L/2) from the
-    loop matrix P = diag(w**m) - U, clipped to the bracket, until a step is
-    below 4 eps pi or the rounding error of r'/r is as large as its value.
-    The poles are accurate to the pole radius of U
-    (:func:`_pole_radius`); real ones are exactly real."""
+    ``samples`` L samples over (0, pi), one FFT of ``den``
+    (:func:`_circle_samples`), counting only samples above the bound on
+    their rounding error derived there.  Each bracket is refined by Newton
+    steps in phi from its secant point, with r'/r = i (sum_i m_i w**m_i
+    [P^-1]_ii - L/2) from the loop matrix P = diag(w**m) - U, clipped to
+    the bracket, until a step is below 4 eps pi or the rounding error of
+    r'/r is as large as its value.  The poles are accurate to the pole
+    radius of U (:func:`_pole_radius`); real ones are exactly real."""
     n, order = m.size, int(m.sum())
     sign = (-1) ** n * (1 if np.linalg.det(u) > 0 else -1)
     ends = [1.0] * (sign < 0) + [-1.0] * (sign * (-1) ** order < 0)
-    count = samples * order
-    phi = np.pi * (np.arange(count) + 0.5) / count
-    # powers as exp(i m phi): a drift off the circle would mislead the
-    # Newton steps once they are that short
-    powers = _unit_powers(m)
-    dets = _loop_chunks(u, phi, powers, lambda loop, _: np.linalg.det(loop))
-    rotated = dets * np.exp(-0.5j * order * phi)
+    phi, rotated, bound = _circle_samples(u, m, den, samples * order)
     # rotated = sqrt(s) r, with r real
     values = rotated.real if sign > 0 else rotated.imag
-    bound = n * n * _EPS * np.prod(1.0 + np.linalg.norm(u, axis=1))
     keep = np.flatnonzero(np.abs(values) > bound)
     change = np.flatnonzero(np.signbit(values[keep[1:]]) != np.signbit(values[keep[:-1]]))
     if 2 * change.size + len(ends) != order:
@@ -592,6 +650,9 @@ def _circle_poles(u, m, gamma, samples=_CIRCLE_SAMPLES):
     lo, hi = phi[keep[change]], phi[keep[change + 1]]
     r_lo, r_hi = values[keep[change]], values[keep[change + 1]]
     x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+    # powers as exp(i m phi): a drift off the circle would mislead the
+    # Newton steps once they are that short
+    powers = _unit_powers(m)
 
     def trace(loop, power):
         return (np.diagonal(np.linalg.inv(loop), axis1=1, axis2=2) * (m * power)).sum(axis=1)

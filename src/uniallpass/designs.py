@@ -77,6 +77,8 @@ def poletti_unitary(unitary, gain: float, delays):
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("mixing matrix must be square")
+    if n < 1:
+        raise ValueError("need at least one delay line")
     if orthogonality_residual(u) > ORTHO_TOL:
         raise ValueError("mixing matrix is not orthogonal")
     gain = float(gain)

@@ -331,19 +331,33 @@ def poles_csv(path_or_handle, pole_values):
 PEAK_TARGET = 10.0 ** (-1.0 / 20.0)  # -1 dBFS
 
 
+def check_wav_rate(rate, channels=1) -> int:
+    """``rate`` as an int; raises ValueError unless it is an integer, not a
+    bool, of at least 1 Hz that fits the WAV header of a 16-bit file with
+    ``channels`` channels: the sample rate and the byte rate, rate *
+    channels * 2, are unsigned 32-bit fields."""
+    limit = (2**32 - 1) // (2 * channels)
+    if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or not 1 <= rate <= limit:
+        raise ValueError(f"WAV sample rate must be an integer from 1 to {limit} Hz, got {rate!r}")
+    return int(rate)
+
+
 def write_wav(path, data, rate: int):
     """16-bit PCM WAV, peak-normalized to -1 dBFS.
 
     ``data`` is (channels, samples) or (samples,).  Returns the normalization
-    scale so the caller can record it alongside the file.
+    scale so the caller can record it alongside the file.  A ``rate`` that
+    :func:`check_wav_rate` refuses raises ValueError before the file is
+    opened.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    rate = check_wav_rate(rate, data.shape[0])
     peak = float(np.max(np.abs(data)))
     scale = PEAK_TARGET / peak if peak > 0 else 1.0
     samples = np.clip(np.round(data * scale * 32767.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(samples.shape[0])
         fh.setsampwidth(2)
-        fh.setframerate(int(rate))
+        fh.setframerate(rate)
         fh.writeframes(samples.T.tobytes())
     return scale

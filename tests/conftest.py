@@ -63,7 +63,8 @@ def circle_route_poles(fdn, companion=True):
     factor = core._homogeneous_factor(fdn.a, m)
     assert factor is not None, "not homogeneous to the route's radius"
     p = poles(fdn)
-    np.testing.assert_array_equal(p, core._circle_poles(factor[1], m, factor[0]))
+    gamma, u, _ = factor
+    np.testing.assert_array_equal(p, core._circle_poles(u, m, gamma, core._circle_denominator(u, m)))
     assert np.array_equal(np.sort_complex(p), np.sort_complex(p.conj()))
     aberth = core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m))
     assert multiset_max_distance(p, aberth) < 1e-10

@@ -6,7 +6,8 @@ one determinant per subset, poles from a single-step state embedding or
 from the eigenvalues of the characteristic polynomial's companion matrix,
 impulse responses from frequency sampling plus an inverse DFT or from one
 recursion step per sample, numerator coefficients from a dense Vandermonde
-least-squares solve, orthogonal completions from eigen-factors of the two
+least-squares solve, the circle route's samples from one loop determinant
+per sample, orthogonal completions from eigen-factors of the two
 defect Gram matrices, the full Lyapunov Gram matrix from the
 Kronecker-vectorized Stein equation, the classic designs from their scalar
 product/recursion forms, and CSV text from Python's own "%.17g" applied
@@ -267,6 +268,44 @@ def embedding_matrix(a, delays):
         for k in range(1, delays[i]):
             big[offsets[i] + k, offsets[i] + k - 1] = 1.0
     return big
+
+
+def circle_samples(u, m, count):
+    """The circle route's samples r = g(w) w**(-L/2), g(w) = det(diag(w**m)
+    - U), at the ``count`` angles phi_k = pi (k + 1/2) / count, one N x N
+    determinant per sample (stacked 512 at a time), every power of w
+    reduced exactly in integers: the slow reference for the FFT sampling.
+    Returns (phi, r)."""
+    u = np.asarray(u, dtype=float)
+    m = np.asarray(m, dtype=np.int64)
+    order = int(m.sum())
+    odd = 2 * np.arange(count, dtype=np.int64) + 1
+    phi = np.pi * odd / (2 * count)
+    dets = []
+    for part in np.split(odd, range(512, count, 512)):
+        # w**m_i = exp(i pi (2 k + 1) m_i / (2 count))
+        powers = np.exp(1j * np.pi * (np.multiply.outer(part, m) % (4 * count)) / (2 * count))
+        dets.append(np.linalg.det(powers[:, :, None] * np.eye(m.size) - u))
+    half = np.exp(1j * np.pi * ((odd * order) % (8 * count)) / (4 * count))
+    return phi, np.concatenate(dets) / half
+
+
+def circle_count(u, m, samples=4):
+    """The roots of g(w) = det(diag(w**m) - U), U orthogonal, that the
+    circle route counts from :func:`circle_samples` at ``samples`` L
+    points: twice the sign changes of the real function r / sqrt(s), s =
+    (-1)**N det U, among the samples above the per-determinant rounding
+    bound N^2 eps prod_i (1 + ||u_i||), plus the roots at w = 1 and w = -1
+    that the symmetry forces.  It equals L exactly when that count
+    closes."""
+    n, order = len(m), int(np.sum(m))
+    sign = (-1) ** n * np.sign(np.linalg.det(u))
+    _, r = circle_samples(u, m, samples * order)
+    values = r.real if sign > 0 else r.imag
+    bound = n * n * np.finfo(float).eps * np.prod(1.0 + np.linalg.norm(u, axis=1))
+    kept = values[np.abs(values) > bound]
+    changes = int(np.sum(np.signbit(kept[1:]) != np.signbit(kept[:-1])))
+    return 2 * changes + int(sign < 0) + int(sign * (-1) ** order < 0)
 
 
 def poles_companion(den):

@@ -89,6 +89,12 @@ class TestDesignCommand:
         _, _, payload = load_system(tmp_path / "p.json")
         assert payload["verify"]["minor_condition"]["sufficient"] is False
 
+    def test_empty_poletti_lattice_refused(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run_cli("design", "poletti", "--size", "0", "--gain", "0.5", "-o", str(out)) == 2
+        assert "error: need at least one delay line" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -270,6 +276,36 @@ class TestSimulateAndPoles:
         meta = json.loads((tmp_path / "ir.wav.meta.json").read_text())
         assert meta["rate"] == 44100
         assert meta["scale"] > 0
+
+    @pytest.mark.parametrize("rate", ["0", "-44100", "44100.5", str(2**31)])
+    def test_wav_rate_refused_before_the_render(self, tmp_path, capsys, rate):
+        # a rate of 0 used to leave the CSV and a 0-byte WAV behind, and
+        # exit 1 with a wave.Error traceback
+        design = design_homogeneous_siso([3, 5], 0.8)
+        path = tmp_path / "h.json"
+        save_system(path, design.fdn, dsim=design.dsim)
+        csv_path, wav = tmp_path / "ir.csv", tmp_path / "ir.wav"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", str(path), "--length", "64", "--csv", str(csv_path), "--wav", str(wav), "--rate", rate)
+        assert exc.value.code == 2
+        assert "--rate" in capsys.readouterr().err
+        assert not csv_path.exists() and not wav.exists()
+
+    def test_multichannel_wav_rate_refused_before_the_render(self, tmp_path, capsys):
+        # 2^30 Hz fits one channel's header but not the byte rate of two
+        from uniallpass import poletti_unitary, random_orthogonal
+
+        fdn, dsim = poletti_unitary(random_orthogonal(2, np.random.default_rng(1)), 0.5, [2, 3])
+        path = tmp_path / "p.json"
+        save_system(path, fdn, dsim=dsim)
+        csv_path, wav = tmp_path / "x.csv", tmp_path / "ir.wav"
+        code = run_cli(
+            "simulate", str(path), "--length", "64", "--csv", str(csv_path),
+            "--wav", str(wav), "--multichannel", "--rate", str(2**30),
+        )
+        assert code == 2
+        assert "WAV sample rate" in capsys.readouterr().err
+        assert not csv_path.exists() and not list(tmp_path.glob("*.wav"))
 
     def test_reference_render_bytes_within_oracle_bound(self, tmp_path):
         # the reference design's 1-sample line puts it on the lifted blocks,

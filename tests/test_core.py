@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fixture_values as fv
 from conftest import circle_route_poles, random_delays, random_stable_fdn, unit_circle_points
 from oracles import (
+    circle_count,
+    circle_samples,
     dft_impulse,
     embedding_matrix,
     gcp_leibniz,
@@ -48,6 +50,17 @@ from uniallpass import (
 )
 import uniallpass.core as core
 from uniallpass.core import _ordered_subsets, reversal_check
+from uniallpass.system import balance
+
+
+@st.composite
+def matrix_and_delays(draw, max_n, bound, max_delay):
+    """(A, m): an n x n matrix of entries in [-bound, bound] and n delays in
+    1..max_delay, n in 1..max_n."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    a = draw(arrays(np.float64, (n, n), elements=st.floats(-bound, bound, allow_nan=False)))
+    m = draw(st.lists(st.integers(1, max_delay), min_size=n, max_size=n))
+    return a, m
 
 
 def unit_delay():
@@ -238,20 +251,19 @@ class TestGcp:
         np.testing.assert_allclose(gcp(a, m), gcp_leibniz(a, m), atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        data=st.data(),
-        n=st.integers(min_value=1, max_value=5),
-    )
-    def test_always_monic_with_correct_degree(self, data, n):
-        a = data.draw(
-            arrays(np.float64, (n, n), elements=st.floats(-3, 3, allow_nan=False))
-        )
-        m = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    @given(case=matrix_and_delays(5, 3.0, 5))
+    # numpy's det warns "divide by zero" on this draw, which gcp handles
+    @example(case=(np.vstack([np.ones(5), np.zeros((3, 5)), [2.22507386e-311, 0, 0, 0, 0]]), [1] * 5))
+    def test_always_monic_with_correct_degree(self, case):
+        a, m = case
+        n = a.shape[0]
         coeffs = gcp(a, m)
+        with np.errstate(divide="ignore", under="ignore"):
+            reference = np.linalg.det(a)
         assert coeffs[0] == pytest.approx(1.0)
         assert coeffs.size == sum(m) + 1
         # constant term carries the full determinant with alternating sign
-        assert coeffs[-1] == pytest.approx(((-1.0) ** n) * np.linalg.det(a), abs=1e-9)
+        assert coeffs[-1] == pytest.approx(((-1.0) ** n) * reference, abs=1e-9)
 
 
 class TestRationalForm:
@@ -671,7 +683,7 @@ class TestCircleRoute:
         fdn = design.fdn
         m = fdn.delays.as_array()
         gamma, u, _ = core._homogeneous_factor(fdn.a, m)
-        assert core._circle_poles(u, m, gamma) is None
+        assert core._circle_poles(u, m, gamma, core._circle_denominator(u, m)) is None
         np.testing.assert_array_equal(poles(fdn), core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m)))
 
     def test_other_systems_never_enter_the_route(self, monkeypatch, rng):
@@ -705,6 +717,137 @@ class TestCircleRoute:
         with pytest.raises(UnstableError) as exc:
             is_allpass(fdn)
         assert multiset_max_distance(exc.value.poles, poles(fdn)) < 1e-12
+
+
+def lossless_embedding(fdn):
+    """(V, lines): the balanced system matrix of a certified network and
+    the delays (m, 1_P) of its lossless embedding, as
+    :func:`core._lossless_proof` counts them."""
+    d = core._stein_diagonal(fdn.a, fdn.b)
+    v = balance(SystemMatrix.from_fdn(fdn).u, np.concatenate((d, np.ones(fdn.n_io))))
+    m = fdn.delays.as_array()
+    return v, np.concatenate((m, np.ones(fdn.n_io, dtype=m.dtype)))
+
+
+def circle_sampling_cases():
+    """(U, m, samples per pole) for the FFT sampling gate: orthogonal U of
+    homogeneous designs, N 1-16, with both signs of (-1)**N det U and
+    orders up to about 10^4, and the balanced V of Gardner chains and of
+    orthogonal splits with P < N, at both lossless sample counts."""
+    rng = np.random.default_rng(2210)
+    cases = []
+    for n, low, high in ((1, 5, 40), (2, 1500, 3000), (3, 20, 60), (5, 1000, 2000), (8, 1150, 1250), (12, 100, 200), (16, 580, 640)):
+        u = random_orthogonal(n, rng) if n > 1 else np.ones((1, 1))
+        for flip in (1.0, -1.0):
+            # a row of U times -1 flips the sign of det U
+            v = u.copy()
+            v[0] *= flip
+            cases.append((v, rng.integers(low, high, n), 4))
+    for n in (3, 8, 15):
+        gains = rng.uniform(0.3, 0.8, n) * rng.choice([-1.0, 1.0], n)
+        fdn, _ = gardner_nested(list(gains), rng.integers(5, 120, n).tolist())
+        cases += [(*lossless_embedding(fdn), samples) for samples in core._LOSSLESS_SAMPLES]
+    for n, p in ((5, 2), (12, 3), (15, 1)):
+        fdn = random_uniallpass(n, p, n, scaled=True, delays=rng.integers(100, 600, n).tolist())
+        cases.append((*lossless_embedding(fdn), 4))
+    return cases
+
+
+def long_delay_designs(count, seed):
+    """``count`` homogeneous designs as in the long-delay benchmark: N = 8,
+    delays 30-95 summing to 540, 560, 580 or 600, gamma 0.999."""
+    rng = np.random.default_rng(seed)
+    designs = []
+    for _ in range(count):
+        order = int(rng.choice([540, 560, 580, 600]))
+        delays = 30 + rng.multinomial(order - 240, np.full(8, 1 / 8))
+        while delays.max() > 95:
+            delays = 30 + rng.multinomial(order - 240, np.full(8, 1 / 8))
+        designs.append(design_homogeneous_siso(delays.tolist(), 0.999).fdn)
+    return designs
+
+
+class TestCircleSampling:
+    def test_fft_samples_within_their_bound(self):
+        # the oracle's own determinants carry the per-determinant rounding
+        # bound N^2 eps prod_i (1 + ||u_i||) on top of the FFT's bound
+        signs, parities = set(), set()
+        for u, m, samples in circle_sampling_cases():
+            n, order = m.size, int(m.sum())
+            den = core._circle_denominator(u, m)
+            phi, r, bound = core._circle_samples(u, m, den, samples * order)
+            ref_phi, ref = circle_samples(u, m, samples * order)
+            np.testing.assert_array_equal(phi, ref_phi)
+            own = n * n * core._EPS * np.prod(1.0 + np.linalg.norm(u, axis=1))
+            assert np.max(np.abs(r - ref)) <= bound + own
+            signs.add((-1) ** n * np.sign(np.linalg.det(u)))
+            parities.add(order % 2)
+        assert signs == {-1.0, 1.0} and parities == {0, 1}
+
+    def test_count_closes_wherever_the_per_sample_count_does(self):
+        systems = long_delay_designs(8, 2211)
+        systems += [design_homogeneous_siso(np.random.default_rng(n).integers(20, 60, n).tolist(), 0.999).fdn for n in range(2, 17)]
+        # N = 17-19: counts that a bound from the a priori row norms 1 + ||u_i||
+        # leaves short
+        systems += [
+            design_homogeneous_siso(np.random.default_rng([seed, n]).integers(20, 60, n).tolist(), 0.999).fdn
+            for n in (17, 18, 19)
+            for seed in (1, 3)
+        ]
+        for fdn in systems:
+            m = fdn.delays.as_array()
+            gamma, u, _ = core._homogeneous_factor(fdn.a, m)
+            # every design of this family closes on the per-sample count
+            assert circle_count(u, m) == fdn.order
+            assert core._circle_poles(u, m, gamma, core._circle_denominator(u, m)) is not None
+
+    @pytest.fixture
+    def loop_work(self, monkeypatch):
+        """Records the points of every ``_loop_chunks`` call and the number
+        of stacked determinants formed."""
+        work = {"points": [], "dets": 0}
+        chunks, det = core._loop_chunks, np.linalg.det
+
+        def recording(x, points, powers, reduce):
+            work["points"].append(np.array(points))
+            return chunks(x, points, powers, reduce)
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.ndim > 2:
+                work["dets"] += a.shape[0]
+            return det(a, *args, **kwargs)
+
+        monkeypatch.setattr(core, "_loop_chunks", recording)
+        monkeypatch.setattr(np.linalg, "det", counting)
+        return work
+
+    def test_one_count_forms_the_node_determinants_only(self, loop_work):
+        fdn = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999).fdn
+        m = fdn.delays.as_array()
+        gamma, u, _ = core._homogeneous_factor(fdn.a, m)
+        assert core._circle_poles(u, m, gamma, core._circle_denominator(u, m)) is not None
+        nodes = fdn.order // 2 + 1
+        assert loop_work["dets"] == nodes
+        np.testing.assert_array_equal(loop_work["points"][0], np.arange(nodes))
+        # the rest are Newton sweeps over the open brackets
+        assert all(p.size < nodes for p in loop_work["points"][1:])
+
+    def test_both_lossless_passes_share_one_set(self, monkeypatch, loop_work):
+        passes = []
+        circle = core._circle_poles
+
+        def short_first(u, m, gamma, den, samples):
+            passes.append(samples)
+            return None if len(passes) == 1 else circle(u, m, gamma, den, samples)
+
+        monkeypatch.setattr(core, "_circle_poles", short_first)
+        fdn = gardner_sweep(1, 500, 600, 2212)[0]
+        assert core._lossless_proof(fdn)
+        assert passes == list(core._LOSSLESS_SAMPLES)
+        nodes = (fdn.order + fdn.n_io) // 2 + 1
+        assert loop_work["dets"] == nodes
+        assert sum(np.array_equal(p, np.arange(nodes)) for p in loop_work["points"]) == 1
 
 
 def contraction_sweep(family):
@@ -1115,7 +1258,7 @@ class TestStackBudget:
     def test_circle_poles(self, design, stack_sizes):
         m = design.delays.as_array()
         gamma, u, _ = core._homogeneous_factor(design.a, m)
-        assert core._circle_poles(u, m, gamma).shape == (design.order,)
+        assert core._circle_poles(u, m, gamma, core._circle_denominator(u, m)).shape == (design.order,)
         self.assert_within_budget(stack_sizes)
 
 

@@ -154,6 +154,11 @@ class TestPolettiUnitary:
         with pytest.raises(ValueError):
             poletti_unitary(rng.standard_normal((3, 3)), 0.5, [1, 1, 1])
 
+    def test_empty_lattice_refused(self, rng):
+        # the orthogonality check used to fail on a zero-size reduction
+        with pytest.raises(ValueError, match="at least one delay line"):
+            poletti_unitary(random_orthogonal(0, rng), 0.5, [])
+
 
 class TestCounterexampleFixture:
     def test_printed_values(self):

@@ -228,6 +228,25 @@ class TestWav:
         assert frames[0] == int(round(10 ** (-1 / 20) * 32767))
         assert np.all(frames[1:] == 0)
 
+    @pytest.mark.parametrize(
+        "rate, channels",
+        [(0, 1), (-48000, 1), (True, 1), (44100.5, 1), (48000.0, 1), (2**31, 1), (2**30, 2), (2**32, 1)],
+    )
+    def test_rate_refused_before_the_file_opens(self, tmp_path, rate, channels):
+        # the header holds the rate and the byte rate, rate * channels * 2,
+        # as unsigned 32-bit fields
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError, match="WAV sample rate"):
+            write_wav(path, np.ones((channels, 8)), rate)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rate, channels", [(1, 1), (2**31 - 1, 1), (2**30 - 1, 2), (np.int64(44100), 1)])
+    def test_rate_at_the_header_limits(self, tmp_path, rate, channels):
+        path = tmp_path / "ok.wav"
+        write_wav(path, np.ones((channels, 8)), rate)
+        with wave.open(str(path)) as fh:
+            assert fh.getframerate() == rate and fh.getnchannels() == channels
+
     def test_multichannel(self, tmp_path):
         path = tmp_path / "st.wav"
         write_wav(path, np.vstack([np.ones(8), -np.ones(8)]), 8000)
