@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -134,7 +135,8 @@ def _cmd_design(args):
 
 
 def _read_matrix(path):
-    """Feedback matrix from JSON (bare 2-D array or {"A": ...}) or text."""
+    """Feedback matrix from JSON (bare 2-D array or {"A": ...}) or text.
+    Anything but a non-empty, square, finite matrix raises SchemaError."""
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -146,7 +148,12 @@ def _read_matrix(path):
             data = data["A"]
         matrix = np.asarray(data, dtype=float)
     else:
-        matrix = np.atleast_2d(np.loadtxt(path))
+        with warnings.catch_warnings():
+            # a file without numbers warns and reads as empty: refused below
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.atleast_2d(np.loadtxt(path))
+    if matrix.ndim != 2 or matrix.size == 0 or matrix.shape[0] != matrix.shape[1]:
+        raise serialize.SchemaError(f"matrix must be square and non-empty, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise serialize.SchemaError("matrix entries must be finite")
     return matrix
@@ -227,7 +234,12 @@ def _cmd_simulate(args):
     if args.wav and args.multichannel:
         # one channel per output in each file: the header's byte rate limit
         serialize.check_wav_rate(args.rate, fdn.n_io)
-    response = impulse_response(fdn, args.length)
+    # an unstable network overflows; the response is refused below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = impulse_response(fdn, args.length)
+    bad = np.flatnonzero(~np.all(np.isfinite(response), axis=(0, 1)))
+    if bad.size:
+        raise FdnError(f"impulse response is not finite from sample {bad[0]}; no file written")
     if args.csv:
         serialize.impulse_csv(args.csv, response)
     else:

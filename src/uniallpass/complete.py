@@ -85,12 +85,21 @@ def _dilation(u, s, vt, p):
     return u[:, -p:] * w, w[:, None] * vt[-p:], -np.diag(s_p)
 
 
+def _square(a):
+    """``a`` as a float array; anything but a square 2-D matrix raises ValueError."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"feedback matrix must be square, got shape {a.shape}")
+    return a
+
+
 def orthogonal_completion(a, p: int, delays=None) -> FdnSystem:
     """Complete an admissible A to an orthogonal block system matrix: the
     rank-P dilation, read from the SVD that also gives the singular-value
-    census.  The assembled block matrix is checked for orthogonality.
+    census.  The assembled block matrix is checked for orthogonality.  A
+    non-square ``a`` raises ValueError.
     """
-    a = np.asarray(a, dtype=float)
+    a = _square(a)
     n = a.shape[0]
     report, svd = _census(a, p)
     if not report.admissible_for(p):
@@ -157,10 +166,11 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL):
     raises :class:`CompletionError`.
 
     For one or two delay lines the completion is not unique; the first
-    candidate that certifies is returned.
+    candidate that certifies is returned.  A non-square ``a`` raises
+    ValueError.
     """
     tol = check_tolerance(tol)
-    a = np.asarray(a, dtype=float)
+    a = _square(a)
     n = a.shape[0]
     det_a = float(np.linalg.det(a))
     if abs(det_a) < 1e-12:

@@ -216,9 +216,9 @@ def impulse_response(fdn: FdnSystem, length: int):
     """Time-domain response tensor of shape (P, P, length).
 
     Entry [p, q, n] is output channel p at sample n when a unit impulse
-    drives input channel q.  The recursion keeps one ring buffer of size m_i
-    per delay line and advances all lines in blocks of max(min(delays), 64)
-    samples (fewer where N is large, see
+    drives input channel q.  The recursion keeps the line outputs in one
+    sliding window, a row per sample, and advances all lines in blocks of
+    max(min(delays), 64) samples (fewer where N is large, see
     :func:`uniallpass.kernels.block_size`): one pair of matrix products per
     block, and one more with a lifted map for the lines shorter than a
     block.  ``length`` must be a Python or numpy integer, not a bool;

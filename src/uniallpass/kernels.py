@@ -3,14 +3,11 @@
 The exhaustive principal-minor sweep, used by the characteristic polynomial
 and the minor-matching check, gathers the subsets of each cardinality into
 stacks of submatrices and factorizes each stack with one ``np.linalg.det``
-call.  The time-domain impulse-response recursion advances its ring buffers
-in blocks of max(min(delays), 64) samples, fewer where the lifted map below
-would outgrow its entry budget.  A line at least as long as the block reads
-every in-block output from a slot an earlier block wrote; the in-block
-outputs of the shorter lines are one matrix product with a lifted map of
-the block, built once per call.  So a whole block is one gather, three
-matrix products and one scatter, and a 1-sample line no longer costs one
-block per sample.
+call.  The time-domain impulse-response recursion keeps the line outputs in
+one sliding window, a row per sample, and advances it in blocks of
+max(min(delays), 64) samples.  Lines shorter than a block take their
+in-block outputs from a lifted map of the block, built once per call, so a
+block is one slice, three matrix products and one scatter.
 """
 
 import numpy as np
@@ -20,10 +17,9 @@ from .errors import FdnError
 # The kernels are plain numpy; the flag stays for result files that record it.
 HAVE_NUMBA = False
 
-# Least samples per chunk of precomputed ring-buffer positions (rounded up to
-# whole blocks): bounds the index scratch to O(chunk x N) whatever the
-# response length.
-_CHUNK_SAMPLES = 4096
+# Least samples between moves of the impulse window (rounded up to whole
+# blocks, and at least the longest line): each move copies max(delays) rows.
+_WINDOW_SAMPLES = 4096
 # Least samples per block while a line is shorter.  Of 16-256 on a 2-core
 # VM, 64 was fastest on 4800-sample renders of N = 3-6 networks with delays
 # 1-30 (1.9 ms; 2.2 at 32, 2.0 at 96), where longer blocks spend more on the
@@ -58,11 +54,11 @@ def lifted_map(a, delays, step):
     Index the block's line outputs s_i(n0 + t), t < step, by the flat
     position t * N + i.  Returns (known, short, f):
 
-    - ``known`` lists the outputs the ring buffers hold at the block start
-      that the shorter lines read: the whole ring buffer (first m_i
-      outputs) of each shorter line, and the outputs of each line with
-      m_i >= step at t < step - min(m_short), the samples whose inputs
-      reach a shorter line's output inside the block;
+    - ``known`` lists the outputs computed before the block start that the
+      shorter lines read: the first m_i outputs of each shorter line, and
+      the outputs of each line with m_i >= step at t < step - min(m_short),
+      the samples whose inputs reach a shorter line's output inside the
+      block;
     - ``short`` lists every output of the lines with m_i < step;
     - ``f`` is the (len(short), len(known)) matrix with
       s[short] = f @ s[known], built by running the recursion
@@ -102,20 +98,23 @@ def lifted_map(a, delays, step):
 def impulse_kernel(a, b, c, d, delays, length):
     """Run the time-domain recursion; returns (length, P, P) float64.
 
-    Delay line i is a ring buffer of size delays[i] at
-    buf[offsets[i]:offsets[i] + delays[i]].  At sample n the slot
-    n % delays[i] holds the line output s_i(n), and the freshly computed
-    s_i(n + delays[i]) goes back into the same slot.  Column q of the state
-    tracks the response to a unit impulse on input channel q, so one pass
-    yields all P x P responses.
+    The line outputs live in one window of shape (span + max m, N, P): row
+    r holds s(n0 + r), the outputs of every line at one sample, with n0 = 1
+    until the first move.  Column q tracks the response to a unit impulse
+    on input channel q, so one pass yields all P x P responses.  The span
+    is a whole number of blocks, at least max(_WINDOW_SAMPLES, max m): the
+    window holds fewer than (max(4096, max m) + step + max m) * N * P
+    float64 values, 0.4 MB per channel for 8 lines of 1000-1800 samples but
+    21 MB for 65 lines of which one has 20000 samples.
 
-    Sample 0 is the impulse itself: y(0) = D and the line inputs are B.
-    From sample 1 the recursion advances in blocks of
-    ``step = block_size(delays)`` samples.  A line with m_i >= step reads
-    every in-block output from a slot an earlier block wrote; the outputs of
-    the shorter lines come from the lifted map, s[short] = f @ s[known].
-    With no shorter line f is empty and a block is one gather, two stacked
-    matrix products and one scatter.
+    Sample 0 is the impulse: y(0) = D and s_i(m_i) = b_i.  From sample 1
+    the recursion advances in blocks of ``step = block_size(delays)``
+    samples, each one slice of the window.  A line with m_i >= step reads
+    every in-block output from a row an earlier block wrote; the shorter
+    lines' outputs come from the lifted map, s[short] = f @ s[known].  Then
+    y = C s, and A s scatters to the rows t + m_i ahead, distinct for every
+    (t, i).  When the blocks reach the span, the last max m rows move to
+    the front.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -123,34 +122,30 @@ def impulse_kernel(a, b, c, d, delays, length):
     d = np.ascontiguousarray(d, dtype=np.float64)
     delays = np.ascontiguousarray(delays, dtype=np.int64)
     length = int(length)
-    p = b.shape[1]
-    offsets = np.zeros(len(delays) + 1, dtype=np.int64)
-    np.cumsum(delays, out=offsets[1:])
-    # the last row is spare: a short line's inputs before its last m_i in a
-    # block go there, so every ring-buffer slot is written once per block, as
-    # numpy gives no order to repeated fancy-index writes
-    spare = int(offsets[-1])
-    buf = np.zeros((spare + 1, p))
+    n, p = b.shape
+    top = int(delays.max())
     step = block_size(delays)
     known, short, f = lifted_map(a, delays, step)
-    keep = (np.arange(step)[:, None] >= step - delays).ravel()
+    span = step * -(-max(_WINDOW_SAMPLES, top) // step)
+    window = np.zeros((span + top, n, p))
+    window[delays - 1, np.arange(n)] = b
+    # flat row of s_i(n0 + t + m_i) in the window from the block start
+    ahead = ((np.arange(step)[:, None] + delays) * n + np.arange(n)).ravel()
     # whole blocks past sample 0; the last one may run past ``length``
     total = 1 + step * -(-(length - 1) // step)
     out = np.empty((total, c.shape[0], p))
     out[0] = d
-    buf[offsets[:-1]] = b
-    chunk = step * -(-_CHUNK_SAMPLES // step)
-    for base in range(1, total, chunk):
-        n = np.arange(base, min(base + chunk, total))
-        positions = offsets[:-1] + n[:, None] % delays
-        targets = np.where(keep, positions.reshape(-1, step * len(delays)), spare)
-        for k, start in enumerate(range(0, n.size, step)):
-            first = base + start
-            state = buf[positions[start : start + step]]
-            flat = state.reshape(-1, p)
-            flat[short] = f @ flat[known]
-            np.matmul(c, state, out=out[first : first + step])
-            buf[targets[k]] = (a @ state).reshape(-1, p)
+    r = 0
+    for first in range(1, total, step):
+        if r == span:
+            window[:top] = window[span:]
+            r = 0
+        state = window[r : r + step]
+        flat = state.reshape(-1, p)
+        flat[short] = f @ flat[known]
+        np.matmul(c, state, out=out[first : first + step])
+        window[r:].reshape(-1, p)[ahead] = (a @ state).reshape(-1, p)
+        r += step
     return out[:length]
 
 

@@ -347,11 +347,13 @@ def write_wav(path, data, rate: int):
 
     ``data`` is (channels, samples) or (samples,).  Returns the normalization
     scale so the caller can record it alongside the file.  A ``rate`` that
-    :func:`check_wav_rate` refuses raises ValueError before the file is
-    opened.
+    :func:`check_wav_rate` refuses, or a non-finite sample, raises
+    ValueError before the file is opened.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     rate = check_wav_rate(rate, data.shape[0])
+    if not np.all(np.isfinite(data)):
+        raise ValueError("WAV data must be finite")
     peak = float(np.max(np.abs(data)))
     scale = PEAK_TARGET / peak if peak > 0 else 1.0
     samples = np.clip(np.round(data * scale * 32767.0), -32768, 32767).astype("<i2")

@@ -34,14 +34,27 @@ def _frozen_array(values, dtype=float, ndim=None, name="array"):
     return arr
 
 
+def _delay_length(value):
+    """``value`` as an int; a bool, or a value no int equals, raises ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"delay lengths must be integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DelayVector:
-    """Lengths, in samples, of the delay lines. Every entry must be >= 1."""
+    """Lengths, in samples, of the delay lines. Every entry must be an
+    integer >= 1: an integral float such as 3.0 is taken as that integer,
+    while a bool or a fractional value raises ValueError."""
 
     values: tuple
 
     def __init__(self, values):
-        values = tuple(int(v) for v in np.atleast_1d(np.asarray(values)).ravel())
+        values = tuple(_delay_length(v) for v in np.asarray(values, dtype=object).ravel())
         if len(values) == 0:
             raise ValueError("delay vector must have at least one entry")
         if any(v < 1 for v in values):

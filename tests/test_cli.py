@@ -245,6 +245,26 @@ class TestCompleteCommand:
         _, _, payload = load_system(out)
         assert payload["verify"]["certificate"]["verdict"] is True
 
+    @pytest.mark.parametrize("mode", ["siso", "orthogonal"])
+    @pytest.mark.parametrize(
+        "name, text, shape",
+        [
+            ("wide.json", "[[1, 2, 3], [4, 5, 6]]", "(2, 3)"),
+            ("wide.txt", "0.1 0.2 0.3\n0.4 0.5 0.6\n", "(2, 3)"),
+            ("empty.json", "[]", "(0,)"),
+            ("vector.json", '{"A": [0.5, 0.5]}', "(2,)"),
+            ("empty.txt", "", "(1, 0)"),
+            ("comment.txt", "# no numbers\n", "(1, 0)"),
+        ],
+    )
+    def test_non_square_matrix_refused(self, tmp_path, capsys, mode, name, text, shape):
+        # a 2 x 3 matrix used to print numpy's "must be square" (exit 2) or,
+        # in orthogonal mode, be called inadmissible; an empty text file warned
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("complete", str(path), "--mode", mode) == 1
+        assert f"got shape {shape}" in capsys.readouterr().err
+
     def test_inadmissible_matrix_fails(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         matrix = tmp_path / "bad.txt"
@@ -290,6 +310,20 @@ class TestSimulateAndPoles:
         assert exc.value.code == 2
         assert "--rate" in capsys.readouterr().err
         assert not csv_path.exists() and not wav.exists()
+
+    def test_unstable_render_refused_before_any_file(self, tmp_path, capsys):
+        # largest pole modulus 2.49: the response overflows; it used to be
+        # written as nan rows and a full-scale WAV, exit 0
+        path = tmp_path / "u.json"
+        save_system(path, delay_dependent_allpass((2, 1, 1)))
+        csv_path, wav = tmp_path / "x.csv", tmp_path / "x.wav"
+        assert run_cli(
+            "simulate", str(path), "--length", "48000", "--csv", str(csv_path), "--wav", str(wav)
+        ) == 1
+        captured = capsys.readouterr()
+        assert "not finite from sample" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
 
     def test_multichannel_wav_rate_refused_before_the_render(self, tmp_path, capsys):
         # 2^30 Hz fits one channel's header but not the byte rate of two

@@ -56,6 +56,15 @@ class TestAdmissibility:
         assert report.min_io is None
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+def test_non_square_matrix_refused(shape):
+    a = np.full(shape, 0.1)
+    with pytest.raises(ValueError, match=r"must be square, got shape"):
+        orthogonal_completion(a, 1)
+    with pytest.raises(ValueError, match=r"must be square, got shape"):
+        siso_completion(a)
+
+
 class TestOrthogonalCompletion:
     def test_first_order_section(self):
         g = 0.55

@@ -21,6 +21,7 @@ from oracles import (
 )
 from uniallpass import (
     ConditioningError,
+    DelayVector,
     FdnError,
     FdnSystem,
     PoleEvaluationError,
@@ -178,6 +179,23 @@ class TestImpulseResponse:
     @pytest.mark.parametrize("length", [np.int64(5), np.int32(5), np.uint8(5), 5])
     def test_length_takes_numpy_integers(self, length):
         np.testing.assert_array_equal(impulse_response(unit_delay(), length)[0, 0], [0, 1, 0, 0, 0])
+
+
+class TestDelayVector:
+    @pytest.mark.parametrize(
+        "values", [[1.5, 2.9], [True, 2], [np.bool_(True)], np.array([True, False]), [3, float("nan")], ["3"]]
+    )
+    def test_bools_and_fractions_refused(self, values):
+        # [1.5, 2.9] used to give (1, 2) and [True, 2] (1, 2)
+        with pytest.raises(ValueError, match="delay lengths must be integers"):
+            DelayVector(values)
+
+    @pytest.mark.parametrize(
+        "values", [[3.0, 4], np.array([3.0, 4.0]), np.array([3, 4], dtype=np.int32), (3, np.int64(4))]
+    )
+    def test_integral_values_accepted(self, values):
+        assert DelayVector(values).values == (3, 4)
+        assert all(type(v) is int for v in DelayVector(values))
 
 
 class TestPrincipalMinors:

@@ -21,8 +21,9 @@ def _recursion_cases(rng):
     """(name, system, length) triples covering every block shape: blocks of
     min(delays) and lifted blocks with 1-sample lines, mixed delays, single
     samples, responses shorter than one block, lengths that end inside a
-    block, N = 64 lines of 1-3 samples, and 48k-sample renders with
-    audio-length delays, one of them beside a 1-sample line."""
+    block, N = 64 lines of 1-3 samples, 48k-sample renders with
+    audio-length delays, one of them beside a 1-sample line, and renders
+    across the moves of the kernel's window."""
     cases = []
     for k in range(32):
         n = int(rng.integers(1, 17))
@@ -56,6 +57,17 @@ def _recursion_cases(rng):
     cases.append(("audio", audio, 48000))
     lattice = poletti_unitary(unitary, -0.6, [1, 1201, 1433, 1087])[0]
     cases.append(("audio-one-sample-line", lattice, 48000))
+    # the window's moves: a line longer than the least span, a block longer
+    # than it, lengths that end at a move and one sample past it, and P = 3
+    # with one 20000-sample line beside 1-sample lines
+    for delays, p, length in (([3, 9000], 2, 20000), ([5000, 7000], 1, 25000), ([1, 20000, 1, 2], 3, 42000)):
+        fdn = random_stable_fdn(rng, n=len(delays), p=p, delays=DelayVector(delays))
+        cases.append((f"window-{delays}", fdn, length))
+    delays = DelayVector([100, 130, 170])
+    step = block_size(delays.as_array())
+    span = step * -(-kernels._WINDOW_SAMPLES // step)
+    moving = random_stable_fdn(rng, n=3, p=2, delays=delays)
+    cases += [("window-end-at-move", moving, 1 + span), ("window-past-move", moving, 2 + span)]
     return cases
 
 

@@ -64,6 +64,19 @@ class TestSystemJson:
         with pytest.raises(SchemaError, match="delays"):
             loads_system(json.dumps(payload))
 
+    @pytest.mark.parametrize("delays", [[3.7, 4.2], [True, 2], [3, 4.5]])
+    def test_non_integer_delays_rejected(self, delays):
+        # [3.7, 4.2] used to load as (3, 4)
+        payload = json.loads(dumps_system(random_uniallpass(2, 1, seed=1)))
+        payload["delays"] = delays
+        with pytest.raises(SchemaError, match="delay lengths must be integers"):
+            loads_system(json.dumps(payload))
+
+    def test_integral_float_delays_load(self):
+        payload = json.loads(dumps_system(random_uniallpass(2, 1, seed=1)))
+        payload["delays"] = [3.0, 4]
+        assert loads_system(json.dumps(payload))[0].delays.values == (3, 4)
+
     def test_unknown_schema_rejected(self):
         fdn = random_uniallpass(2, 1, seed=2)
         payload = json.loads(dumps_system(fdn))
@@ -246,6 +259,16 @@ class TestWav:
         write_wav(path, np.ones((channels, 8)), rate)
         with wave.open(str(path)) as fh:
             assert fh.getframerate() == rate and fh.getnchannels() == channels
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_refused_before_the_file_opens(self, tmp_path, bad):
+        # an overflowed render used to be written as full-scale noise
+        path = tmp_path / "bad.wav"
+        data = np.ones((2, 8))
+        data[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            write_wav(path, data, 48000)
+        assert not path.exists()
 
     def test_multichannel(self, tmp_path):
         path = tmp_path / "st.wav"
