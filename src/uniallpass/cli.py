@@ -140,18 +140,22 @@ def _read_matrix(path):
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        data = serialize._parse_json(text)
-        if isinstance(data, dict):
-            if "A" not in data:
-                raise serialize.SchemaError('matrix JSON object needs an "A" field')
-            data = data["A"]
-        matrix = np.asarray(data, dtype=float)
-    else:
-        with warnings.catch_warnings():
-            # a file without numbers warns and reads as empty: refused below
-            warnings.simplefilter("ignore", UserWarning)
-            matrix = np.atleast_2d(np.loadtxt(path))
+    try:
+        if stripped.startswith("[") or stripped.startswith("{"):
+            data = serialize._parse_json(text)
+            if isinstance(data, dict):
+                if "A" not in data:
+                    raise serialize.SchemaError('matrix JSON object needs an "A" field')
+                data = data["A"]
+            matrix = np.asarray(data, dtype=float)
+        else:
+            with warnings.catch_warnings():
+                # a file without numbers warns and reads as empty: refused below
+                warnings.simplefilter("ignore", UserWarning)
+                matrix = np.atleast_2d(np.loadtxt(path))
+    except (ValueError, TypeError):
+        # ragged rows, or an entry that is not a number
+        raise serialize.SchemaError(f"matrix file {path} must hold rows of numbers of equal length") from None
     if matrix.ndim != 2 or matrix.size == 0 or matrix.shape[0] != matrix.shape[1]:
         raise serialize.SchemaError(f"matrix must be square and non-empty, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
@@ -234,12 +238,8 @@ def _cmd_simulate(args):
     if args.wav and args.multichannel:
         # one channel per output in each file: the header's byte rate limit
         serialize.check_wav_rate(args.rate, fdn.n_io)
-    # an unstable network overflows; the response is refused below instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        response = impulse_response(fdn, args.length)
-    bad = np.flatnonzero(~np.all(np.isfinite(response), axis=(0, 1)))
-    if bad.size:
-        raise FdnError(f"impulse response is not finite from sample {bad[0]}; no file written")
+    # rendered before any file opens: an unstable network raises FdnError
+    response = impulse_response(fdn, args.length)
     if args.csv:
         serialize.impulse_csv(args.csv, response)
     else:

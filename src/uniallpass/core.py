@@ -22,18 +22,22 @@ Bauer-Fike radius gamma (||U U^T - I||_2 + N eps): f(z) = gamma**L g(z /
 gamma) with g(w) = det(diag(w**m_i) - U), and on |w| = 1 g times
 w**(-L/2) is a real function of the angle, up to a constant phase.  Where
 that radius is at most 1e-12 gamma, :func:`poles` counts the sign changes
-of that function on 8 L points of the circle, one zero-padded FFT of g's
-coefficients from its values at order / 2 + 1 roots of unity, and refines
-each by Newton steps in the angle, O(order N^3) work in all.  Where the
-sign changes miss a root (close or multiple roots), and for every other
-system, :func:`poles` finds all roots at once by Ehrlich-Aberth iteration
-on f itself: with P(z) = diag(z**m_i) - A, each sweep needs only the Newton
-ratio f/f' = 1 / trace(P^-1 P'), one small N x N inverse per iterate of the
-plain loop matrix, and never forms an order x order matrix.  Where P is too
-near singular or too badly scaled for that trace to mean anything (its
-error estimate says so, and a power z**m_i that under- or overflows makes
-it infinite), and for systems of order below N^2, where it is the dearer
-evaluation, the ratio comes from the coefficients above instead.
+of that function on 8 L points of the circle, then on 32 L where that
+count comes up short or its Newton steps in the angle do not settle: each
+pass one zero-padded FFT of g's coefficients, which come once from its
+values at order / 2 + 1 roots of unity, O(order N^3) work in all.  Where
+neither pass accounts for every root (close or multiple roots), and for
+every other system, :func:`poles` finds all roots at once by
+Ehrlich-Aberth iteration on f itself: with P(z) = diag(z**m_i) - A, each
+sweep needs only the Newton ratio f/f' = 1 / trace(P^-1 P'), one small
+N x N inverse per iterate of the plain loop matrix, and never forms an
+order x order matrix.  Only this solve has budgets: orders up to 2**15,
+as a sweep costs O(order^2), and N <= 20 for the principal-minor sweep
+behind its coefficients.  Where P is too near singular or too badly scaled
+for that trace to mean anything (its error estimate says so, and a power
+z**m_i that under- or overflows makes it infinite), and for systems of
+order below N^2, where it is the dearer evaluation, the ratio comes from
+the coefficients above instead.
 Trailing coefficients below the rounding bound of the minors that form them
 are zero roots.  f is real, so its roots are closed under conjugation: the
 sweeps iterate one root of each conjugate pair and the real roots, which
@@ -52,10 +56,10 @@ delay vector at once, from ||A||_2 < 1 or from a positive v with |A| v < v
 (Gardner chains, orthogonal splits with P < N) embeds in a lossless one,
 whose poles all lie on the unit circle (Schlecht & Habets, IEEE TSP 2017):
 a pole on or outside the circle would lie near one of them, and
-:func:`_lossless_proof` counts them by the circle route's sign changes and
-rules that out from the smallest singular value of the loop matrix at
-each.  Only where neither proof closes does :func:`is_allpass` solve for
-poles.
+:func:`_lossless_proof` counts them by the circle route's passes and rules
+that out from the smallest singular value of the loop matrix at each.
+Only where neither proof closes does :func:`is_allpass` take the poles
+from :func:`poles`.
 
 Loop matrices
 -------------
@@ -68,9 +72,9 @@ order leads to a large array.  The allpass test evaluates H once, on 4 * order u
 random unit-circle points: unitarity is measured on all of them and the
 numerator of det H is fitted on the uniform ones.  Its denominator, the
 loop determinant's z^-1 coefficients, is one inverse real FFT of loop
-determinants on order + 1 uniform nodes; the principal-minor sweep of
-:func:`gcp`, limited to N <= 20, serves the Aberth solve and the public
-coefficients only.
+determinants on order + 1 uniform nodes, and :func:`numerator_poly` fits
+against the same; the principal-minor sweep of :func:`gcp`, limited to
+N <= 20, serves the Aberth solve and the public coefficients only.
 """
 
 from __future__ import annotations
@@ -122,18 +126,17 @@ _ABERTH_TINY = 1e-8
 # A feedback matrix U diag(gamma**m) takes the circle route when the
 # Bauer-Fike radius of its poles about gamma is at most this fraction of gamma.
 _HOMOGENEOUS_RADIUS = 1e-12
-# Samples of the real circle function per pole over (0, pi), 8 per pole on
-# the whole circle.  At 4 per circle, close roots shared a sample interval
-# (and fell back) in 26 of 180 long-delay and 3 of 180 paper-scale designs.
-_CIRCLE_SAMPLES = 4
+# Samples of the real circle function per pole over (0, pi) in the circle
+# route's passes, 8 and then 32 per pole on the whole circle.  At 4 per
+# circle, close roots shared a sample interval (and fell back) in 26 of 180
+# long-delay and 3 of 180 paper-scale designs.
+_CIRCLE_SAMPLES = (4, 16)
 # Complex entries per stack of loop matrices, 256 KB.  At 2^17 (2 MB) the
 # lossless count's 32 L pass set a process's peak memory at small orders,
 # and was no faster.
 _LOOP_ENTRIES = 1 << 14
-# The lossless embedding of a network is counted at 8 L, then 32 L samples
-# per circle; it is tried only where ||V^T V - I||_2 of the balanced system
-# matrix is at most _LOSSLESS_DELTA (rounding level for a certified one).
-_LOSSLESS_SAMPLES = (_CIRCLE_SAMPLES, 4 * _CIRCLE_SAMPLES)
+# The lossless embedding is tried only where ||V^T V - I||_2 of the balanced
+# system matrix is at most this (rounding level for a certified one).
 _LOSSLESS_DELTA = 1e-10
 
 
@@ -222,14 +225,18 @@ def impulse_response(fdn: FdnSystem, length: int):
     :func:`uniallpass.kernels.block_size`): one pair of matrix products per
     block, and one more with a lifted map for the lines shorter than a
     block.  ``length`` must be a Python or numpy integer, not a bool;
-    anything else raises TypeError.
+    anything else raises TypeError.  An overflow raises FdnError.
     """
     if isinstance(length, bool) or not isinstance(length, (int, np.integer)):
         raise TypeError(f"length must be an integer, got {length!r}")
     length = int(length)
     if length < 1:
         raise ValueError("length must be >= 1")
-    h = impulse_kernel(fdn.a, fdn.b, fdn.c, fdn.d, fdn.delays.as_array(), length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = impulse_kernel(fdn.a, fdn.b, fdn.c, fdn.d, fdn.delays.as_array(), length)
+    bad = np.flatnonzero(~np.all(np.isfinite(h), axis=(1, 2)))
+    if bad.size:
+        raise FdnError(f"impulse response is not finite from sample {bad[0]}")
     return np.ascontiguousarray(np.transpose(h, (1, 2, 0)))
 
 
@@ -345,9 +352,9 @@ def _numerator_fit(samples, den):
 
 def numerator_poly(fdn: FdnSystem, tol=1e-6):
     """Numerator coefficients of H(z), shape (P, P, order + 1), ascending in
-    z^-1.  H times the denominator is sampled on order + 1 + 8 uniform
-    unit-circle nodes; there the least-squares polynomial fit is a DFT, so
-    one inverse FFT recovers the coefficients.
+    z^-1.  H times the FFT denominator of :func:`is_allpass` is sampled on
+    order + 1 + 8 uniform unit-circle nodes; there the least-squares
+    polynomial fit is a DFT, so one inverse FFT recovers the coefficients.
 
     Returns (coefficients, fit residual): the largest mismatch between the
     fitted polynomial and the samples.  A residual above ``tol`` times the
@@ -356,7 +363,7 @@ def numerator_poly(fdn: FdnSystem, tol=1e-6):
     tol = check_tolerance(tol)
     count = fdn.order + 1 + _FIT_PAD
     h = frequency_response(fdn, np.exp(2j * np.pi * np.arange(count) / count))
-    coeffs, resid, scale = _numerator_fit(h, gcp(fdn.a, fdn.delays))
+    coeffs, resid, scale = _numerator_fit(h, _circle_denominator(fdn.a, fdn.delays.as_array()))
     if resid > tol * max(1.0, scale):
         raise ConditioningError(
             f"numerator fit residual {resid:.3g} exceeds tolerance", residual=resid
@@ -370,27 +377,26 @@ def poles(fdn: FdnSystem):
     With homogeneous decay, A = U diag(gamma**m_i) and U orthogonal to within
     a pole radius gamma (||U U^T - I||_2 + N eps) of at most 1e-12 gamma,
     the poles are gamma times the sign changes of a real function on the
-    unit circle, refined by Newton steps in the angle.  They are returned
-    with modulus gamma, which is within that radius of every true modulus;
-    their angles match the Aberth poles to about 1e-15 at order 600.
-    Where those sign changes do not account for every pole (close or
-    multiple poles), and for every other system, the poles come from
-    simultaneous Ehrlich-Aberth iteration on the loop determinant itself.
+    unit circle on 8 L, then 32 L samples, refined by Newton steps in the
+    angle, at any order and N.  They are returned with modulus gamma, which
+    is within that radius of every true modulus; their angles match the
+    Aberth poles to about 1e-15 at order 600.  Where neither count accounts
+    for every pole (close or multiple poles), and for every other system,
+    the poles come from simultaneous Ehrlich-Aberth iteration on the loop
+    determinant itself.
 
     The result is exactly closed under conjugation, with real poles exactly
     real.  Aberth's simple poles come out to about machine precision
     relative to their modulus (they match companion-matrix eigenvalues to
-    ~1e-13 at order 600).
-    A pole of multiplicity k converges only linearly and is accepted at the
-    noise floor of the determinant, roughly eps**(1/k): about 1e-5 for a
-    triple pole.  Where the loop matrix is too near singular to trust, a
-    root is accepted only when the coefficients of the loop determinant
-    (:func:`gcp`) confirm it.  Orders above 2**15, and N above the
-    coefficients' sweep budget of 20, raise :class:`FdnError` before the
-    coefficients are formed; roots still moving after 100 sweeps raise
-    :class:`ConditioningError`.
+    ~1e-13 at order 600).  A pole of multiplicity k converges only linearly
+    and is accepted at the noise floor of the determinant, roughly
+    eps**(1/k): about 1e-5 for a triple pole.  Where the loop matrix is too
+    near singular to trust, a root is accepted only when the coefficients
+    of the loop determinant (:func:`gcp`) confirm it.  For this solve alone,
+    orders above 2**15, and N above the coefficients' sweep budget of 20,
+    raise :class:`FdnError` before the coefficients are formed; roots still
+    moving after 100 sweeps raise :class:`ConditioningError`.
     """
-    _check_pole_order(fdn)
     m = fdn.delays.as_array()
     factor = _homogeneous_factor(fdn.a, m)
     if factor is not None:
@@ -398,12 +404,9 @@ def poles(fdn: FdnSystem):
         roots = _circle_poles(u, m, gamma, _circle_denominator(u, m))
         if roots is not None:
             return roots
-    return _aberth_poles(fdn, *_gcp_terms(fdn.a, m))
-
-
-def _check_pole_order(fdn: FdnSystem):
     if fdn.order > _MAX_ORDER:
         raise FdnError(f"pole solve limited to system order <= {_MAX_ORDER}, got {fdn.order}")
+    return _aberth_poles(fdn, *_gcp_terms(fdn.a, m))
 
 
 def _pole_radius(gamma, u):
@@ -484,10 +487,9 @@ def _lossless_proof(fdn: FdnSystem):
         so Bauer-Fike (constant 1) puts an eigenvalue of S_Q within
         (sqrt(delta) + delta) / sqrt(mu) of z.
     (iii) The L + P roots w_j of det(diag(w**m, w 1_P) - V), counted by
-        :func:`_circle_poles` at 8 L, then 32 L samples per circle, both
-        passes FFTs of one set of (L + P) / 2 + 1 node determinants, lie
-        within 2 delta of the eigenvalues of S_Q (delta from S_Q to S, and
-        delta, their pole radius, from S to the roots).  Every root found,
+        :func:`_circle_poles`, lie within 2 delta of the eigenvalues of S_Q
+        (delta from S_Q to S, and delta, their pole radius, from S to the
+        roots).  Every root found,
         and no two within 2 r, r = sqrt(delta) + 3 delta, match them one to
         one, so |z - w_j| <= (sqrt(delta) + delta) / sqrt(mu) + 2 delta <= r
         for some j.
@@ -512,12 +514,8 @@ def _lossless_proof(fdn: FdnSystem):
     if not delta <= _LOSSLESS_DELTA:
         return False
     lines = np.concatenate((m, np.ones(fdn.n_io, dtype=m.dtype)))
-    den = _circle_denominator(v, lines)
-    for samples in _LOSSLESS_SAMPLES:
-        roots = _circle_poles(v, lines, 1.0, den, samples)
-        if roots is not None:
-            break
-    else:
+    roots = _circle_poles(v, lines, 1.0, _circle_denominator(v, lines))
+    if roots is None:
         return False
     radius = math.sqrt(delta) + 3.0 * delta
     phi = np.sort(np.angle(roots))
@@ -616,40 +614,32 @@ def _circle_samples(u, m, den, count):
     return phi, rotated, beta * (4.0 + math.log(0.5 * nodes)) + fft
 
 
-def _circle_poles(u, m, gamma, den, samples=_CIRCLE_SAMPLES):
+def _circle_poles(u, m, gamma, den):
     """All poles of the network with feedback matrix U diag(gamma**m), U
     orthogonal, as gamma times the roots w = exp(i phi) of g(w) =
-    det(diag(w**m) - U); None when the sign changes below do not account
-    for every root.  ``den`` is :func:`_circle_denominator` (U, m), the
-    coefficients of g from its order // 2 + 1 node determinants, so a
-    second call with more ``samples`` forms no determinant anew.
+    det(diag(w**m) - U), from the first of the passes at ``_CIRCLE_SAMPLES``
+    L samples of the circle that closes: its sign changes below account for
+    every root, and its Newton steps settle within ``_MAX_SWEEPS`` sweeps.
+    None when no pass closes.  ``den`` is :func:`_circle_denominator` (U,
+    m), the coefficients of g from its order // 2 + 1 node determinants, so
+    the second pass forms no determinant anew.
 
     On the unit circle conj g(w) = w**-L s g(w), s = (-1)**N det U = +-1, so
     r(phi) = g(w) w**(-L/2) / sqrt(s) is real, with r(-phi) = s r(phi).  Its
     roots are conjugate pairs exp(+-i phi), phi in (0, pi), and the roots
     w = 1 (where s = -1) and w = -1 (where s (-1)**L = -1) that this
-    symmetry forces.  The pairs are the sign changes of r among
-    ``samples`` L samples over (0, pi), one FFT of ``den``
-    (:func:`_circle_samples`), counting only samples above the bound on
-    their rounding error derived there.  Each bracket is refined by Newton
-    steps in phi from its secant point, with r'/r = i (sum_i m_i w**m_i
-    [P^-1]_ii - L/2) from the loop matrix P = diag(w**m) - U, clipped to
-    the bracket, until a step is below 4 eps pi or the rounding error of
-    r'/r is as large as its value.  The poles are accurate to the pole
-    radius of U (:func:`_pole_radius`); real ones are exactly real."""
+    symmetry forces.  The pairs are the sign changes of r among a pass's
+    samples over (0, pi), one FFT of ``den`` (:func:`_circle_samples`),
+    counting only samples above the bound on their rounding error derived
+    there.  Each bracket is refined by Newton steps in phi from its secant
+    point, with r'/r = i (sum_i m_i w**m_i [P^-1]_ii - L/2) from the loop
+    matrix P = diag(w**m) - U, clipped to the bracket, until a step is
+    below 4 eps pi or the rounding error of r'/r is as large as its value.
+    The poles are accurate to the pole radius of U (:func:`_pole_radius`);
+    real ones are exactly real."""
     n, order = m.size, int(m.sum())
     sign = (-1) ** n * (1 if np.linalg.det(u) > 0 else -1)
     ends = [1.0] * (sign < 0) + [-1.0] * (sign * (-1) ** order < 0)
-    phi, rotated, bound = _circle_samples(u, m, den, samples * order)
-    # rotated = sqrt(s) r, with r real
-    values = rotated.real if sign > 0 else rotated.imag
-    keep = np.flatnonzero(np.abs(values) > bound)
-    change = np.flatnonzero(np.signbit(values[keep[1:]]) != np.signbit(values[keep[:-1]]))
-    if 2 * change.size + len(ends) != order:
-        return None
-    lo, hi = phi[keep[change]], phi[keep[change + 1]]
-    r_lo, r_hi = values[keep[change]], values[keep[change + 1]]
-    x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
     # powers as exp(i m phi): a drift off the circle would mislead the
     # Newton steps once they are that short
     powers = _unit_powers(m)
@@ -657,26 +647,37 @@ def _circle_poles(u, m, gamma, den, samples=_CIRCLE_SAMPLES):
     def trace(loop, power):
         return (np.diagonal(np.linalg.inv(loop), axis1=1, axis2=2) * (m * power)).sum(axis=1)
 
-    active = np.arange(x.size)
-    sweeps = 0
-    while active.size:
-        if sweeps == _MAX_SWEEPS:
-            return None
-        sweeps += 1
-        try:
-            t = _loop_chunks(u, x[active], powers, trace)
-        except np.linalg.LinAlgError:
-            # an iterate exactly on a root; the general solve takes over
-            return None
-        # t = L/2 - i r'/r: where rounding moves its real part as far as
-        # its imaginary part, the iterate sits at the noise floor of r
-        noisy = np.abs(t.real - 0.5 * order) >= np.abs(t.imag)
-        with np.errstate(divide="ignore"):
-            step = np.where(noisy, 0.0, 1.0 / t.imag)
-        x[active] = np.clip(x[active] + step, lo[active], hi[active])
-        active = active[np.abs(step) > 4.0 * _EPS * np.pi]
-    pairs = gamma * np.exp(1j * x)
-    return np.concatenate((pairs, pairs.conj(), gamma * np.array(ends, dtype=complex)))
+    for samples in _CIRCLE_SAMPLES:
+        phi, rotated, bound = _circle_samples(u, m, den, samples * order)
+        # rotated = sqrt(s) r, with r real
+        values = rotated.real if sign > 0 else rotated.imag
+        keep = np.flatnonzero(np.abs(values) > bound)
+        change = np.flatnonzero(np.signbit(values[keep[1:]]) != np.signbit(values[keep[:-1]]))
+        if 2 * change.size + len(ends) != order:
+            continue
+        lo, hi = phi[keep[change]], phi[keep[change + 1]]
+        r_lo, r_hi = values[keep[change]], values[keep[change + 1]]
+        x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+        active = np.arange(x.size)
+        sweeps = 0
+        while active.size and sweeps < _MAX_SWEEPS:
+            sweeps += 1
+            try:
+                t = _loop_chunks(u, x[active], powers, trace)
+            except np.linalg.LinAlgError:
+                # an iterate exactly on a root: this pass does not close
+                break
+            # t = L/2 - i r'/r: where rounding moves its real part as far as
+            # its imaginary part, the iterate sits at the noise floor of r
+            noisy = np.abs(t.real - 0.5 * order) >= np.abs(t.imag)
+            with np.errstate(divide="ignore"):
+                step = np.where(noisy, 0.0, 1.0 / t.imag)
+            x[active] = np.clip(x[active] + step, lo[active], hi[active])
+            active = active[np.abs(step) > 4.0 * _EPS * np.pi]
+        if not active.size:
+            pairs = gamma * np.exp(1j * x)
+            return np.concatenate((pairs, pairs.conj(), gamma * np.array(ends, dtype=complex)))
+    return None
 
 
 def _newton_polygon_starts(coeffs):
@@ -1056,19 +1057,16 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     system's own delays, when the Stein diagonal certifies the network and
     its lossless embedding keeps every loop matrix at its roots clear of
     singular (:func:`_lossless_proof`).  Where neither closes, the poles
-    come from the Ehrlich-Aberth solve of :func:`poles`, limited to orders
-    up to 2**15 and to N <= 20 for its coefficients (:class:`FdnError`
-    beyond either), and a system with a pole of modulus >= 1 is rejected
-    with the full pole list.
+    come from :func:`poles`, whose Aberth solve alone is limited to orders
+    up to 2**15 and to N <= 20 (:class:`FdnError` beyond either), and a
+    system with a pole of modulus >= 1 is rejected with the full pole list.
     """
     tol = check_tolerance(tol)
-    m = fdn.delays.as_array()
     if not (_contraction_proof(fdn.a) or _lossless_proof(fdn)):
-        _check_pole_order(fdn)
-        pole_values = _aberth_poles(fdn, *_gcp_terms(fdn.a, m))
+        pole_values = poles(fdn)
         if not np.all(np.abs(pole_values) < 1.0):
             raise UnstableError(pole_values)
-    den = _circle_denominator(fdn.a, m)
+    den = _circle_denominator(fdn.a, fdn.delays.as_array())
     k = 4 * max(fdn.order, 1)
     extra = np.random.default_rng(_GRID_SEED).uniform(0.0, 2.0 * np.pi, _GRID_RANDOM)
     omega = np.concatenate([2.0 * np.pi * np.arange(k) / k, extra])

@@ -265,6 +265,22 @@ class TestCompleteCommand:
         assert run_cli("complete", str(path), "--mode", mode) == 1
         assert f"got shape {shape}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("ragged.json", "[[0.5, 0.1], [0.2]]", "rows of numbers of equal length"),
+            ("ragged.txt", "1 2\n3\n", "rows of numbers of equal length"),
+            ("word.txt", "0.5 x\n0.1 0.5\n", "rows of numbers of equal length"),
+            ("b_only.json", '{"B": [[1.0]]}', 'needs an "A" field'),
+        ],
+    )
+    def test_malformed_matrix_refused(self, tmp_path, capsys, name, text, message):
+        # ragged files used to print numpy's parse error and exit 2
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("complete", str(path)) == 1
+        assert message in capsys.readouterr().err
+
     def test_inadmissible_matrix_fails(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         matrix = tmp_path / "bad.txt"

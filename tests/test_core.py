@@ -170,6 +170,11 @@ class TestImpulseResponse:
         with pytest.raises(ValueError):
             impulse_response(unit_delay(), 0)
 
+    def test_unstable_network_refused(self):
+        # largest pole modulus 2.49: the response overflows from sample 780
+        with pytest.raises(FdnError, match="not finite from sample 780"):
+            impulse_response(delay_dependent_allpass((2, 1, 1)), 2000)
+
     @pytest.mark.parametrize("length", [2.7, 2.0, True, np.float64(3.0), "4"])
     def test_length_must_be_an_integer(self, length):
         # 2.7 used to render 2 samples and True 1
@@ -196,6 +201,33 @@ class TestDelayVector:
     def test_integral_values_accepted(self, values):
         assert DelayVector(values).values == (3, 4)
         assert all(type(v) is int for v in DelayVector(values))
+
+    @pytest.mark.parametrize(
+        "values, message", [([], "at least one entry"), ([3, 0], ">= 1"), ([-2], ">= 1")]
+    )
+    def test_empty_and_nonpositive_refused(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            DelayVector(values)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, d, message",
+    [
+        (np.zeros((2, 3)), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), "must be square"),
+        (np.zeros((2, 2)), np.ones((3, 1)), np.ones((1, 2)), np.zeros((1, 1)), "inconsistent gain shapes"),
+        (np.zeros((2, 2)), np.ones((2, 1)), np.ones((2, 2)), np.zeros((1, 1)), "inconsistent gain shapes"),
+        (np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.zeros((1, 1)), "inconsistent gain shapes"),
+    ],
+)
+def test_inconsistent_system_shapes_refused(a, b, c, d, message):
+    with pytest.raises(ValueError, match=message):
+        FdnSystem(a, b, c, d, [1, 2])
+
+
+@pytest.mark.parametrize("split", [0, 3, -1])
+def test_split_point_out_of_range_refused(split):
+    with pytest.raises(ValueError, match="split point"):
+        SystemMatrix(np.eye(3), split)
 
 
 class TestPrincipalMinors:
@@ -364,6 +396,16 @@ class TestNumeratorFitGate:
         design = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999)
         assert design.fdn.order == 600
         self.assert_matches_vandermonde(design.fdn)
+
+    def test_above_the_sweep_budget(self, monkeypatch):
+        # N = 24: the FFT denominator needs no principal minors, and a
+        # certified network's numerator is its reversed denominator
+        monkeypatch.setattr(core, "principal_minors_all", lambda a: pytest.fail("a minor sweep ran"))
+        rng = np.random.default_rng(2400)
+        fdn = random_uniallpass(24, 1, 0, scaled=True, delays=rng.integers(5, 40, 24).tolist())
+        num, _ = numerator_poly(fdn)
+        den = core._circle_denominator(fdn.a, fdn.delays.as_array())
+        assert reversal_check(num[0, 0], den)[0] < core.DEFAULT_TOL
 
 
 class TestPoles:
@@ -764,7 +806,7 @@ def circle_sampling_cases():
     for n in (3, 8, 15):
         gains = rng.uniform(0.3, 0.8, n) * rng.choice([-1.0, 1.0], n)
         fdn, _ = gardner_nested(list(gains), rng.integers(5, 120, n).tolist())
-        cases += [(*lossless_embedding(fdn), samples) for samples in core._LOSSLESS_SAMPLES]
+        cases += [(*lossless_embedding(fdn), samples) for samples in core._CIRCLE_SAMPLES]
     for n, p in ((5, 2), (12, 3), (15, 1)):
         fdn = random_uniallpass(n, p, n, scaled=True, delays=rng.integers(100, 600, n).tolist())
         cases.append((*lossless_embedding(fdn), 4))
@@ -851,21 +893,39 @@ class TestCircleSampling:
         # the rest are Newton sweeps over the open brackets
         assert all(p.size < nodes for p in loop_work["points"][1:])
 
-    def test_both_lossless_passes_share_one_set(self, monkeypatch, loop_work):
+    @pytest.fixture
+    def short_first(self, monkeypatch):
+        """Makes the first pass of every circle count come up short, with
+        no sample above its bound; records the samples per pole of each
+        pass."""
         passes = []
-        circle = core._circle_poles
+        samples = core._circle_samples
 
-        def short_first(u, m, gamma, den, samples):
-            passes.append(samples)
-            return None if len(passes) == 1 else circle(u, m, gamma, den, samples)
+        def short(u, m, den, count):
+            passes.append(count // int(m.sum()))
+            phi, r, bound = samples(u, m, den, count)
+            return phi, r, np.inf if len(passes) == 1 else bound
 
-        monkeypatch.setattr(core, "_circle_poles", short_first)
+        monkeypatch.setattr(core, "_circle_samples", short)
+        return passes
+
+    def test_both_lossless_passes_share_one_set(self, short_first, loop_work):
         fdn = gardner_sweep(1, 500, 600, 2212)[0]
         assert core._lossless_proof(fdn)
-        assert passes == list(core._LOSSLESS_SAMPLES)
+        assert short_first == list(core._CIRCLE_SAMPLES)
         nodes = (fdn.order + fdn.n_io) // 2 + 1
         assert loop_work["dets"] == nodes
         assert sum(np.array_equal(p, np.arange(nodes)) for p in loop_work["points"]) == 1
+
+    def test_poles_take_the_second_pass(self, monkeypatch, short_first):
+        # a count that fails at 8 L is retried at 32 L before any Aberth solve
+        fdn = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999).fdn
+        monkeypatch.setattr(core, "_aberth_poles", lambda *args: pytest.fail("an Aberth solve ran"))
+        p = poles(fdn)
+        assert short_first == list(core._CIRCLE_SAMPLES)
+        monkeypatch.undo()
+        # the same roots as the 8 L pass finds unpatched
+        assert multiset_max_distance(p, poles(fdn)) < 1e-12
 
 
 def contraction_sweep(family):
@@ -939,8 +999,11 @@ class TestContractionProof:
         assert not core._contraction_proof(fdn.a)
         with pytest.raises(UnstableError) as exc:
             is_allpass(fdn)
-        m = fdn.delays.as_array()
-        np.testing.assert_array_equal(exc.value.poles, core._aberth_poles(fdn, *core._gcp_terms(fdn.a, m)))
+        # the fallback takes the poles from poles(): circle poles of modulus
+        # 1 for the orthogonal A = U diag(1**m), Aberth's for the chain
+        np.testing.assert_array_equal(exc.value.poles, poles(fdn))
+        aberth = core._aberth_poles(fdn, *core._gcp_terms(fdn.a, fdn.delays.as_array()))
+        assert multiset_max_distance(exc.value.poles, aberth) < 1e-12
         assert np.max(np.abs(exc.value.poles)) >= 1.0
 
     def test_long_single_line_needs_no_solve(self, no_pole_solve):
@@ -1072,13 +1135,14 @@ class TestLosslessProof:
         assert not core._contraction_proof(big.a) and not core._lossless_proof(big)
         calls = (
             lambda: gcp(big.a, big.delays),
-            lambda: numerator_poly(big),
             lambda: poles(big),
             lambda: is_allpass(big),
         )
         for call in calls:
             with pytest.raises(FdnError, match=r"N <= 20, got 22"):
                 call()
+        # the numerator fit takes the FFT denominator, which has no N budget
+        assert numerator_poly(big)[0].shape == (1, 1, big.order + 1)
 
 
 def denominator_systems():
@@ -1166,11 +1230,25 @@ class TestPoleSolveLimits:
 
         monkeypatch.setattr(core, "_newton_polygon_starts", never)
         monkeypatch.setattr(core, "principal_minors_all", never)
-        # is_allpass solves for poles only where no contraction proves
-        # stability, as for a line of gain 1.5
-        for call, gain in ((poles, 0.5), (is_allpass, 1.5)):
+        # two lines of unequal decay: no circle route; is_allpass solves for
+        # poles only where neither proof closes, as for a line of gain 1.5
+        fdn = FdnSystem.siso(np.diag([1.5, 0.5]), [1.0, 1.0], [1.0, 1.0], 0.0, [core._MAX_ORDER, 1])
+        assert core._homogeneous_factor(fdn.a, fdn.delays.as_array()) is None
+        for call in (poles, is_allpass):
             with pytest.raises(FdnError, match="order"):
-                call(FdnSystem.siso([[gain]], [1.0], [1.0], 0.0, [core._MAX_ORDER + 1]))
+                call(fdn)
+
+    @pytest.mark.parametrize("gain", [0.5, 1.5])
+    def test_circle_route_has_no_order_budget(self, monkeypatch, gain):
+        monkeypatch.setattr(core, "_aberth_poles", lambda *args: pytest.fail("an Aberth solve ran"))
+        fdn = FdnSystem.siso([[gain]], [1.0], [1.0], 0.0, [core._MAX_ORDER + 1])
+        p = poles(fdn)
+        assert p.shape == (fdn.order,)
+        assert np.max(np.abs(np.abs(p) - gain ** (1.0 / fdn.order))) < 1e-12
+        if gain > 1.0:
+            # no contraction, no certificate: the circle poles reject it
+            with pytest.raises(UnstableError):
+                is_allpass(fdn)
 
 
 class TestIsAllpass:

@@ -100,6 +100,22 @@ class TestSystemJson:
         with pytest.raises(SchemaError, match="finite"):
             loads_system(json.dumps(payload).replace('"big"', "[[1e999]]"))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: [payload], "top-level JSON value must be an object"),
+            (lambda payload: {k: payload[k] for k in ("schema", "delays", "A", "C")}, "missing required fields: B, D"),
+            (lambda payload: {**payload, "dsim": [1.0, 1.0]}, r"dsim has shape \(2,\), expected \(1,\)"),
+            (lambda payload: {**payload, "dsim": "big"}, "dsim must be finite"),
+        ],
+    )
+    def test_malformed_payload_rejected(self, edit, message):
+        payload = json.loads(dumps_system(random_uniallpass(1, 1, seed=2), dsim=[1.0]))
+        # "big" becomes 1e999, valid JSON that parses to inf
+        text = json.dumps(edit(payload)).replace('"big"', "[1e999]")
+        with pytest.raises(SchemaError, match=message):
+            loads_system(text)
+
     def test_malformed_json_reports_location(self):
         with pytest.raises(SchemaError, match="line 1"):
             loads_system("{not json")
