@@ -274,7 +274,9 @@ def gcp(a, delays):
     The returned vector has length order + 1 and is monic: ``coeffs[0] == 1``.
     Its roots (see :func:`poles`) are the system poles.  With unit delays it
     reduces to the ordinary characteristic polynomial of A.  It sums the
-    2^N principal minors of A, so N > 20 raises :class:`FdnError`.
+    2^N principal minors of A from one Schur-complement sweep
+    (:func:`principal_minors_all`, O(2^N) flops), so N > 20 raises
+    :class:`FdnError`.
     """
     a = np.asarray(a, dtype=float)
     m = delays.as_array() if isinstance(delays, DelayVector) else DelayVector(delays).as_array()
@@ -284,17 +286,23 @@ def gcp(a, delays):
 def _gcp_terms(a, m):
     """The :func:`gcp` coefficients of (A, m) and a rounding bound for each.
 
-    The LU determinant of a k x k principal submatrix is exact for the
-    submatrix with each row perturbed by about k eps of its norm, so by
-    Hadamard's inequality its error is at most k^2 eps times the product of
-    those rows' norms in A (zero for the empty minor).  A coefficient's
+    The sweep (:func:`principal_minors_all`) forms each k x k principal
+    minor as the product of the pivots of a symmetrically pivoted LU
+    factorization of its submatrix, the pivots read off the Schur
+    complements along its path.  That LU is exact for the submatrix with
+    each row perturbed by about k eps times the largest entry the row
+    reaches in those Schur complements (Higham, Accuracy and Stability of
+    Numerical Algorithms, 9.3), which is the row's own largest entry times
+    the path growth g >= 1 that the sweep carries per minor.  So by
+    Hadamard's inequality its error is at most k^2 eps g times the product
+    of those rows' norms in A (zero for the empty minor).  A coefficient's
     bound is the sum of the bounds of the minors that form it; one below its
     bound cannot be told from zero.  N > 20 raises :class:`FdnError` before
-    the sweep (:func:`principal_minors_all`).
+    the sweep.
     """
     n = a.shape[0]
     order = int(m.sum())
-    minors = principal_minors_all(a)
+    minors, growth = principal_minors_all(a, growth=True)
     # per subset (bitmask): size, delay sum and log of the product of its
     # rows' norms; a zero row gives exactly zero minors, and its tiny norm
     # makes their bound negligible
@@ -302,7 +310,7 @@ def _gcp_terms(a, m):
     ksum = subset_sums(np.asarray(m, dtype=np.int64))
     log_rows = subset_sums(np.log(np.maximum(np.linalg.norm(a, axis=1), np.finfo(float).tiny)))
     signs = np.where((n - sizes) % 2 == 1, -1.0, 1.0)
-    bounds = sizes**2 * _EPS * np.exp(log_rows)
+    bounds = sizes**2 * _EPS * growth * np.exp(log_rows)
     # the complement of subset I, whose minor forms the coefficient of
     # z**sum(m[I]), has the mask full ^ I = full - I: the reversed order
     coeffs_z = np.bincount(ksum, weights=signs * minors[::-1], minlength=order + 1)
@@ -1058,13 +1066,24 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     its lossless embedding keeps every loop matrix at its roots clear of
     singular (:func:`_lossless_proof`).  Where neither closes, the poles
     come from :func:`poles`, whose Aberth solve alone is limited to orders
-    up to 2**15 and to N <= 20 (:class:`FdnError` beyond either), and a
-    system with a pole of modulus >= 1 is rejected with the full pole list.
+    up to 2**15 and to N <= 20 (:class:`FdnError` beyond either), and an
+    unstable system is rejected with the full pole list.  A homogeneous
+    network A = U diag(gamma**m) has every pole within the pole radius of
+    |z| = gamma (:func:`_pole_radius`), so it is stable when gamma plus
+    that radius is below 1: its poles' computed moduli, gamma (1 +- eps)
+    on a lossless network, do not decide it.  Any other system is unstable
+    when a pole has computed modulus >= 1.
     """
     tol = check_tolerance(tol)
     if not (_contraction_proof(fdn.a) or _lossless_proof(fdn)):
         pole_values = poles(fdn)
-        if not np.all(np.abs(pole_values) < 1.0):
+        factor = _homogeneous_factor(fdn.a, fdn.delays.as_array())
+        if factor is not None:
+            gamma, _, radius = factor
+            inside = gamma + radius < 1.0
+        else:
+            inside = np.all(np.abs(pole_values) < 1.0)
+        if not inside:
             raise UnstableError(pole_values)
     den = _circle_denominator(fdn.a, fdn.delays.as_array())
     k = 4 * max(fdn.order, 1)

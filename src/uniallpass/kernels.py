@@ -1,14 +1,18 @@
 """The two hot numeric kernels, each one batched numpy path.
 
 The exhaustive principal-minor sweep, used by the characteristic polynomial
-and the minor-matching check, gathers the subsets of each cardinality into
-stacks of submatrices and factorizes each stack with one ``np.linalg.det``
-call.  The time-domain impulse-response recursion keeps the line outputs in
+and the minor-matching check, is one breadth-first pass of Schur
+complements over a binary tree of included and excluded indices, which
+forms all 2^N minors of a stack of matrices in O(2^N) flops each.  The
+time-domain impulse-response recursion keeps the line outputs in
 one sliding window, a row per sample, and advances it in blocks of
 max(min(delays), 64) samples.  Lines shorter than a block take their
 in-block outputs from a lifted map of the block, built once per call, so a
 block is one slice, three matrix products and one scatter.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -149,55 +153,226 @@ def impulse_kernel(a, b, c, d, delays, length):
     return out[:length]
 
 
-# Float64 entries per gathered stack of submatrices: bounds the sweep's
-# scratch memory to a few MB at N = 20, where the largest cardinality group
-# alone would need 150 MB.
+# Float64 entries per level of Schur complements: the sweep runs subtrees in
+# chunks whose widest level fits, which bounds its scratch memory to a few
+# MB at N = 20, where one level would hold 2^17 3 x 3 matrices at once.
 _STACK_ENTRIES = 1 << 17
 # Largest N of the 2^N sweep: 2^20 minors.
 _MAX_SWEEP_N = 20
+_TINY = np.finfo(np.float64).tiny
 
 
 def subset_sums(values):
-    """Sum of ``values`` over the set bits of every bitmask of
-    range(len(values)), indexed by mask and of the dtype of ``values``:
-    built by doubling, one entry at a time."""
+    """Sum of ``values`` (..., k) over the set bits of every bitmask of
+    range(k), indexed by mask along the last axis (..., 2^k) and of the
+    dtype of ``values``: built by doubling, one entry at a time."""
     values = np.asarray(values)
-    out = np.zeros(1 << values.size, dtype=values.dtype)
-    for i in range(values.size):
+    out = np.zeros(values.shape[:-1] + (1 << values.shape[-1],), dtype=values.dtype)
+    for i in range(values.shape[-1]):
         lo = 1 << i
-        np.add(out[:lo], values[i], out=out[lo : 2 * lo])
+        np.add(out[..., :lo], values[..., i : i + 1], out=out[..., lo : 2 * lo])
     return out
 
 
-def principal_minors_all(m):
-    """Determinants of all 2^N principal submatrices, indexed by bitmask.
+@functools.lru_cache(maxsize=None)
+def _drop_tables(r):
+    """(order, gather) for r x r nodes, one row per pivot position p:
+    ``order[p]`` lists the other r - 1 positions in order and then p, and
+    ``gather[p]`` the flat positions in the node's matrix of the block on
+    the other positions (row-major), of the pivot column and the pivot row
+    on them, and of the pivot."""
+    pos = np.arange(r)
+    order = np.array([np.append(np.delete(pos, p), p) for p in pos], dtype=np.intp)
+    keep = order[:, :-1]
+    block = (keep[:, :, None] * r + keep[:, None, :]).reshape(r, -1)
+    gather = np.concatenate((block, keep * r + pos[:, None], pos[:, None] * r + keep, pos[:, None] * (r + 1)), axis=1)
+    order.flags.writeable = gather.flags.writeable = False
+    return order, gather
 
-    ``out[mask]`` is the minor on the rows and columns of the set bits of
-    ``mask``, and ``out[0] = 1``.  Each minor comes from its own LU
-    factorization, as ``np.linalg.det`` of that submatrix alone would give.
-    N > 20 raises :class:`FdnError` before the sweep.
+
+def principal_minors_all(m, growth=False):
+    """Determinants of all 2^N principal submatrices of each N x N matrix of
+    the stack ``m`` (..., N, N), indexed by bitmask: shape (..., 2^N).
+
+    ``out[..., mask]`` is the minor on the rows and columns of the set bits
+    of ``mask``, and ``out[..., 0] = 1``.  N > 20 raises :class:`FdnError`
+    before the sweep.  With ``growth``, each minor's path growth (below)
+    comes back too, in an array of the same shape.
+
+    One breadth-first pass of Schur complements (Griffin & Tsatsomeros,
+    Linear Algebra Appl. 419, 2006) forms them all in O(2^N) flops.  A node
+    holds det A[I], I the indices it has included, and S = A / A[I] on the
+    indices it has not yet decided.  It pivots on p, the position whose
+    diagonal entry is largest relative to the largest entry of its row (a
+    symmetric swap, which leaves principal minors unchanged), writes
+    det A[I + p] = det A[I] S_pp and passes on two children: S without p
+    (p excluded) and S - S[:, p] S[p, :] / S_pp without p (p included).  Every subset is written by exactly one node,
+    as the product of the pivots of a symmetrically pivoted LU
+    factorization of its submatrix.  Nodes run in chunks whose subtrees'
+    widest levels hold at most ``_STACK_ENTRIES`` entries.
+
+    Small pivots.  The minors below a node are determinants of principal
+    submatrices of S by LU, which :func:`core._gcp_terms` bounds as exact
+    for each row perturbed by about r eps of its largest entry, r the order
+    of S.  Eliminating p subtracts S_ip (S_pj / S_pp) from each entry of an
+    included row i, rounded within eps of itself.  Where |S_pp| > t / r, t
+    the largest entry of row p, |S_pj / S_pp| < r: that rounding stays
+    below r eps |S_ip|, inside the perturbation row i is already granted,
+    and the row grows by at most a factor 1 + r.  Any other pivot, every
+    one indistinguishable from zero (|S_pp| <= r eps t) among them, is
+    shifted by s = t with the sign of S_pp, or by s = 1 where row p is
+    zero, so that it divides by at least t.  Choosing p by that ratio keeps
+    such shifts rare, which matters: the correction below cancels terms of
+    about t times the other rows.  The
+    included subtree then forms the minors of X + s e_p e_p^T for the
+    node's X = S, and after the pass det X_J = det(X + s e_p e_p^T)_J - s
+    det X_(J - p) corrects each of them, deepest shift first, from the
+    minors that the excluded subtree wrote.  Both terms are at most about
+    |S_pp| + t times the product of the other rows, so the correction's
+    rounding is of the size row p is granted, though not of the minor's.
+
+    Path growth.  The LU of a minor is exact for its submatrix with row i
+    perturbed by about k eps times the largest row-i entry of the Schur
+    complements along its path, where partial pivoting would keep that
+    near the row's own largest entry.  The growth of a minor is the largest
+    ratio of the two over its rows and path, at least 1.
     """
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    n = m.shape[0]
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[-1]
     if n > _MAX_SWEEP_N:
         raise FdnError(f"principal-minor sweep limited to N <= {_MAX_SWEEP_N}, got {n}")
-    sizes = subset_sums(np.ones(n, dtype=np.int8))
-    out = np.empty(sizes.size)
-    out[0] = 1.0
-    for k in range(1, n + 1):
-        group = np.flatnonzero(sizes == k)
-        step = max(1, _STACK_ENTRIES // (k * k))
-        for start in range(0, group.size, step):
-            chunk = group[start : start + step]
-            # column j holds the j-th lowest set bit of each mask, so the rows
-            # and columns of every submatrix stay in ascending order
-            idx = np.empty((chunk.size, k), dtype=np.intp)
-            rest = chunk.copy()
-            for j in range(k):
-                low = rest & -rest
-                idx[:, j] = np.frexp(low)[1] - 1
-                rest ^= low
-            # subnormal pivots make det warn "divide by zero"; the minor is right
-            with np.errstate(divide="ignore", under="ignore"):
-                out[chunk] = np.linalg.det(m[idx[:, :, None], idx[:, None, :]])
-    return out
+    count = math.prod(m.shape[:-2])
+    s = m.reshape(count, n, n).copy()
+    out = np.empty((count, 1 << n))
+    out[:, 0] = 1.0
+    grow = np.ones_like(out) if growth else None
+    if n and count:
+        key = np.arange(count, dtype=np.int64) << n
+        bits = np.tile(np.int64(1) << np.arange(n, dtype=np.int64), (count, 1))
+        rows = path = None
+        if growth:
+            # each position's largest entry in A; a zero row stays zero
+            rows = np.maximum(np.abs(s).max(axis=2), _TINY)
+            path = np.ones(count)
+        nodes = (s, bits, key, np.ones(count), rows, path)
+        with np.errstate(under="ignore"):
+            _sweep(out.reshape(-1), None if grow is None else grow.reshape(-1), nodes)
+    shape = m.shape[:-2] + (1 << n,)
+    if growth:
+        return out.reshape(shape), grow.reshape(shape)
+    return out.reshape(shape)
+
+
+def _sweep(out, grow, nodes):
+    """Run ``nodes`` and their subtrees into the flat output ``out``.
+
+    ``nodes`` is (s, bits, key, det, rows, path): the stack ``s`` (c, r, r)
+    of Schur complements, ``bits`` (c, r) with 1 << i for each position's
+    index i, ``key`` the flat output position of each node's own minor
+    ``det`` (its stack row times 2^N plus its mask) and, with ``grow``,
+    ``rows`` (c, r) with each position's largest entry in A and ``path``
+    the growth of the Schur complements above each node (else None).  Nodes run in chunks whose
+    subtrees' widest levels hold at most ``_STACK_ENTRIES`` entries, one
+    chunk after another; a node whose subtree alone is wider runs one level
+    and splits again.  Shifted pivots are corrected before the call
+    returns."""
+    shifts = []
+    while True:
+        c, r = nodes[1].shape
+        if r <= 2:
+            _last_levels(out, grow, *nodes)
+            break
+        step = max(1, _STACK_ENTRIES // _widest_level(r))
+        if c > step:
+            for i in range(0, c, step):
+                _sweep(out, grow, [None if x is None else x[i : i + step] for x in nodes])
+            break
+        nodes, shifted = _eliminate(out, grow, *nodes)
+        if shifted is not None:
+            shifts.append(shifted)
+    for record in reversed(shifts):
+        _unshift(out, *record)
+
+
+@functools.lru_cache(maxsize=None)
+def _widest_level(r):
+    """Matrix entries of the widest level of the subtree of one r x r node:
+    2^j nodes of order r - j at depth j."""
+    return max((1 << j) * (r - j) ** 2 for j in range(1, r))
+
+
+def _eliminate(out, grow, s, bits, key, det, rows, path):
+    """One level of :func:`_sweep`: write each node's minor with its pivot
+    included and return (children, shifted), the children in the layout of
+    the nodes (those without the pivot first) and ``shifted`` the
+    :func:`_unshift` arguments of the shifted pivots, or None."""
+    c, r = bits.shape
+    width = (r - 1) ** 2
+    flat = s.reshape(c, r * r)
+    top = np.abs(s).max(axis=2)
+    ratio = np.abs(flat[:, :: r + 1]) / np.maximum(top, _TINY)
+    p = np.argmax(ratio, axis=1)
+    order, gather = _drop_tables(r)
+    at = np.arange(c)[:, None]
+    v = flat[at, gather[p]]
+    piv = v[:, -1]
+    ordered = bits[at, order[p]]
+    kept = ordered[:, :-1]
+    shifted = None
+    small = r * ratio[at[:, 0], p] <= 1.0
+    if small.any():
+        # row p's largest entry, which is off the diagonal here
+        edge = top[at[small, 0], p[small]]
+        shift = np.where(edge > 0.0, np.copysign(edge, piv[small]), 1.0)
+        piv = piv.copy()
+        piv[small] += shift
+        shifted = (key[small], ordered[small, -1], shift, kept[small])
+    key_in = key + ordered[:, -1]
+    det_in = det * piv
+    out[key_in] = det_in
+    block = v[:, :width].reshape(c, r - 1, r - 1)
+    included = block - v[:, width : width + r - 1, None] * (v[:, width + r - 1 : -1] / piv[:, None])[:, None, :]
+    if grow is not None:
+        path = np.maximum(path, (top / rows).max(axis=1))
+        grow[key_in] = path
+        rows = rows[at, order[p, :-1]]
+        rows = np.concatenate((rows, rows))
+        path = np.concatenate((path, path))
+    children = (
+        np.concatenate((block, included)),
+        np.concatenate((kept, kept)),
+        np.concatenate((key, key_in)),
+        np.concatenate((det, det_in)),
+        rows,
+        path,
+    )
+    return children, shifted
+
+
+def _last_levels(out, grow, s, bits, key, det, rows, path):
+    """Write every minor of 1 x 1 and 2 x 2 nodes: a 2 x 2 node's three
+    minors are a, d and a d - b c, with no division, so it needs no
+    pivot."""
+    c, r = bits.shape
+    flat = s.reshape(c, r * r)
+    written = [key + bits[:, 0]]
+    out[written[0]] = det * flat[:, 0]
+    if r == 2:
+        written += [key + bits[:, 1], written[0] + bits[:, 1]]
+        out[written[1]] = det * flat[:, 3]
+        out[written[2]] = det * (flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2])
+    if grow is not None:
+        path = np.maximum(path, (np.abs(s).max(axis=2) / rows).max(axis=1))
+        for mask in written:
+            grow[mask] = path
+
+
+def _unshift(out, key, bit, shift, kept):
+    """det X_J = det(X + s e_p e_p^T)_J - s det X_(J - p) for every J with p
+    in J of each shifted node, over the subsets of its other positions
+    ``kept``, in chunks of at most ``_STACK_ENTRIES`` subsets."""
+    step = max(1, _STACK_ENTRIES >> kept.shape[1])
+    for i in range(0, key.size, step):
+        part = slice(i, i + step)
+        source = key[part, None] + subset_sums(kept[part])
+        out[source + bit[part, None]] -= shift[part, None] * out[source]

@@ -63,8 +63,8 @@ class MinorCheck:
     tol: float
 
 
-def schur_complements(fdn: FdnSystem) -> SchurPair:
-    """Both Schur complements; raises naming the singular block."""
+def _inverses(fdn: FdnSystem):
+    """D^-1 and A^-1; raises naming the singular block."""
     try:
         d_inv = np.linalg.inv(fdn.d)
     except np.linalg.LinAlgError:
@@ -73,6 +73,12 @@ def schur_complements(fdn: FdnSystem) -> SchurPair:
         a_inv = np.linalg.inv(fdn.a)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("feedback block A is singular") from None
+    return d_inv, a_inv
+
+
+def schur_complements(fdn: FdnSystem) -> SchurPair:
+    """Both Schur complements; raises naming the singular block."""
+    d_inv, a_inv = _inverses(fdn)
     s_d = fdn.a - fdn.b @ d_inv @ fdn.c
     s_a = fdn.d - fdn.c @ a_inv @ fdn.b
     return SchurPair(s_d=s_d, s_a=s_a)
@@ -195,19 +201,23 @@ def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCerti
 
 
 def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
-    """Exhaustive principal-minor matching between S_D and A^-1.
+    """Exhaustive principal-minor matching between S_D = A - B D^-1 C and
+    A^-1.
 
     Finds the sign s in {+1, -1} minimizing
     max over subsets I of |det S_D(I) - s det A^-1(I)| and passes when the
-    minimum is below ``tol``.  Subset enumeration is capped at N = 20
-    (:class:`FdnError` beyond it).
+    minimum is below ``tol``.  Both 2^N minor lists come from one sweep of
+    the stack (S_D, A^-1) (:func:`principal_minors_all`), each minor
+    within k^2 eps g of exact times the product of its rows' norms (see
+    :func:`core._gcp_terms`).  Subset enumeration is capped at N = 20
+    (:class:`FdnError` beyond it); a singular D or A raises
+    ``LinAlgError`` naming the block.
     """
     tol = check_tolerance(tol)
     n = fdn.n_delays
-    s_d = schur_complements(fdn).s_d
-    a_inv = np.linalg.inv(fdn.a)
-    minors_s = principal_minors_all(s_d)
-    minors_ai = principal_minors_all(a_inv)
+    d_inv, a_inv = _inverses(fdn)
+    s_d = fdn.a - fdn.b @ d_inv @ fdn.c
+    minors_s, minors_ai = principal_minors_all(np.stack((s_d, a_inv)))
     best = None
     for sign in (+1, -1):
         diffs = np.abs(minors_s - sign * minors_ai)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: polynomial
 determinants come from a permutation-sum expansion, principal minors from
-one determinant per subset, poles from a single-step state embedding or
-from the eigenvalues of the characteristic polynomial's companion matrix,
+one determinant per subset (in float64, or exactly in integers), poles
+from a single-step state embedding or from the eigenvalues of the
+characteristic polynomial's companion matrix,
 impulse responses from frequency sampling plus an inverse DFT or from one
 recursion step per sample, numerator coefficients from a dense Vandermonde
 least-squares solve, the circle route's samples from one loop determinant
@@ -14,6 +15,8 @@ product/recursion forms, and CSV text from Python's own "%.17g" applied
 one row tuple at a time.  The balanced residuals restate the three
 orthogonality identities of a balanced system block by block.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,23 +199,63 @@ def balanced_residuals(fdn: FdnSystem):
     return r1, r2, r3
 
 
-def principal_minors_loop(m):
-    """Principal minors indexed by bitmask, one subset per iteration: the
-    determinant of each principal submatrix built entry by entry."""
+def principal_minors_loop(m, masks=None):
+    """Principal minors for the bitmasks ``masks`` (every mask by default,
+    so indexed by mask), one subset per iteration: the LU determinant of
+    each principal submatrix built entry by entry.  numpy's det warns
+    "divide by zero" on subnormal pivots; the minor is right."""
     m = np.ascontiguousarray(m, dtype=np.float64)
     n = m.shape[0]
-    count = 1 << n
-    out = np.empty(count)
-    out[0] = 1.0
-    for mask in range(1, count):
-        idx = [i for i in range(n) if (mask >> i) & 1]
+    masks = range(1 << n) if masks is None else masks
+    out = np.empty(len(masks))
+    for t, mask in enumerate(masks):
+        idx = [i for i in range(n) if (int(mask) >> i) & 1]
         k = len(idx)
         sub = np.empty((k, k))
         for r in range(k):
             for s in range(k):
                 sub[r, s] = m[idx[r], idx[s]]
-        out[mask] = np.linalg.det(sub)
+        with np.errstate(divide="ignore", under="ignore"):
+            out[t] = np.linalg.det(sub) if k else 1.0
     return out
+
+
+def principal_minors_exact(m, masks=None):
+    """Exact principal minors of ``m`` as Fractions, for the bitmasks
+    ``masks`` (every mask by default).  float64 entries are binary
+    fractions: scaled by their largest denominator they become integers,
+    and each determinant comes from fraction-free (Bareiss) elimination in
+    Python integers, with a row swap past each zero pivot."""
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[0]
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in m]
+    scale = max((den for row in ratios for _, den in row), default=1)
+    whole = [[num * (scale // den) for num, den in row] for row in ratios]
+    out = []
+    for mask in range(1 << n) if masks is None else masks:
+        idx = [i for i in range(n) if (int(mask) >> i) & 1]
+        rows = [[whole[i][j] for j in idx] for i in idx]
+        out.append(Fraction(_bareiss(rows), scale ** len(idx)))
+    return out
+
+
+def _bareiss(rows):
+    """Determinant of a square integer matrix (list of lists, consumed)."""
+    sign, prev = 1, 1
+    k = len(rows)
+    for t in range(k - 1):
+        if rows[t][t] == 0:
+            swap = next((i for i in range(t + 1, k) if rows[i][t] != 0), None)
+            if swap is None:
+                return 0
+            rows[t], rows[swap] = rows[swap], rows[t]
+            sign = -sign
+        pivot = rows[t][t]
+        for i in range(t + 1, k):
+            for j in range(t + 1, k):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][t] * rows[t][j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if k else 1
 
 
 def impulse_loop(a, b, c, d, delays, length):

@@ -1,10 +1,11 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import impulse_error_bound, random_stable_fdn
-from oracles import impulse_loop, principal_minor, principal_minors_loop
+from oracles import impulse_loop, principal_minors_exact, principal_minors_loop
 from uniallpass import (
     DelayVector,
     FdnError,
@@ -14,7 +15,7 @@ from uniallpass import (
     principal_minor_list,
     schroeder_series,
 )
-from uniallpass.kernels import block_size, impulse_kernel, lifted_map, principal_minors_all
+from uniallpass.kernels import block_size, impulse_kernel, lifted_map, principal_minors_all, subset_sums
 
 
 def _recursion_cases(rng):
@@ -131,27 +132,102 @@ def _gate_matrices(rng, n):
     }
 
 
+def _minor_bounds(m):
+    """The rounding bound of :func:`core._gcp_terms` without the path growth,
+    per bitmask: k^2 eps times the product of the subset's row norms in
+    ``m``, k the subset size."""
+    n = m.shape[0]
+    sizes = subset_sums(np.ones(n, dtype=np.int64))
+    rows = subset_sums(np.log(np.maximum(np.linalg.norm(m, axis=1), np.finfo(float).tiny)))
+    return sizes**2 * np.finfo(float).eps * np.exp(rows)
+
+
+def _assert_within_bound(m, masks, name, sweep=None):
+    """The sweep (``sweep``, or a fresh one) and the per-subset LU oracle
+    both lie within the bound of the exact minors on every one of
+    ``masks``."""
+    exact = principal_minors_exact(m, masks)
+    bound = _minor_bounds(m)[masks]
+    sweep = principal_minors_all(m) if sweep is None else sweep
+    lu = principal_minors_loop(m, masks)
+    for label, minors in (("sweep", sweep[masks].tolist()), ("LU", lu.tolist())):
+        error = np.array([float(abs(Fraction(x) - e)) for x, e in zip(minors, exact)])
+        worst = int(np.argmax(error - bound))
+        assert error[worst] <= bound[worst], (name, label, int(masks[worst]), error[worst], bound[worst])
+
+
 @pytest.mark.parametrize("n", range(1, 13))
-def test_minor_sweep_bitwise_equals_per_subset_oracle(rng, n):
+def test_minor_sweep_within_rounding_bound_of_exact_minors(rng, n):
+    masks = np.arange(1 << n)
     for name, m in _gate_matrices(rng, n).items():
-        assert np.array_equal(principal_minors_all(m), principal_minors_loop(m)), name
+        _assert_within_bound(m, masks, name)
 
 
-def test_minor_sweep_at_n16_matches_single_minors(rng):
-    m = rng.standard_normal((16, 16))
-    all_minors = principal_minors_all(m)
-    for mask in rng.choice(1 << 16, size=300, replace=False):
-        subset = [i for i in range(16) if (mask >> i) & 1]
-        assert all_minors[mask] == principal_minor(m, subset)
+@pytest.mark.parametrize("n", [16, 20])
+def test_minor_sweep_at_large_n_within_rounding_bound(rng, n):
+    masks = rng.choice(1 << n, size=300, replace=False)
+    for name in ("random", "poletti"):
+        _assert_within_bound(_gate_matrices(rng, n)[name], masks, name)
 
 
 def test_principal_minors_indexing(rng):
     for n in (0, 1, 4, 9):
         m = rng.standard_normal((n, n))
-        reference = principal_minors_loop(m)
+        by_mask = principal_minors_all(m)
         subsets, values = principal_minor_list(m)
         assert subsets == [s for k in range(n + 1) for s in combinations(range(n), k)]
-        assert np.array_equal(values, [reference[sum(1 << i for i in s)] for s in subsets])
+        assert np.array_equal(values, [by_mask[sum(1 << i for i in s)] for s in subsets])
+
+
+def _degenerate_matrices(rng, n):
+    zero_diag = rng.standard_normal((n, n))
+    np.fill_diagonal(zero_diag, 0.0)
+    # pivots far above rounding but far below their rows: dividing by them
+    # would grow the Schur complements by 1e9
+    small_diag = rng.standard_normal((n, n))
+    np.fill_diagonal(small_diag, 1e-9 * rng.standard_normal(n))
+    zero_line = rng.standard_normal((n, n))
+    zero_line[2] = 0.0
+    zero_line[:, 2] = 0.0
+    singular_corner = rng.standard_normal((n, n))
+    singular_corner[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+    repeated = rng.standard_normal((n, n))
+    repeated[-1] = repeated[0]
+    subnormal = np.zeros((n, n))
+    subnormal[0] = 1.0
+    subnormal[-1, 0] = 2.22507386e-311
+    return {
+        "zero-diagonal": zero_diag,
+        "small-diagonal": small_diag,
+        "zero-row-and-column": zero_line,
+        "singular-leading-2x2": singular_corner,
+        "repeated-row": repeated,
+        "subnormal-under-zero-rows": subnormal,
+        "zero": np.zeros((n, n)),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_minor_sweep_degenerate_inputs(rng, n):
+    masks = np.arange(1 << n)
+    for name, m in _degenerate_matrices(rng, n).items():
+        with np.errstate(all="raise"):
+            sweep = principal_minors_all(m)
+        _assert_within_bound(m, masks, name, sweep)
+        if name == "zero-row-and-column":
+            # every minor through the zero row is exactly zero
+            assert np.all(sweep[(masks >> 2) & 1 == 1] == 0.0)
+
+
+def test_minor_sweep_of_a_stack_equals_single_calls(rng):
+    for n in (1, 5, 13):
+        stack = rng.standard_normal((2, n, n))
+        stack[1, :, 0] = 0.0
+        both = principal_minors_all(stack)
+        assert both.shape == (2, 1 << n)
+        for k in range(2):
+            assert np.array_equal(both[k], principal_minors_all(stack[k]))
+    assert principal_minors_all(np.ones((3, 4, 0, 0))).shape == (3, 4, 1)
 
 
 def test_minor_sweep_size_guard():
