@@ -65,16 +65,21 @@ Loop matrices
 -------------
 Every stack of loop matrices diag(z**m_i) - X (for H itself, for the
 circle route's determinants and Newton traces, for the Aberth sweeps'
-Newton ratios, for the FFT denominator and for the lossless route's
-singular values) comes from one helper that forms their diagonals and
-reduces them in chunks of at most ``_LOOP_ENTRIES`` complex entries, so no
-order leads to a large array.  The allpass test evaluates H once, on 4 * order uniform and a few
-random unit-circle points: unitarity is measured on all of them and the
-numerator of det H is fitted on the uniform ones.  Its denominator, the
-loop determinant's z^-1 coefficients, is one inverse real FFT of loop
-determinants on order + 1 uniform nodes, and :func:`numerator_poly` fits
-against the same; the principal-minor sweep of :func:`gcp`, limited to
-N <= 20, serves the Aberth solve and the public coefficients only.
+Newton ratios, for the FFT denominator and numerator and for the lossless
+route's singular values) comes from one helper that forms their diagonals
+and reduces them in chunks of at most ``_LOOP_ENTRIES`` complex entries,
+so no order leads to a large array.  X may be bordered by rows and columns
+that carry no power.  The allpass test reads coefficients of loop
+determinants: the denominator det(diag(z**m) - A), and the numerator of
+det H, the same determinant bordered by B, C and D (Schur's determinant
+identity), each one inverse real FFT of its values on the order / 2 + 1
+upper-half nodes of order + 1 uniform ones.  Its unitarity test evaluates
+H once, on the order + 2 upper-half nodes of 2 order + 2 uniform ones and
+a few random unit-circle points, reduced chunk by chunk.
+:func:`numerator_poly` fits H on the upper half of order + 9 nodes
+against the same denominator; the principal-minor sweep of :func:`gcp`,
+limited to N <= 20, serves the Aberth solve and the public coefficients
+only.
 """
 
 from __future__ import annotations
@@ -144,10 +149,13 @@ _LOSSLESS_DELTA = 1e-10
 class AllpassReport:
     """Outcome of the two-sided allpass test for a specific delay vector.
 
-    ``grid_deviation`` is the largest ``||H H* - I||`` over the evaluation
-    grid; ``reversal_deviation`` is the largest coefficient mismatch between
-    the numerator of det H and the sign-flipped, order-reversed denominator;
-    ``sign`` is the +-1 factor that minimized it.
+    ``grid_deviation`` is the largest entry of ``|H H* - I|`` over the
+    evaluation grid, 2 order + 2 uniform and 8 random unit-circle points,
+    the uniform ones taken by conjugate symmetry from their upper half;
+    ``reversal_deviation`` is the largest coefficient mismatch between the
+    numerator of det H, a bordered loop determinant, and the sign-flipped,
+    order-reversed denominator; ``sign`` is the +-1 factor that minimized
+    it.
     """
 
     allpass: bool
@@ -160,15 +168,16 @@ class AllpassReport:
 def _loop_chunks(x, points, powers, reduce):
     """``reduce(P, p)`` over chunks of the 1-D ``points``, p = powers(chunk)
     the (k, N) diagonals of the stacked complex loop matrices P =
-    diag(p[k]) - X; each chunk holds at most ``_LOOP_ENTRIES`` entries, and
-    only one chunk's stack exists at a time.  The results are concatenated
-    along the first axis."""
+    diag(p[k], 0) - X: an X larger than N x N is bordered, and its last
+    rows and columns carry no power.  Each chunk holds at most
+    ``_LOOP_ENTRIES`` entries, and only one chunk's stack exists at a time.
+    The results are concatenated along the first axis."""
     n = x.shape[0]
-    diag = np.arange(n)
     chunk = max(1, _LOOP_ENTRIES // x.size)
     parts = []
     for start in range(0, points.size, chunk):
         power = powers(points[start : start + chunk])
+        diag = np.arange(power.shape[1])
         loop = np.negative(x, out=np.empty((power.shape[0], n, n), dtype=complex))
         loop[:, diag, diag] += power
         parts.append(reduce(loop, power))
@@ -186,6 +195,15 @@ def _unit_powers(m):
 
 def frequency_response(fdn: FdnSystem, zs):
     """Evaluate H at a 1-D array of z values; returns (len(zs), P, P)."""
+    return _responses(fdn, zs, lambda h: h)
+
+
+def _responses(fdn: FdnSystem, zs, reduce):
+    """``reduce(H)`` over chunks of the 1-D ``zs``, H the (k, P, P) values
+    of the transfer function on a chunk of at most ``_LOOP_ENTRIES`` loop
+    matrix entries (:func:`_loop_chunks`), concatenated along the first
+    axis.  A z where the loop matrix is singular raises
+    :class:`PoleEvaluationError`."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs == 0):
         raise ValueError("transfer function is undefined at z = 0")
@@ -196,7 +214,7 @@ def frequency_response(fdn: FdnSystem, zs):
 
     def response(loop, _):
         x = np.linalg.solve(loop, np.broadcast_to(fdn.b, (loop.shape[0],) + fdn.b.shape))
-        return np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d
+        return reduce(np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d)
 
     try:
         return _loop_chunks(fdn.a, zs, powers, response)
@@ -302,30 +320,36 @@ def _gcp_terms(a, m):
     """
     n = a.shape[0]
     order = int(m.sum())
-    minors, growth = principal_minors_all(a, growth=True)
-    # per subset (bitmask): size, delay sum and log of the product of its
-    # rows' norms; a zero row gives exactly zero minors, and its tiny norm
-    # makes their bound negligible
-    sizes = subset_sums(np.ones(n, dtype=np.int64))
-    ksum = subset_sums(np.asarray(m, dtype=np.int64))
-    log_rows = subset_sums(np.log(np.maximum(np.linalg.norm(a, axis=1), np.finfo(float).tiny)))
-    signs = np.where((n - sizes) % 2 == 1, -1.0, 1.0)
-    bounds = sizes**2 * _EPS * growth * np.exp(log_rows)
-    # the complement of subset I, whose minor forms the coefficient of
-    # z**sum(m[I]), has the mask full ^ I = full - I: the reversed order
-    coeffs_z = np.bincount(ksum, weights=signs * minors[::-1], minlength=order + 1)
-    floor_z = np.bincount(ksum, weights=bounds[::-1], minlength=order + 1)
-    return coeffs_z[::-1].copy(), floor_z[::-1].copy()
+    minors, bounds = principal_minors_all(a, growth=True)
+    # in place on the sweep's two arrays, indexed by subset (bitmask): the
+    # sign (-1)**|J| on each minor, and on each path growth the product of
+    # its rows' norms (a zero row gives exactly zero minors, and its tiny
+    # norm makes their bound negligible), then |J|^2 eps
+    norms = np.maximum(np.linalg.norm(a, axis=1), np.finfo(float).tiny)
+    for i in range(n):
+        minors.reshape(-1, 2, 1 << i)[:, 1] *= -1.0
+        bounds.reshape(-1, 2, 1 << i)[:, 1] *= norms[i]
+    sizes = subset_sums(np.ones(n, dtype=np.int8))
+    bounds *= sizes
+    bounds *= sizes
+    bounds *= _EPS
+    del sizes
+    # the minor on J forms the coefficient of z**sum(m[I]) for I the
+    # complement of J, which is that of z**-sum(m[J]) in the z^-1 form
+    ksum = subset_sums(np.asarray(m, dtype=np.intp))
+    coeffs = np.bincount(ksum, weights=minors, minlength=order + 1)
+    return coeffs, np.bincount(ksum, weights=bounds, minlength=order + 1)
 
 
-def _circle_denominator(a, m):
-    """The :func:`gcp` coefficients of (A, m) from det(diag(z**m) - A)
-    z**-order on the K = order + 1 uniform unit-circle nodes z_j =
-    exp(2 pi i j / K): there a z^-1 polynomial of degree order is the DFT of
-    its coefficients, and A is real, so the nodes with 0 <= j <= K / 2 give
-    them by one inverse real FFT, to an absolute error of about eps times
-    the largest |det| on the circle.  ``coeffs[0]`` is set to its exact
-    value 1."""
+def _node_coefficients(x, m):
+    """z^-1 coefficients of the loop determinant det(diag(z**m, 0) - X)
+    z**-order, order = sum(m), of a real square X whose rows and columns
+    after the first m.size (a border, possibly empty) carry no power, from
+    its values on the K = order + 1 uniform unit-circle nodes z_j = exp(2 pi
+    i j / K).  There a z^-1 polynomial of degree order is the DFT of its
+    coefficients, and X is real, so the nodes with 0 <= j <= K / 2 give them
+    by one inverse real FFT, to an absolute error of about eps times the
+    largest |det| on the circle."""
     count = int(m.sum()) + 1
     j = np.arange(count // 2 + 1)
 
@@ -333,27 +357,48 @@ def _circle_denominator(a, m):
         # z_k**m_i = exp(2 pi i (k m_i mod K) / K): reduced exactly in integers
         return np.exp(2j * np.pi * ((k[:, None] * m) % count) / count)
 
-    dets = _loop_chunks(a, j, powers, lambda loop, _: np.linalg.det(loop))
+    dets = _loop_chunks(x, j, powers, lambda loop, _: np.linalg.det(loop))
     # z_j**-order = z_j, as order = K - 1
-    coeffs = np.fft.irfft(dets * np.exp(2j * np.pi * j / count), count)
+    return np.fft.irfft(dets * np.exp(2j * np.pi * j / count), count)
+
+
+def _circle_denominator(a, m):
+    """The :func:`gcp` coefficients of (A, m): the unbordered
+    :func:`_node_coefficients`, with ``coeffs[0]`` set to its exact value
+    1."""
+    coeffs = _node_coefficients(a, m)
     coeffs[0] = 1.0
     return coeffs
 
 
-def _numerator_fit(samples, den):
+def _circle_numerator(fdn: FdnSystem):
+    """z^-1 coefficients of the numerator of det H over the denominator
+    :func:`_circle_denominator`: det(diag(z**m) - A) det H(z) z**-order.
+    By the Schur determinant identity det([[P, -B], [-C, -D]]) = det P
+    det(-D - C P^-1 B) = (-1)**P det P det H for the loop matrix P =
+    diag(z**m) - A, so it is (-1)**P times the :func:`_node_coefficients`
+    of the system matrix [[A, B], [C, D]] bordered by its P outputs.  Both
+    sides are polynomials in z, so no H, no solve and no D^-1 enter, and a
+    singular P or D is no exception."""
+    u = SystemMatrix.from_fdn(fdn).u
+    return (-1.0) ** fdn.n_io * _node_coefficients(u, fdn.delays.as_array())
+
+
+def _numerator_fit(samples, den, count):
     """z^-1 coefficients of the product of ``den`` (length order + 1) and
-    ``samples`` of H, or of a function of H such as det H, on K >= order + 1
-    uniform unit-circle nodes exp(2 pi i k / K), stacked along the first
-    axis.  On those nodes a z^-1 polynomial is the length-K DFT of its
-    zero-padded coefficients, so the least-squares fit is the head of one
-    inverse FFT.  Returns (real coefficients, trailing axis of length
+    ``samples`` of H on the nodes exp(2 pi i j / K), 0 <= j <= K // 2, of K =
+    ``count`` >= order + 1 uniform unit-circle nodes, stacked along the
+    first axis.  On all K nodes a z^-1 polynomial is the length-K DFT of its
+    zero-padded coefficients, and for a real system H(conj z) = conj H(z),
+    so the least-squares fit is the head of one inverse real FFT of the
+    upper half.  Returns (real coefficients, trailing axis of length
     order + 1; largest sample mismatch of the fit; largest sample
-    magnitude)."""
-    count = samples.shape[0]
-    den_values = np.fft.fft(den, count)
-    values = samples * den_values.reshape((count,) + (1,) * (samples.ndim - 1))
-    coeffs = np.fft.ifft(values, axis=0)[: den.size].real
-    resid = float(np.max(np.abs(np.fft.fft(coeffs, count, axis=0) - values)))
+    magnitude): on the lower half both are the conjugates of the upper
+    half's."""
+    den_values = np.fft.rfft(den, count)
+    values = samples * den_values.reshape((-1,) + (1,) * (samples.ndim - 1))
+    coeffs = np.fft.irfft(values, count, axis=0)[: den.size]
+    resid = float(np.max(np.abs(np.fft.rfft(coeffs, count, axis=0) - values)))
     scale = float(np.max(np.abs(values)))
     return np.moveaxis(coeffs, 0, -1), resid, scale
 
@@ -361,8 +406,10 @@ def _numerator_fit(samples, den):
 def numerator_poly(fdn: FdnSystem, tol=1e-6):
     """Numerator coefficients of H(z), shape (P, P, order + 1), ascending in
     z^-1.  H times the FFT denominator of :func:`is_allpass` is sampled on
-    order + 1 + 8 uniform unit-circle nodes; there the least-squares
-    polynomial fit is a DFT, so one inverse FFT recovers the coefficients.
+    the upper half, 0 <= omega <= pi, of K = order + 1 + 8 uniform
+    unit-circle nodes (the lower half holds their conjugates); there the
+    least-squares polynomial fit is a DFT, so one inverse real FFT recovers
+    the coefficients.
 
     Returns (coefficients, fit residual): the largest mismatch between the
     fitted polynomial and the samples.  A residual above ``tol`` times the
@@ -370,8 +417,8 @@ def numerator_poly(fdn: FdnSystem, tol=1e-6):
     """
     tol = check_tolerance(tol)
     count = fdn.order + 1 + _FIT_PAD
-    h = frequency_response(fdn, np.exp(2j * np.pi * np.arange(count) / count))
-    coeffs, resid, scale = _numerator_fit(h, _circle_denominator(fdn.a, fdn.delays.as_array()))
+    h = frequency_response(fdn, np.exp(2j * np.pi * np.arange(count // 2 + 1) / count))
+    coeffs, resid, scale = _numerator_fit(h, _circle_denominator(fdn.a, fdn.delays.as_array()), count)
     if resid > tol * max(1.0, scale):
         raise ConditioningError(
             f"numerator fit residual {resid:.3g} exceeds tolerance", residual=resid
@@ -1044,17 +1091,22 @@ def reversal_check(num, den):
 
 
 def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
-    """Two independent allpass tests for the system's own delay vector, from
-    one evaluation of H on 4 * order uniform plus a few seeded random
-    unit-circle points.
+    """Two independent allpass tests for the system's own delay vector.
 
-    The grid test measures unitarity of H on all of those points; the
-    reversal test fits the numerator of det H on the uniform ones (any
-    K >= order + 1 uniform nodes make the fit one inverse FFT, see
-    :func:`numerator_poly`) and checks that it equals the reversed
-    denominator up to sign.  The denominator comes from one inverse FFT of
-    loop determinants on order + 1 nodes (:func:`_circle_denominator`), so
-    no route sweeps principal minors for it.
+    The reversal test checks that the numerator of det H equals the
+    reversed denominator up to sign.  Both are loop determinants, the
+    numerator bordered by the system's outputs (:func:`_circle_numerator`),
+    and each comes from one inverse real FFT of its values on order / 2 + 1
+    of the order + 1 uniform nodes (:func:`_node_coefficients`): no H, and
+    no route sweeps principal minors.
+
+    The grid test measures unitarity, the largest entry of |H H* - I|, on
+    K = 2 order + 2 uniform and 8 seeded random unit-circle points.  H H* -
+    I is a trigonometric polynomial of degree order in the angle, which
+    2 order + 1 nodes determine, and for a real system its value at conj z
+    is the conjugate of its value at z, so only the order + 2 nodes with 0
+    <= omega <= pi are evaluated: one pass of H, reduced chunk by chunk, so
+    its memory does not grow with the order.
 
     Stability is proven without a pole solve in two ways.  For every delay
     vector, when ||A||_2 (1 + N^2 eps) < 1, or when v = (I - |A|)^-1 1 is
@@ -1086,14 +1138,16 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
         if not inside:
             raise UnstableError(pole_values)
     den = _circle_denominator(fdn.a, fdn.delays.as_array())
-    k = 4 * max(fdn.order, 1)
+    rev_dev, sign = reversal_check(_circle_numerator(fdn), den)
+    half = fdn.order + 1
     extra = np.random.default_rng(_GRID_SEED).uniform(0.0, 2.0 * np.pi, _GRID_RANDOM)
-    omega = np.concatenate([2.0 * np.pi * np.arange(k) / k, extra])
-    h = frequency_response(fdn, np.exp(1j * omega))
-    prod = h @ np.conj(np.swapaxes(h, 1, 2))
-    grid_dev = float(np.max(np.abs(prod - np.eye(fdn.n_io))))
-    num_det = _numerator_fit(np.linalg.det(h[:k]), den)[0]
-    rev_dev, sign = reversal_check(num_det, den)
+    omega = np.concatenate([np.pi * np.arange(half + 1) / half, extra])
+    eye = np.eye(fdn.n_io)
+
+    def unitarity(h):
+        return np.max(np.abs(h @ np.conj(np.swapaxes(h, 1, 2)) - eye), axis=(1, 2))
+
+    grid_dev = float(np.max(_responses(fdn, np.exp(1j * omega), unitarity)))
     return AllpassReport(
         allpass=bool(grid_dev < tol and rev_dev < tol),
         grid_deviation=grid_dev,

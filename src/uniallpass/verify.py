@@ -63,17 +63,17 @@ class MinorCheck:
     tol: float
 
 
+def _inverse(block, name):
+    """``block``^-1; raises LinAlgError naming the block if it is singular."""
+    try:
+        return np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(f"{name} is singular") from None
+
+
 def _inverses(fdn: FdnSystem):
     """D^-1 and A^-1; raises naming the singular block."""
-    try:
-        d_inv = np.linalg.inv(fdn.d)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("direct-gain block D is singular") from None
-    try:
-        a_inv = np.linalg.inv(fdn.a)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("feedback block A is singular") from None
-    return d_inv, a_inv
+    return _inverse(fdn.d, "direct-gain block D"), _inverse(fdn.a, "feedback block A")
 
 
 def schur_complements(fdn: FdnSystem) -> SchurPair:
@@ -144,13 +144,12 @@ def dsim_from_hadamard_quotient(sys: SystemMatrix, tol=1e-6):
     graph (which must be connected).  A nonzero entry of S_D^-1 sitting on a
     zero of A^T means the patterns disagree and the recovery is rejected; so
     is a disconnected pattern.  The result is scale-free and normalized to
-    ``dsim[0] = 1``.
+    ``dsim[0] = 1``.  S_D = A - B D^-1 C is formed directly, so A is never
+    inverted; a singular D raises ``LinAlgError`` naming the block.
     """
     tol = check_tolerance(tol)
     a, b, c, d = sys.blocks
-    fdn = FdnSystem(a, b, c, d, [1] * sys.split)
-    s_d = schur_complements(fdn).s_d
-    s_inv = np.linalg.inv(s_d)
+    s_inv = np.linalg.inv(a - b @ _inverse(d, "direct-gain block D") @ c)
     n = sys.split
     structural = 1e-9 * max(float(np.max(np.abs(a))), float(np.max(np.abs(s_inv))))
     support = np.abs(a.T) > structural

@@ -148,6 +148,21 @@ def numerator_vandermonde(fdn, reduce=None, pad=8):
     return np.moveaxis(coeffs, 0, -1).reshape(out_shape), resid, float(np.max(np.abs(values)))
 
 
+def numerator_det_grid(fdn, count):
+    """Numerator of det H by the full-circle fit: det H times the FFT
+    denominator at ``count`` >= order + 1 uniform unit-circle nodes, whose
+    head of one inverse FFT is the least-squares fit (the allpass test's
+    reversal numerator before it took bordered determinants, at ``count`` =
+    4 order).  Returns (real coefficients, largest sample magnitude)."""
+    from uniallpass import frequency_response
+    from uniallpass.core import _circle_denominator
+
+    den = _circle_denominator(fdn.a, fdn.delays.as_array())
+    h = frequency_response(fdn, np.exp(2j * np.pi * np.arange(count) / count))
+    values = np.linalg.det(h) * np.fft.fft(den, count)
+    return np.fft.ifft(values)[: den.size].real, float(np.max(np.abs(values)))
+
+
 def balanced_form(fdn: FdnSystem, dsim) -> FdnSystem:
     """Similarity image under T = sqrt(dsim); when the certificate holds the
     resulting block system matrix is orthogonal."""

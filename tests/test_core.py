@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from oracles import (
     embedding_matrix,
     gcp_leibniz,
     multiset_max_distance,
+    numerator_det_grid,
     numerator_leibniz,
     numerator_vandermonde,
     poles_companion,
@@ -315,6 +318,41 @@ class TestGcp:
         assert coeffs.size == sum(m) + 1
         # constant term carries the full determinant with alternating sign
         assert coeffs[-1] == pytest.approx(((-1.0) ** n) * reference, abs=1e-9)
+
+
+    def test_terms_per_subset(self, rng):
+        # each coefficient of z**-k sums (-1)**|J| det A(J) over the subsets
+        # J with sum(m[J]) = k, its bound |J|^2 eps g_J prod_{i in J} ||a_i||
+        for n in (1, 3, 6):
+            a = rng.standard_normal((n, n))
+            m = rng.integers(1, 5, n)
+            minors, growth = core.principal_minors_all(a, growth=True)
+            norms = np.linalg.norm(a, axis=1)
+            coeffs, floor = np.zeros(m.sum() + 1), np.zeros(m.sum() + 1)
+            for mask in range(1 << n):
+                rows = [i for i in range(n) if mask >> i & 1]
+                k = int(m[rows].sum())
+                coeffs[k] += (-1) ** len(rows) * minors[mask]
+                floor[k] += len(rows) ** 2 * core._EPS * growth[mask] * np.prod(norms[rows])
+            got = core._gcp_terms(a, m)
+            np.testing.assert_allclose(got[0], coeffs, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got[1], floor, rtol=1e-14, atol=0)
+
+    def test_peak_memory_near_the_sweep(self):
+        # the signs and bounds are built in place on the sweep's own two
+        # arrays: about eight 2^N arrays at once read 1.9 times the sweep here
+        fdn = random_uniallpass(18, 1, 1, scaled=True, delays=range(1, 19))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sweep = peak(lambda: core.principal_minors_all(fdn.a, growth=True))
+        assert peak(lambda: gcp(fdn.a, fdn.delays)) <= 1.3 * sweep
 
 
 class TestRationalForm:
@@ -1196,6 +1234,52 @@ class TestCircleDenominator:
             assert abs(report.reversal_deviation - sweep.reversal_deviation) < 1e-12
 
 
+class TestBorderedNumerator:
+    """The numerator of det H from bordered loop determinants on the FFT
+    denominator's nodes, against the fits it replaced.  Errors are relative
+    to the largest sample magnitude of det H times the denominator on the
+    circle; the worst measured is 1.2e-15."""
+
+    def systems(self, p, rng):
+        for _ in range(4):
+            n = int(rng.integers(1, 6))
+            delays = random_delays(rng, n, 10)
+            yield random_uniallpass(n, p, int(rng.integers(1 << 30)), scaled=True, delays=delays)
+            yield random_stable_fdn(rng, n, p, delays=delays)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_vandermonde_fit(self, p):
+        for fdn in self.systems(p, np.random.default_rng(2600 + p)):
+            ref, _, scale = numerator_vandermonde(fdn, np.linalg.det)
+            assert np.max(np.abs(core._circle_numerator(fdn) - ref)) <= 1e-13 * scale
+
+    def test_matches_cofactor_expansion(self):
+        for fdn in self.systems(1, np.random.default_rng(2604)):
+            num = core._circle_numerator(fdn)
+            assert np.max(np.abs(num - numerator_leibniz(fdn))) <= 1e-13 * np.max(np.abs(num))
+
+    def test_matches_the_full_circle_fit_at_order_600(self):
+        design = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999)
+        ref, scale = numerator_det_grid(design.fdn, 4 * design.fdn.order)
+        assert np.max(np.abs(core._circle_numerator(design.fdn) - ref)) <= 1e-13 * scale
+
+    def test_one_determinant_per_node(self, monkeypatch):
+        # (order + 1) // 2 + 1 bordered (N + P) x (N + P) loop matrices, no
+        # solve
+        fdn = random_uniallpass(3, 2, 5, scaled=True, delays=[4, 7, 2])
+        sizes = []
+        chunks = core._loop_chunks
+
+        def counting(x, points, powers, reduce):
+            sizes.append((x.shape, points.size))
+            return chunks(x, points, powers, reduce)
+
+        monkeypatch.setattr(core, "_loop_chunks", counting)
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("a solve ran"))
+        core._circle_numerator(fdn)
+        assert sizes == [((5, 5), (fdn.order + 1) // 2 + 1)]
+
+
 class TestLoopLogDerivative:
     # f = z**4000 (z**3 + 0.5) with the zero roots deflated: f'/f is
     # 3 z**2 / (z**3 + 0.5)
@@ -1296,20 +1380,23 @@ class TestIsAllpass:
         assert not rep.allpass
 
     def test_one_transfer_function_pass(self, monkeypatch):
+        # H once, on the upper half of 2 order + 2 uniform nodes and the
+        # random points; the reversal test fits no samples of H
         calls = []
-        response = core.frequency_response
+        response = core._responses
 
-        def counting(fdn, zs):
+        def counting(fdn, zs, reduce):
             calls.append(len(zs))
-            return response(fdn, zs)
+            return response(fdn, zs, reduce)
 
-        monkeypatch.setattr(core, "frequency_response", counting)
+        monkeypatch.setattr(core, "_responses", counting)
+        monkeypatch.setattr(core, "_numerator_fit", lambda *args: pytest.fail("a numerator fit ran"))
         fdn, _ = schroeder_series([0.3, -0.5, 0.7], [3, 1, 4])
         assert is_allpass(fdn).allpass
-        assert calls == [4 * fdn.order + core._GRID_RANDOM]
+        assert calls == [fdn.order + 2 + core._GRID_RANDOM]
 
     def test_reversal_deviation_matches_numerator_poly(self):
-        # the fit on the 4 * order grid measures what the numerator fit on
+        # the bordered determinants measure what the numerator fit on
         # order + 9 nodes measures; for SISO det H = H
         rng = np.random.default_rng(16)
         systems = []
@@ -1324,6 +1411,66 @@ class TestIsAllpass:
         for fdn in systems:
             ref, _ = reversal_check(numerator_poly(fdn)[0][0, 0], gcp(fdn.a, fdn.delays))
             assert abs(is_allpass(fdn).reversal_deviation - ref) < 1e-11
+
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_zero_direct_gain_delay_lines(self, p):
+        # A = 0, B = C = I, D = 0: H = diag(z**-m), allpass with no D^-1
+        fdn = FdnSystem(np.zeros((p, p)), np.eye(p), np.eye(p), np.zeros((p, p)), [5, 3][:p])
+        rep = is_allpass(fdn)
+        assert rep.allpass
+        assert rep.grid_deviation < 1e-14 and rep.reversal_deviation < 1e-14
+
+    def test_half_grid_equals_full_grid(self):
+        # H(conj z) = conj H(z): the upper half of the 2 order + 2 nodes and
+        # the random points give the maximum over all of them, up to the
+        # rounding of the powers z**m of a rounded z, about m eps
+        rng = np.random.default_rng(2605)
+        systems = [
+            random_uniallpass(4, p, seed, scaled=True, delays=random_delays(rng, 4, 20))
+            for p in (1, 2, 3)
+            for seed in range(3)
+        ]
+        systems += [random_stable_fdn(rng, 3, p) for p in (1, 2)]
+        for fdn in systems:
+            k = 2 * fdn.order + 2
+            extra = np.random.default_rng(core._GRID_SEED).uniform(0.0, 2.0 * np.pi, core._GRID_RANDOM)
+            zs = np.exp(1j * np.concatenate([2.0 * np.pi * np.arange(k) / k, extra]))
+            h = frequency_response(fdn, zs)
+            full = np.max(np.abs(h @ np.conj(np.swapaxes(h, 1, 2)) - np.eye(fdn.n_io)))
+            bound = 4 * fdn.order * core._EPS * max(1.0, full)
+            assert abs(is_allpass(fdn).grid_deviation - full) <= bound
+
+    def test_perturbed_and_counterexample_systems_fail(self):
+        rng = np.random.default_rng(2606)
+        for p in (1, 2, 3):
+            n = int(rng.integers(2, 7))
+            fdn = random_uniallpass(n, p, p, scaled=True, delays=rng.integers(1, 20, n).tolist())
+            assert is_allpass(fdn).allpass
+            e = rng.standard_normal((n, n))
+            bad = is_allpass(FdnSystem(fdn.a + 1e-6 * e / np.linalg.norm(e, 2), fdn.b, fdn.c, fdn.d, fdn.delays))
+            assert not bad.allpass
+            assert bad.grid_deviation > 1e-7 and bad.reversal_deviation > 1e-7
+        counterexample = delay_dependent_allpass()
+        for delays in ([1, 1, 2], [2, 2, 3], [3, 3, 1]):
+            rep = is_allpass(counterexample.with_delays(delays))
+            assert not rep.allpass and rep.reversal_deviation > 1e-3
+        with pytest.raises(UnstableError):
+            is_allpass(counterexample.with_delays([2, 1, 1]))
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # order 199700: a few order-length vectors (nodes, coefficients,
+        # per-point deviations), no (K, N) powers or (K, P, P) responses;
+        # the 4 order-point grid held about 520 bytes per order here
+        fdn, _ = schroeder_series([0.5, -0.4], [199400, 300])
+        tracemalloc.start()
+        try:
+            rep = is_allpass(fdn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.allpass
+        assert peak <= 96 * fdn.order
 
 
 class TestStackBudget:

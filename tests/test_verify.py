@@ -218,6 +218,27 @@ class TestHadamardRoute:
         with pytest.raises(NotCertifiableError, match="sparsity|consistent"):
             dsim_from_hadamard_quotient(SystemMatrix.from_fdn(broken))
 
+    def test_only_d_and_the_schur_complement_are_inverted(self, monkeypatch):
+        fdn = random_uniallpass(5, 2, seed=4)
+        inverted = []
+        inv = np.linalg.inv
+
+        def recording(x):
+            inverted.append(np.array(x))
+            return inv(x)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        dsim_from_hadamard_quotient(SystemMatrix.from_fdn(fdn))
+        monkeypatch.undo()
+        assert len(inverted) == 2
+        np.testing.assert_array_equal(inverted[0], fdn.d)
+        np.testing.assert_array_equal(inverted[1], schur_complements(fdn).s_d)
+
+    def test_singular_direct_gain_named(self):
+        fdn = FdnSystem(np.eye(2) * 0.5, np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), [1, 1])
+        with pytest.raises(np.linalg.LinAlgError, match="direct-gain block D is singular"):
+            dsim_from_hadamard_quotient(SystemMatrix.from_fdn(fdn))
+
     def test_inconsistent_system_rejected(self):
         with pytest.raises(NotCertifiableError):
             dsim_from_hadamard_quotient(SystemMatrix.from_fdn(delay_dependent_allpass()))
