@@ -69,17 +69,19 @@ Newton ratios, for the FFT denominator and numerator and for the lossless
 route's singular values) comes from one helper that forms their diagonals
 and reduces them in chunks of at most ``_LOOP_ENTRIES`` complex entries,
 so no order leads to a large array.  X may be bordered by rows and columns
-that carry no power.  The allpass test reads coefficients of loop
-determinants: the denominator det(diag(z**m) - A), and the numerator of
-det H, the same determinant bordered by B, C and D (Schur's determinant
-identity), each one inverse real FFT of its values on the order / 2 + 1
-upper-half nodes of order + 1 uniform ones.  Its unitarity test evaluates
-H once, on the order + 2 upper-half nodes of 2 order + 2 uniform ones and
-a few random unit-circle points, reduced chunk by chunk.
-:func:`numerator_poly` fits H on the upper half of order + 9 nodes
-against the same denominator; the principal-minor sweep of :func:`gcp`,
-limited to N <= 20, serves the Aberth solve and the public coefficients
-only.
+that carry no power.  Unit-circle points come as angles phi, with powers
+exp(i m_i phi), or as indices j of K uniform nodes, with powers exp(2 pi i
+(j m_i mod K) / K): z**m_i of a rounded z drifts off the circle by about
+m_i eps.  The allpass test reads coefficients of loop determinants: the
+denominator det(diag(z**m) - A), and the numerator of det H, the same
+determinant bordered by B, C and D (Schur's determinant identity), each
+one inverse real FFT of its values on the order / 2 + 1 upper-half nodes
+of order + 1 uniform ones.  Its unitarity test evaluates H once, at the
+order + 2 upper-half nodes of 2 order + 2 uniform ones and a few random
+points, as angles.  :func:`numerator_poly` fits det(P) H, P the loop
+matrix, on the upper half of order + 9 nodes; the principal-minor sweep
+of :func:`gcp`, limited to N <= 20, serves the Aberth solve and the
+public coefficients only.
 """
 
 from __future__ import annotations
@@ -193,34 +195,47 @@ def _unit_powers(m):
     return lambda phi: np.exp(1j * phi[:, None] * m)
 
 
+def _node_powers(m, count):
+    """Powers of the nodes z_j = exp(2 pi i j / K), K = ``count``, given the
+    indices j: z_j**m = exp(2 pi i (j m mod K) / K), reduced exactly in
+    integers."""
+    return lambda j: np.exp(2j * np.pi * ((j[:, None] * m) % count) / count)
+
+
+def _point_powers(m):
+    """Powers z**m of the complex points z themselves."""
+    return lambda z: z[:, None] ** m
+
+
 def frequency_response(fdn: FdnSystem, zs):
     """Evaluate H at a 1-D array of z values; returns (len(zs), P, P)."""
-    return _responses(fdn, zs, lambda h: h)
-
-
-def _responses(fdn: FdnSystem, zs, reduce):
-    """``reduce(H)`` over chunks of the 1-D ``zs``, H the (k, P, P) values
-    of the transfer function on a chunk of at most ``_LOOP_ENTRIES`` loop
-    matrix entries (:func:`_loop_chunks`), concatenated along the first
-    axis.  A z where the loop matrix is singular raises
-    :class:`PoleEvaluationError`."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs == 0):
         raise ValueError("transfer function is undefined at z = 0")
-    m = fdn.delays.as_array()
+    return _responses(fdn, zs, _point_powers, lambda loop, h: h)
 
-    def powers(z):
-        return z[:, None] ** m
+
+def _responses(fdn: FdnSystem, points, powers, reduce):
+    """``reduce(P, H)`` over chunks of the 1-D ``points`` of at most
+    ``_LOOP_ENTRIES`` loop matrix entries (:func:`_loop_chunks`), H the
+    (k, P, P) values of the transfer function and P the loop matrices it
+    solves, concatenated along the first axis.  ``powers(m)`` maps the
+    points to their powers z**m: :func:`_unit_powers` for angles,
+    :func:`_node_powers` for node indices, :func:`_point_powers` for z.  A
+    point where the loop matrix is singular raises
+    :class:`PoleEvaluationError` with its z."""
+    m = fdn.delays.as_array()
 
     def response(loop, _):
         x = np.linalg.solve(loop, np.broadcast_to(fdn.b, (loop.shape[0],) + fdn.b.shape))
-        return reduce(np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d)
+        return reduce(loop, np.einsum("pn,knq->kpq", fdn.c, x) + fdn.d)
 
     try:
-        return _loop_chunks(fdn.a, zs, powers, response)
+        return _loop_chunks(fdn.a, points, powers(m), response)
     except np.linalg.LinAlgError:
-        dets = _loop_chunks(fdn.a, zs, powers, lambda loop, _: np.linalg.det(loop))
-        raise PoleEvaluationError(zs[int(np.argmin(np.abs(dets)))]) from None
+        dets = _loop_chunks(fdn.a, points, powers(m), lambda loop, _: np.linalg.det(loop))
+        # a point's z is its power for a delay of one
+        raise PoleEvaluationError(powers(np.ones(1, dtype=int))(points)[np.argmin(np.abs(dets)), 0]) from None
 
 
 def check_tolerance(tol) -> float:
@@ -352,12 +367,7 @@ def _node_coefficients(x, m):
     largest |det| on the circle."""
     count = int(m.sum()) + 1
     j = np.arange(count // 2 + 1)
-
-    def powers(k):
-        # z_k**m_i = exp(2 pi i (k m_i mod K) / K): reduced exactly in integers
-        return np.exp(2j * np.pi * ((k[:, None] * m) % count) / count)
-
-    dets = _loop_chunks(x, j, powers, lambda loop, _: np.linalg.det(loop))
+    dets = _loop_chunks(x, j, _node_powers(m, count), lambda loop, _: np.linalg.det(loop))
     # z_j**-order = z_j, as order = K - 1
     return np.fft.irfft(dets * np.exp(2j * np.pi * j / count), count)
 
@@ -384,32 +394,14 @@ def _circle_numerator(fdn: FdnSystem):
     return (-1.0) ** fdn.n_io * _node_coefficients(u, fdn.delays.as_array())
 
 
-def _numerator_fit(samples, den, count):
-    """z^-1 coefficients of the product of ``den`` (length order + 1) and
-    ``samples`` of H on the nodes exp(2 pi i j / K), 0 <= j <= K // 2, of K =
-    ``count`` >= order + 1 uniform unit-circle nodes, stacked along the
-    first axis.  On all K nodes a z^-1 polynomial is the length-K DFT of its
-    zero-padded coefficients, and for a real system H(conj z) = conj H(z),
-    so the least-squares fit is the head of one inverse real FFT of the
-    upper half.  Returns (real coefficients, trailing axis of length
-    order + 1; largest sample mismatch of the fit; largest sample
-    magnitude): on the lower half both are the conjugates of the upper
-    half's."""
-    den_values = np.fft.rfft(den, count)
-    values = samples * den_values.reshape((-1,) + (1,) * (samples.ndim - 1))
-    coeffs = np.fft.irfft(values, count, axis=0)[: den.size]
-    resid = float(np.max(np.abs(np.fft.rfft(coeffs, count, axis=0) - values)))
-    scale = float(np.max(np.abs(values)))
-    return np.moveaxis(coeffs, 0, -1), resid, scale
-
-
 def numerator_poly(fdn: FdnSystem, tol=1e-6):
     """Numerator coefficients of H(z), shape (P, P, order + 1), ascending in
-    z^-1.  H times the FFT denominator of :func:`is_allpass` is sampled on
-    the upper half, 0 <= omega <= pi, of K = order + 1 + 8 uniform
-    unit-circle nodes (the lower half holds their conjugates); there the
-    least-squares polynomial fit is a DFT, so one inverse real FFT recovers
-    the coefficients.
+    z^-1: the z^-1 polynomial det(P) H z**-order, P = diag(z**m) - A the
+    loop matrix, sampled on the upper half, 0 <= omega <= pi, of K = order
+    + 1 + 8 uniform unit-circle nodes z_j (the lower half holds their
+    conjugates), with z_j**m and z_j**-order reduced in integers.  There
+    the least-squares polynomial fit is a DFT, so one inverse real FFT
+    recovers the coefficients.
 
     Returns (coefficients, fit residual): the largest mismatch between the
     fitted polynomial and the samples.  A residual above ``tol`` times the
@@ -417,13 +409,19 @@ def numerator_poly(fdn: FdnSystem, tol=1e-6):
     """
     tol = check_tolerance(tol)
     count = fdn.order + 1 + _FIT_PAD
-    h = frequency_response(fdn, np.exp(2j * np.pi * np.arange(count // 2 + 1) / count))
-    coeffs, resid, scale = _numerator_fit(h, _circle_denominator(fdn.a, fdn.delays.as_array()), count)
-    if resid > tol * max(1.0, scale):
+    j = np.arange(count // 2 + 1)
+    samples = _responses(
+        fdn, j, lambda m: _node_powers(m, count), lambda loop, h: np.linalg.det(loop)[:, None, None] * h
+    )
+    # z_j**-order = z_j**(K - order)
+    samples *= _node_powers(np.array([_FIT_PAD + 1]), count)(j)[:, :, None]
+    coeffs = np.fft.irfft(samples, count, axis=0)[: fdn.order + 1]
+    resid = float(np.max(np.abs(np.fft.rfft(coeffs, count, axis=0) - samples)))
+    if resid > tol * max(1.0, float(np.max(np.abs(samples)))):
         raise ConditioningError(
             f"numerator fit residual {resid:.3g} exceeds tolerance", residual=resid
         )
-    return coeffs, resid
+    return np.moveaxis(coeffs, 0, -1), resid
 
 
 def poles(fdn: FdnSystem):
@@ -800,7 +798,7 @@ def _loop_log_derivative(a, m, zeros, zr):
         trace = (np.diagonal(inv, axis1=1, axis2=2) * (m * power)).sum(axis=1)
         return np.stack((trace, growth), axis=1)
 
-    parts = _loop_chunks(a, zr, lambda z: z[:, None] ** m, terms)
+    parts = _loop_chunks(a, zr, _point_powers(m), terms)
     logd = (parts[:, 0] - zeros) / zr
     error = (_EPS * m.max()) * parts[:, 1].real / np.abs(zr)
     error[~np.isfinite(logd)] = np.inf
@@ -1144,10 +1142,10 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     omega = np.concatenate([np.pi * np.arange(half + 1) / half, extra])
     eye = np.eye(fdn.n_io)
 
-    def unitarity(h):
+    def unitarity(_, h):
         return np.max(np.abs(h @ np.conj(np.swapaxes(h, 1, 2)) - eye), axis=(1, 2))
 
-    grid_dev = float(np.max(_responses(fdn, np.exp(1j * omega), unitarity)))
+    grid_dev = float(np.max(_responses(fdn, omega, _unit_powers, unitarity)))
     return AllpassReport(
         allpass=bool(grid_dev < tol and rev_dev < tol),
         grid_deviation=grid_dev,
