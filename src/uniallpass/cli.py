@@ -80,8 +80,10 @@ def _verify_report(fdn, dsim, tol):
         minor = check_minor_condition(fdn, tol)
         report["minor_condition"] = {
             "verdict": minor.verdict,
+            "route": minor.route,
             "sign": minor.sign,
             "deviation": minor.deviation,
+            "scale": minor.scale,
             "sufficient": minor.sufficient,
         }
     except (np.linalg.LinAlgError, FdnError) as exc:
@@ -207,8 +209,8 @@ def _cmd_verify(args):
     if "deviation" in minor:
         label = "" if minor["sufficient"] else " (necessary condition only)"
         print(
-            f"minor condition: verdict={minor['verdict']} sign={minor['sign']:+d} "
-            f"deviation={minor['deviation']:.6g}{label}"
+            f"minor condition: verdict={minor['verdict']} route={minor['route']} sign={minor['sign']:+d} "
+            f"deviation={minor['deviation']:.6g} scale={minor['scale']:.6g}{label}"
         )
     else:
         print(f"minor condition: unavailable ({minor['detail']})")

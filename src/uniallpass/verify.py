@@ -4,9 +4,11 @@ A system is certified once a positive diagonal ``dsim`` makes the block
 system matrix an isometry of the weighted inner product diag(dsim, I); the
 certificate then covers every choice of delay lengths.  Two recovery routes
 for ``dsim`` are provided (the diagonal of the Stein equation, one N x N
-solve, and an Engel-Schneider style Hadamard quotient), plus the exhaustive
+solve, and an Engel-Schneider style Hadamard quotient), plus the
 principal-minor condition that is necessary in general and equivalent for
-single-input single-output systems.
+single-input single-output systems: proven in O(N^3) from the
+diagonal similarity of a certified system, and by the exhaustive 2^N sweep
+otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _stein_diagonal, check_tolerance
+from .core import _EPS, DEFAULT_TOL, _stein_diagonal, check_tolerance
 from .errors import NotCertifiableError
 from .kernels import principal_minors_all
 from .system import FdnSystem, SystemMatrix, balance, orthogonality_residual
@@ -53,6 +55,12 @@ class MinorCheck:
 
     For P = 1 a pass is equivalent to the system being allpass for every
     delay vector; for P > 1 it is only necessary (``sufficient`` is False).
+    ``route`` is ``"witness"`` when a diagonal similarity proved the
+    condition (sign +1, ``worst_subset`` empty) and ``"sweep"`` when the
+    2^N minors were compared.  ``deviation`` is in units of ``scale``:
+    the witness residual over s^2, s the Frobenius norm of A^-1 in the
+    balanced frame or larger, or the largest absolute minor difference
+    (``scale`` 1).
     """
 
     verdict: bool
@@ -61,6 +69,8 @@ class MinorCheck:
     worst_subset: tuple
     sufficient: bool
     tol: float
+    route: str
+    scale: float
 
 
 def _inverse(block, name):
@@ -199,20 +209,103 @@ def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCerti
     return UniallpassCertificate(dsim, residual, balanced, verdict, tol)
 
 
-def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
-    """Exhaustive principal-minor matching between S_D = A - B D^-1 C and
-    A^-1.
+def _minor_witness(fdn: FdnSystem, tol):
+    """(r / s^2, s^2) when the diagonal similarity of a certified system
+    proves the minor condition, else None.
 
-    Finds the sign s in {+1, -1} minimizing
-    max over subsets I of |det S_D(I) - s det A^-1(I)| and passes when the
+    A certificate (positive ``dsim`` from :func:`dsim_from_lyapunov`, both
+    residuals below the premise tolerance, see below) makes the balanced
+    system matrix V = [[A, B], [C, D]] (hats dropped) orthogonal, and the
+    (1, 1) block of V^-1 = V^T gives S_D^-1 = A^T: S_D = A^-T in the
+    balanced frame, so S_D = W A^-T W^-1 with W = diag(dsim).  A diagonal
+    similarity and a transpose keep every principal minor, so the minors
+    of S_D and A^-1 match with sign +1 (Engel & Schneider 1980; Hartfiel &
+    Loewy 1984).
+
+    The residual r = max|S_D - A^-T| of the computed balanced blocks is
+    held to what the certificate and rounding allow.  With n = N + P and
+    delta the balanced residual, ||V V^T - I||_2 <= e = n (delta + (n + 1)
+    eps), the rounding of delta included.  V^-1 - V^T = -V^T E (I + E)^-1
+    bounds ||S_D^-1 - A^T||_2 by f = e sqrt(1 + e) / (1 - e), and S_D -
+    A^-T = S_D (A^T - S_D^-1) A^-T bounds ||S_D - A^-T||_2 by ||S_D||
+    ||A^-1|| f.  With s the largest Frobenius norm of A^-1, S_D and D^-1
+    (each at least its 2-norm; S_D = A^-T gives the first two the same
+    norm) and s >= ||A^-1||_2 >= 1 / ||A||_2 >= (1 + e)^-0.5, the computed
+    blocks add at most (first order, modest LU pivot growth):
+    - inverting A and D: k eps ||M|| ||M^-1||^2 for a k x k block M, the
+      D^-1 error carried through B and C, so (N + P) (1 + e)^1.5 eps s^2;
+    - forming A - B D^-1 C: (2 P + 1) eps (|A| + |B| |D^-1| |C|), where
+      each block of V has a Frobenius norm of at most sqrt(n (1 + e)), so
+      at most 2 (2 P + 1) n (1 + e)^1.5 eps s^2.
+    So
+
+        r <= s^2 (f + (4 P + 3) n (1 + e)^1.5 eps).
+
+    The witness proves an identity of the certified system, so it stands
+    for the system given only as far as the certificate is tight: dsim and
+    the certificate are taken at min(``tol``, DEFAULT_TOL), never looser.
+    A loose ``tol`` loosens the comparison, not the premise; a system
+    certified only at, say, 0.05 has minors that differ by far more than
+    its balanced residual, and takes the sweep.  The scaled residual
+    r / s^2 must also lie below ``tol``, as the sweep's deviation must.
+    The premise keeps e below n (1e-8 + (n + 1) eps), so e < 1 for any n
+    that fits in memory.  Where the certificate fails, a block is
+    singular, or either test fails, there is no witness.
+    """
+    premise = min(tol, DEFAULT_TOL)
+    try:
+        dsim = dsim_from_lyapunov(fdn.a, fdn.b, premise)
+    except NotCertifiableError:
+        return None
+    cert = certify_uniallpass(fdn, dsim, premise)
+    size, p = fdn.n_delays + fdn.n_io, fdn.n_io
+    e = size * (cert.balanced_residual + (size + 1) * _EPS)
+    if not cert.verdict:
+        return None
+    balanced = apply_diagonal_similarity(fdn, np.sqrt(dsim))
+    try:
+        a_inv, d_inv = np.linalg.inv(balanced.a), np.linalg.inv(fdn.d)
+    except np.linalg.LinAlgError:
+        return None
+    s_d = balanced.a - balanced.b @ d_inv @ balanced.c
+    scale = max(float(np.sum(x * x)) for x in (a_inv, s_d, d_inv))
+    residual = float(np.max(np.abs(s_d - a_inv.T)))
+    f = e * np.sqrt(1.0 + e) / (1.0 - e)
+    rounding = (4 * p + 3) * size * (1.0 + e) ** 1.5 * _EPS
+    if not (residual <= scale * (f + rounding) and residual / scale < tol):
+        return None
+    return residual / scale, scale
+
+
+def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
+    """Principal-minor matching between S_D = A - B D^-1 C and A^-1.
+
+    A system certified at min(``tol``, DEFAULT_TOL) is proven to pass by
+    its diagonal similarity in O(N^3), at any N (:func:`_minor_witness`,
+    route ``"witness"``).  Every other system takes the exhaustive sweep
+    (route ``"sweep"``): it finds the sign s in {+1, -1} minimizing max
+    over subsets I of |det S_D(I) - s det A^-1(I)| and passes when the
     minimum is below ``tol``.  Both 2^N minor lists come from one sweep of
-    the stack (S_D, A^-1) (:func:`principal_minors_all`), each minor
-    within k^2 eps g of exact times the product of its rows' norms (see
-    :func:`core._gcp_terms`).  Subset enumeration is capped at N = 20
-    (:class:`FdnError` beyond it); a singular D or A raises
-    ``LinAlgError`` naming the block.
+    the stack (S_D, A^-1) (:func:`principal_minors_all`), each minor within
+    k^2 eps g of exact times the product of its rows' norms (see
+    :func:`core._gcp_terms`).
+    The sweep is capped at N = 20 (:class:`FdnError` beyond it); a
+    singular D or A raises ``LinAlgError`` naming the block.
     """
     tol = check_tolerance(tol)
+    witness = _minor_witness(fdn, tol)
+    if witness is not None:
+        deviation, scale = witness
+        return MinorCheck(
+            verdict=True,
+            sign=+1,
+            deviation=deviation,
+            worst_subset=(),
+            sufficient=fdn.is_siso,
+            tol=tol,
+            route="witness",
+            scale=scale,
+        )
     n = fdn.n_delays
     d_inv, a_inv = _inverses(fdn)
     s_d = fdn.a - fdn.b @ d_inv @ fdn.c
@@ -233,4 +326,6 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
         worst_subset=subset,
         sufficient=fdn.is_siso,
         tol=tol,
+        route="sweep",
+        scale=1.0,
     )

@@ -40,6 +40,8 @@ class TestDesignCommand:
         np.testing.assert_allclose(fdn.a, fv.HOMOG_A, atol=fv.FIXTURE_TOL)
         np.testing.assert_allclose(dsim, fv.HOMOG_DSIM)
         assert payload["verify"]["certificate"]["verdict"] is True
+        minor = payload["verify"]["minor_condition"]
+        assert minor["verdict"] is True and minor["route"] == "witness" and minor["scale"] >= 1.0
         assert payload["meta"]["pole_modulus_max"] == pytest.approx(0.99, abs=1e-6)
 
     def test_homogeneous_design_solves_no_poles(self, tmp_path, no_pole_solve):
@@ -158,7 +160,9 @@ class TestVerifyCommand:
             "--delays", "2,3,4", "-o", str(out),
         )
         assert run_cli("verify", str(out)) == 0
-        assert "(necessary condition only)" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "(necessary condition only)" in text
+        assert "minor condition: verdict=True route=witness sign=+1" in text
 
     def test_no_similarity_candidate_reported(self, tmp_path, capsys):
         # A = 1 makes the Stein diagonal system singular: no dsim to certify
@@ -167,7 +171,10 @@ class TestVerifyCommand:
         path = tmp_path / "lossless.json"
         save_system(path, FdnSystem([[1.0]], [[1.0]], [[1.0]], [[1.0]], [2]))
         run_cli("verify", str(path))
-        assert "certificate: no similarity candidate" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "certificate: no similarity candidate" in text
+        # S_D = A - B D^-1 C = 0 against A^-1 = 1
+        assert "minor condition: verdict=False route=sweep sign=+1 deviation=1 scale=1" in text
 
     def test_tolerance_override(self, tmp_path, capsys):
         path = tmp_path / "ce.json"

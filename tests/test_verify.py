@@ -16,6 +16,7 @@ from uniallpass import (
     certify_uniallpass,
     check_minor_condition,
     delay_dependent_allpass,
+    design_homogeneous_siso,
     dsim_from_hadamard_quotient,
     dsim_from_lyapunov,
     gardner_nested,
@@ -27,6 +28,7 @@ from uniallpass import (
     schroeder_series,
     schur_complements,
 )
+from uniallpass import verify
 from uniallpass.complete import _complete_balanced
 
 
@@ -312,6 +314,8 @@ class TestMinorCondition:
         assert set(np.nonzero(diffs > 0.05)[0]) == {1, 2, 5, 6}
         worst_mask = sum(1 << i for i in check.worst_subset)
         assert worst_mask in (0b010, 0b100, 0b101, 0b110)
+        # no certificate, so no witness: the deviation is absolute
+        assert check.route == "sweep" and check.scale == 1.0
 
     def test_no_coupling_generic_failure(self, rng):
         a = rng.standard_normal((3, 3)) + 3 * np.eye(3)
@@ -322,6 +326,69 @@ class TestMinorCondition:
         fdn = random_uniallpass(4, 1, seed=11)
         check = check_minor_condition(fdn)
         assert check.verdict and check.deviation < 1e-10
+        assert check.route == "witness" and check.sign == 1 and check.worst_subset == ()
+
+    def test_witness_and_sweep_agree(self, rng, monkeypatch):
+        # certified systems take the witness, perturbed ones the sweep; the
+        # sweep alone reaches the same verdict on every one
+        systems = [
+            schroeder_series(fv.CLASSIC_GAINS, [1] * 6)[0],
+            gardner_nested([0.3, -0.5, 0.7], [3, 5, 7])[0],
+            poletti_unitary(random_orthogonal(4, rng), 0.7, [1, 2, 3, 4])[0],
+        ]
+        for seed in range(24):
+            n = 1 + seed % 12
+            p = 1 if seed % 2 == 0 else int(rng.integers(1, n + 1))
+            systems.append(random_uniallpass(n, p, seed=seed, scaled=bool(seed % 3), delays=[1] * n))
+        perturbed = [
+            FdnSystem(f.a + 1e-3 * rng.standard_normal(f.a.shape), f.b, f.c, f.d, f.delays)
+            for f in systems[::2]
+        ]
+        checks = [check_minor_condition(f) for f in systems + perturbed]
+        assert [c.route for c in checks] == ["witness"] * len(systems) + ["sweep"] * len(perturbed)
+        assert all(c.verdict for c in checks[: len(systems)])
+        assert not any(c.verdict for c in checks[len(systems) :])
+        monkeypatch.setattr(verify, "_minor_witness", lambda *args: None)
+        swept = [check_minor_condition(f) for f in systems + perturbed]
+        assert [c.verdict for c in swept] == [c.verdict for c in checks]
+        assert all(c.route == "sweep" for c in swept)
+
+    def test_loose_tol_keeps_witness_premise(self, rng, monkeypatch):
+        # at tol = 0.05 a system perturbed by 1e-2 still certifies, but its
+        # minors differ by up to several units: the witness premise stays at
+        # DEFAULT_TOL, so it takes the sweep, and both routes agree
+        systems = [
+            random_uniallpass(n, 1 + n % 3, seed=n, scaled=bool(n % 2), delays=[1] * n) for n in range(1, 13)
+        ]
+        perturbed = []
+        for amp in (1e-10, 1e-2):
+            for f in systems:
+                e = rng.standard_normal(f.a.shape)
+                perturbed.append(FdnSystem(f.a + amp * e / np.linalg.norm(e, 2), f.b, f.c, f.d, f.delays))
+        for f in perturbed[len(systems) :]:
+            assert certify_uniallpass(f, dsim_from_lyapunov(f.a, f.b, 0.05), 0.05).verdict
+        checks = [check_minor_condition(f, 0.05) for f in systems + perturbed]
+        assert [c.route for c in checks] == ["witness"] * 2 * len(systems) + ["sweep"] * len(systems)
+        assert all(c.deviation < 0.05 for c in checks if c.verdict)
+        monkeypatch.setattr(verify, "_minor_witness", lambda *args: None)
+        swept = [check_minor_condition(f, 0.05) for f in systems + perturbed]
+        assert [c.verdict for c in swept] == [c.verdict for c in checks]
+        # both verdicts occur among the 1e-2 perturbations
+        assert {c.verdict for c in swept[2 * len(systems) :]} == {True, False}
+
+    @pytest.mark.parametrize(
+        "n, low, high, gamma, seed",
+        [(16, 1000, 1800, 0.999, 3), (32, 300, 600, 0.9995, 3), (64, 300, 700, 0.999, 64)],
+    )
+    def test_audio_decay_designs_pass_by_witness(self, n, low, high, gamma, seed, monkeypatch):
+        # orders 20929, 14000 and 32889: the absolute sweep read False on the
+        # first (|det A^-1| = gamma^-order is about 1e9) and cannot run on the
+        # others (N > 20)
+        monkeypatch.setattr(verify, "principal_minors_all", lambda *args: pytest.fail("a minor sweep ran"))
+        design = design_homogeneous_siso(np.random.default_rng(seed).integers(low, high, n), gamma)
+        check = check_minor_condition(design.fdn)
+        assert check.verdict and check.route == "witness" and check.sign == 1
+        assert check.deviation < 1e-12 and check.scale >= 1.0
 
     def test_size_guard(self):
         fdn = random_uniallpass(2, 1, seed=0, delays=[1, 1])
@@ -342,6 +409,12 @@ class TestMinorCondition:
         singular_a = FdnSystem(np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 2)), np.eye(1), [1, 1])
         with pytest.raises(np.linalg.LinAlgError):
             check_minor_condition(singular_a)
+        # a certified lattice of zero loop gain (A = 0, D = 0) has no witness
+        # either: the sweep names the singular block
+        certified, dsim = poletti_unitary(random_orthogonal(3, rng), 0.0, [2, 4, 5])
+        assert certify_uniallpass(certified, dsim).verdict
+        with pytest.raises(np.linalg.LinAlgError, match="direct-gain"):
+            check_minor_condition(certified)
 
 
 class TestTheoremChain:
