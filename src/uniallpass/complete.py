@@ -6,9 +6,12 @@ P smallest singular values s as the defect, B = U_P sqrt(1 - s^2),
 C = sqrt(1 - s^2) V_P^T and D = -diag(s) (Halmos, "Normal dilations and
 extensions of operators", 1950).  The orthogonal route dilates an admissible
 A directly.  The general SISO route finds the diagonal similarity dsim as a
-real generalized eigenvector of an N x N pencil built from A (see
-:func:`siso_completion`), then dilates the corner balanced by sqrt(dsim) and
-un-balances the gains.
+real generalized eigenvector of an N x N pencil: for W = diag(w) the Stein
+matrix W - A W A^T, which is A K(w) with K(w) = A^-1 W - W A^T for an
+invertible A, equals b b^T at w = dsim, so it has rank one there, and it is
+linear in w and needs no inverse of A (see :func:`siso_completion`).  Each
+candidate dsim is dilated on the corner balanced by sqrt(dsim), the gains
+are un-balanced, and the best certified candidate is returned.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ class AdmissibilityReport:
 
 @dataclass(frozen=True, eq=False)
 class SisoCompletionTrace:
-    """The SISO completion's direct gain |det A| and the certifying diagonal
-    similarity dsim (max 1)."""
+    """The SISO completion's direct gain d = |det A| (the smallest singular
+    value of the balanced corner) and the certifying diagonal similarity dsim
+    (max 1)."""
 
     d: float
     dsim: np.ndarray
@@ -132,11 +136,12 @@ def _complete_balanced(a, dsim, delays, tol):
 
 def _pencil_vectors(a, probes):
     """Real, one-signed generalized eigenvectors w of C_1 w = lambda C_2 w,
-    each scaled to a largest entry of 1, where C_h = A^-1 diag(h) - diag(A^T h)
-    for the two probe vectors h.  The better-conditioned of C_1, C_2 is the
-    one inverted (swapping them inverts lambda and keeps every w)."""
-    a_inv = np.linalg.inv(a)
-    c1, c2 = (a_inv * h - np.diag(a.T @ h) for h in probes)
+    each scaled to a largest entry of 1, where C_h = diag(h) - A diag(A^T h)
+    for the two probe vectors h, so C_h w = S(w) h for the Stein matrix
+    S(w) = diag(w) - A diag(w) A^T (see :func:`siso_completion`).  The
+    better-conditioned of C_1, C_2 is the one solved against (swapping them
+    inverts lambda and keeps every w)."""
+    c1, c2 = (np.diag(h) - a * (a.T @ h) for h in probes)
     if np.linalg.cond(c1) < np.linalg.cond(c2):
         c1, c2 = c2, c1
     try:
@@ -153,28 +158,30 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL):
     delay vector.  Returns (system, trace).
 
     For a certified system with W = diag(dsim) the balanced system matrix is
-    orthogonal, and its Schur complement gives A - bc/d = W A^-T W^-1, so
-    K(w) = A^-1 W - W A^T = -W c^T b^T / d has rank one at w = dsim (a line
-    without input gain only zeroes a column).  K(w) h = C_h w is linear in
-    w, so for two fixed probes C_1 w and C_2 w are parallel: dsim is a real
-    generalized eigenvector of the pencil (C_1, C_2).  Each positive
-    eigenvector w_0 is refined once to w_0 v, v the eigenvector nearest to
-    ones of the same pencil on the corner balanced by sqrt(w_0).  The
-    singular-value census of the balanced corner (N - 1 unit values, one
-    below) refuses spurious eigenvectors; the survivors are dilated with
-    d = +|det A| and certified in order of census deviation.  Any failure
-    raises :class:`CompletionError`.
+    orthogonal, and the leading block of U diag(W, 1) U^T = diag(W, 1) is the
+    Stein equation W - A W A^T = b b^T.  So S(w) = diag(w) - A diag(w) A^T,
+    which is A K(w) with K(w) = A^-1 diag(w) - diag(w) A^T when A is
+    invertible, has rank one at w = dsim (a line without input gain only
+    zeroes a row and a column of b b^T).  S(w) needs no inverse of A, so a
+    singular A, such as a chain with a zero-gain section, poses the same
+    pencil.  S(w) h = C_h w is linear in w, so for two fixed probes C_1 w and
+    C_2 w are parallel: dsim is a real generalized eigenvector of the pencil
+    (C_1, C_2).  Each positive eigenvector w_0 is refined once to w_0 v, v
+    the eigenvector nearest to ones of the same pencil on the corner
+    balanced by sqrt(w_0).  Every refined candidate is dilated with
+    d = +s_min of its balanced corner (|det A| when it certifies) and
+    certified, which refuses spurious eigenvectors.  The candidate with the
+    smallest certificate residual (the larger of the absolute and the
+    balanced one) is returned if it certifies; otherwise
+    :class:`CompletionError` is raised.
 
-    For one or two delay lines the completion is not unique; the first
-    candidate that certifies is returned.  A non-square ``a`` raises
-    ValueError.
+    The certifying dsim need not be unique: the feedback matrix of the N = 3
+    Gardner chain from ``default_rng([3, 1])`` has two, whose completions
+    have the same response, and the ranking picks one.  A non-square ``a`` raises ValueError.
     """
     tol = check_tolerance(tol)
     a = _square(a)
     n = a.shape[0]
-    det_a = float(np.linalg.det(a))
-    if abs(det_a) < 1e-12:
-        raise CompletionError("feedback matrix is singular; no direct gain exists")
     if delays is None:
         delays = [1] * n
     probes = np.random.default_rng(_PENCIL_SEED).standard_normal((2, n))
@@ -184,24 +191,15 @@ def siso_completion(a, delays=None, tol=DEFAULT_TOL):
         if not refined:
             continue
         w = w0 * min(refined, key=lambda v: np.max(np.abs(v - 1.0)))
-        w = w / np.max(w)
-        report = _census(balance(a, w), 1)[0]
-        if report.admissible_for(1):
-            deviation = np.max(np.abs(report.singular_values[:-1] - 1.0), initial=0.0)
-            candidates.append((float(deviation), w))
-    failures = []
-    for _, dsim in sorted(candidates, key=lambda c: c[0]):
-        fdn, cert = _complete_balanced(a, dsim, delays, tol)
-        if cert.verdict:
-            return fdn, SisoCompletionTrace(d=abs(det_a), dsim=dsim)
-        failures.append(
-            f"completed system failed certification (residual {cert.residual:.3g}, "
-            f"balanced {cert.balanced_residual:.3g})"
+        fdn, cert = _complete_balanced(a, w / np.max(w), delays, tol)
+        candidates.append((max(cert.residual, cert.balanced_residual), fdn, cert))
+    residual, fdn, cert = min(candidates, key=lambda c: c[0], default=(np.inf, None, None))
+    if cert is None or not cert.verdict:
+        raise CompletionError(
+            "feedback matrix is not allpass admissible for single-channel completion: "
+            f"{len(candidates)} pencil candidates, smallest certificate residual {residual:.3g}"
         )
-    raise CompletionError(
-        "feedback matrix is not allpass admissible for single-channel completion: "
-        + ("; ".join(failures) or "no positive pencil eigenvector passes the singular-value census")
-    )
+    return fdn, SisoCompletionTrace(d=float(fdn.d[0, 0]), dsim=cert.dsim)
 
 
 def random_orthogonal(size: int, rng) -> np.ndarray:

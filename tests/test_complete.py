@@ -23,7 +23,8 @@ from uniallpass import (
     schroeder_series,
     siso_completion,
 )
-from uniallpass.complete import _census
+from uniallpass.complete import _census, _complete_balanced
+from uniallpass.core import DEFAULT_TOL
 
 
 def _tf_diff_up_to_sign(f1, f2, zs):
@@ -299,14 +300,60 @@ class TestPencilCompletion:
         _, trace = siso_completion(a, delays=delays)
         np.testing.assert_allclose(trace.dsim, nodes / np.max(nodes), rtol=1e-10, atol=0)
 
-    def test_spurious_eigenvector_refused_by_census(self):
-        # the pencil also yields a positive vector with an entry near 1e-17;
-        # its balanced corner has singular values (1, 0.786, 0.016), so the
-        # census refuses it and the chain's own dsim is returned
-        gains = [0.786, -0.621, 0.026]
-        reference, dsim = schroeder_series(gains, [3, 1, 2])
-        _, trace = siso_completion(reference.a, delays=[3, 1, 2])
+    def test_spurious_eigenvector_refused_by_certificate(self):
+        # the pencil also has the eigenvector (0, 1, 0.615) of the chain with
+        # its first line cut off; with a rounding-level positive first entry
+        # (3.9e-15 on the A^-1 pencil) it is a candidate, its completion
+        # fails the certificate, and the chain's own dsim is returned
+        gains, delays = [0.786, -0.621, 0.026], [3, 1, 2]
+        reference, dsim = schroeder_series(gains, delays)
+        spurious = np.array([3.9e-15, 1.0, 0.614774588])
+        assert not _complete_balanced(reference.a, spurious, delays, DEFAULT_TOL)[1].verdict
+        _, trace = siso_completion(reference.a, delays=delays)
         np.testing.assert_allclose(trace.dsim, dsim / np.max(dsim), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", [24, 32, 48, 64])
+    def test_long_series_chains_complete(self, rng, n):
+        # a chain's direct gain is the product of its gains, 6e-20 to 5e-6
+        # here; the pencil forms no inverse of A, so no determinant threshold
+        # refuses the long chains, and each completion keeps its
+        # constructor's H
+        zs = unit_circle_points(rng, 8)
+        for seed in range(10):
+            gen = np.random.default_rng([n, seed])
+            gains = gen.uniform(0.3, 0.8, n) * gen.choice([-1, 1], n)
+            delays = gen.integers(300, 700, n)
+            reference, _ = schroeder_series(gains, delays)
+            fdn, trace = siso_completion(reference.a, delays=delays)
+            assert certify_uniallpass(fdn, trace.dsim).verdict
+            assert _tf_diff_up_to_sign(reference, fdn, zs) < 1e-8, (n, seed)
+
+    @pytest.mark.parametrize("gains", [[0.0, 0.5], [0.5, 0.0, -0.4]])
+    def test_zero_gain_chains_complete(self, gains):
+        # a zero-gain section makes A singular; its completion has d = 0
+        reference, dsim = schroeder_series(gains, [4, 3, 2][: len(gains)])
+        fdn, trace = siso_completion(reference.a, delays=reference.delays)
+        assert trace.d == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(trace.dsim, dsim / np.max(dsim), rtol=1e-10, atol=0)
+        assert is_allpass(fdn).allpass
+
+    def test_tiny_gain_chain_completes(self, rng):
+        # a section gain of 1e-8 leaves the last line an input gain of
+        # 1.5e-9 and d = 9e-10; the completion still certifies
+        gains, delays = [0.3, -0.5, 1e-8, 0.6], [3, 1, 4, 2]
+        reference, _ = schroeder_series(gains, delays)
+        fdn, trace = siso_completion(reference.a, delays=delays)
+        assert certify_uniallpass(fdn, trace.dsim).verdict
+        assert _tf_diff_up_to_sign(reference, fdn, unit_circle_points(rng, 8)) < 1e-8
+
+    def test_no_inverse_formed(self, monkeypatch):
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        reference, _ = gardner_nested([0.3, -0.5, 0.7, 0.2], [3, 5, 7, 2])
+        fdn, trace = siso_completion(reference.a, delays=[3, 5, 7, 2])
+        assert certify_uniallpass(fdn, trace.dsim).verdict
 
 
 class TestRandomUniallpass:
