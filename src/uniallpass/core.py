@@ -22,10 +22,14 @@ Bauer-Fike radius gamma (||U U^T - I||_2 + N eps): f(z) = gamma**L g(z /
 gamma) with g(w) = det(diag(w**m_i) - U), and on |w| = 1 g times
 w**(-L/2) is a real function of the angle, up to a constant phase.  Where
 that radius is at most 1e-12 gamma, :func:`poles` counts the sign changes
-of that function on 8 L points of the circle, then on 32 L where that
-count comes up short or its Newton steps in the angle do not settle: each
-pass one zero-padded FFT of g's coefficients, which come once from its
-values at order / 2 + 1 roots of unity, O(order N^3) work in all.  Where
+of that function on about 8 L points of the circle, then on about 32 L
+where that count comes up short or its Newton steps in the angle do not
+settle: each pass one zero-padded FFT of g's coefficients, of a 5-smooth
+length, which also gives the function's first two derivatives there, and
+the coefficients come once from its values at order / 2 + 1 roots of
+unity, O(order N^3) work in all.  Each root starts at the root of the
+quintic Hermite interpolant between its two samples, so two sweeps of
+Newton steps settle it.  Where
 neither pass accounts for every root (close or multiple roots), and for
 every other system, :func:`poles` finds all roots at once by
 Ehrlich-Aberth iteration on f itself: with P(z) = diag(z**m_i) - A, each
@@ -79,7 +83,8 @@ one inverse real FFT of its values on the order / 2 + 1 upper-half nodes
 of order + 1 uniform ones.  Its unitarity test evaluates H once, at the
 order + 2 upper-half nodes of 2 order + 2 uniform ones and a few random
 points, as angles.  :func:`numerator_poly` fits det(P) H, P the loop
-matrix, on the upper half of order + 9 nodes; the principal-minor sweep
+matrix, on the upper half of the least 5-smooth count of nodes at or
+above order + 9; the principal-minor sweep
 of :func:`gcp`, limited to N <= 20, serves the Aberth solve and the
 public coefficients only.
 """
@@ -134,7 +139,8 @@ _ABERTH_TINY = 1e-8
 # Bauer-Fike radius of its poles about gamma is at most this fraction of gamma.
 _HOMOGENEOUS_RADIUS = 1e-12
 # Samples of the real circle function per pole over (0, pi) in the circle
-# route's passes, 8 and then 32 per pole on the whole circle.  At 4 per
+# route's passes, 8 and then 32 per pole on the whole circle, each count
+# rounded up to a 5-smooth FFT length.  At 4 per
 # circle, close roots shared a sample interval (and fell back) in 26 of 180
 # long-delay and 3 of 180 paper-scale designs.
 _CIRCLE_SAMPLES = (4, 16)
@@ -186,6 +192,22 @@ def _loop_chunks(x, points, powers, reduce):
         # freed before the next chunk's stack is built
         del loop
     return np.concatenate(parts)
+
+
+def _smooth_length(n):
+    """The least 2**a 3**b 5**c >= n: an FFT length with no prime factor
+    above 5, where a length with a large prime factor (5409 = 3**2 601)
+    takes the FFT several times longer."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd 2**k with the least k that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _unit_powers(m):
@@ -397,24 +419,24 @@ def _circle_numerator(fdn: FdnSystem):
 def numerator_poly(fdn: FdnSystem, tol=1e-6):
     """Numerator coefficients of H(z), shape (P, P, order + 1), ascending in
     z^-1: the z^-1 polynomial det(P) H z**-order, P = diag(z**m) - A the
-    loop matrix, sampled on the upper half, 0 <= omega <= pi, of K = order
-    + 1 + 8 uniform unit-circle nodes z_j (the lower half holds their
-    conjugates), with z_j**m and z_j**-order reduced in integers.  There
-    the least-squares polynomial fit is a DFT, so one inverse real FFT
-    recovers the coefficients.
+    loop matrix, sampled on the upper half, 0 <= omega <= pi, of K uniform
+    unit-circle nodes z_j (the lower half holds their conjugates), K the
+    least 5-smooth length at or above order + 1 + 8, with z_j**m and
+    z_j**-order reduced in integers.  There the least-squares polynomial
+    fit is a DFT, so one inverse real FFT recovers the coefficients.
 
     Returns (coefficients, fit residual): the largest mismatch between the
     fitted polynomial and the samples.  A residual above ``tol`` times the
     sample magnitude raises :class:`ConditioningError`.
     """
     tol = check_tolerance(tol)
-    count = fdn.order + 1 + _FIT_PAD
+    count = _smooth_length(fdn.order + 1 + _FIT_PAD)
     j = np.arange(count // 2 + 1)
     samples = _responses(
         fdn, j, lambda m: _node_powers(m, count), lambda loop, h: np.linalg.det(loop)[:, None, None] * h
     )
     # z_j**-order = z_j**(K - order)
-    samples *= _node_powers(np.array([_FIT_PAD + 1]), count)(j)[:, :, None]
+    samples *= _node_powers(np.array([count - fdn.order]), count)(j)[:, :, None]
     coeffs = np.fft.irfft(samples, count, axis=0)[: fdn.order + 1]
     resid = float(np.max(np.abs(np.fft.rfft(coeffs, count, axis=0) - samples)))
     if resid > tol * max(1.0, float(np.max(np.abs(samples)))):
@@ -430,10 +452,15 @@ def poles(fdn: FdnSystem):
     With homogeneous decay, A = U diag(gamma**m_i) and U orthogonal to within
     a pole radius gamma (||U U^T - I||_2 + N eps) of at most 1e-12 gamma,
     the poles are gamma times the sign changes of a real function on the
-    unit circle on 8 L, then 32 L samples, refined by Newton steps in the
-    angle, at any order and N.  They are returned with modulus gamma, which
-    is within that radius of every true modulus; their angles match the
-    Aberth poles to about 1e-15 at order 600.  Where neither count accounts
+    unit circle on about 8 L, then 32 L samples (the least 5-smooth counts
+    at or above them, one FFT each), at any order and N.  Each starts at the
+    root of the quintic Hermite interpolant of the function and its first
+    two derivatives at the two samples around it, from the same FFT, and
+    is refined by Newton steps in the angle that bisect where a step would
+    leave its bracket; a loop matrix that is exactly singular marks a root.
+    They are returned with modulus gamma, which is within that radius of
+    every true modulus; their angles match the Aberth poles to about 1e-15
+    at order 600.  Where neither count accounts
     for every pole (close or multiple poles), and for every other system,
     the poles come from simultaneous Ehrlich-Aberth iteration on the loop
     determinant itself.
@@ -608,14 +635,17 @@ def _homogeneous_factor(a, m):
 
 
 def _circle_samples(u, m, den, count):
-    """(phi, r, bound): r = g(w) w**(-L/2) at the ``count`` angles phi_k =
+    """(phi, r, bound): r = g(w) w**(-L/2) and its first and second
+    derivatives in phi, stacked (3, count), at the ``count`` angles phi_k =
     pi (k + 1/2) / count of the upper half circle, w = exp(i phi), for g(w)
     = det(diag(w**m) - U) of order L, and a bound on the error of every r.
 
     ``den`` is :func:`_circle_denominator` (U, m), the z^-1 coefficients of
-    g, so g(w) w**-L = sum_k den_k w**-k.  At w = exp(2 pi i (k + 1/2) / M),
-    M = 2 count >= K = L + 1, that sum is the length-M DFT of den_k
-    exp(-i pi k / M): one zero-padded FFT gives every sample.  Every power
+    g, so g(w) w**(-L/2) = sum_k den_k w**(L/2 - k), whose derivatives in
+    phi weight den_k by i (L/2 - k) and by its square.  At w = exp(2 pi i
+    (k + 1/2) / M), M = 2 count >= K = L + 1, each sum is the length-M DFT
+    of the weighted den_k exp(-i pi k / M), times w**(L/2): one zero-padded
+    FFT of the three stacked rows gives every sample.  Every power
     of a root of unity here has its exponent reduced exactly in integers,
     so its angle is below 2 pi, rounded by at most 1.5 eps relative, and
     the power is within 12 eps of exact.  The bound adds up three errors:
@@ -651,9 +681,10 @@ def _circle_samples(u, m, den, count):
     k = np.arange(count)
     phi = np.pi * (k + 0.5) / count
     twisted = den * np.exp(-1j * np.pi * np.arange(nodes) / size)
+    slope = 1j * (0.5 * order - np.arange(nodes))
     # w**(L/2) = exp(i pi (2 k + 1) L / (2 M))
     half = np.exp(0.5j * np.pi * (((2 * k + 1) * order) % (4 * size)) / size)
-    rotated = np.fft.fft(twisted, size)[:count] * half
+    rotated = np.fft.fft(np.stack((twisted, slope * twisted, slope * slope * twisted)), size)[:, :count] * half
     j = np.arange(nodes // 2 + 1)
     # Re z_j**m_i, and a_i at each node (clipped at 0 against rounding)
     real = np.cos(2.0 * np.pi * ((j[:, None] * m) % nodes) / nodes)
@@ -665,6 +696,43 @@ def _circle_samples(u, m, den, count):
     beta = _EPS * float(np.max((n * n + 12) * prod + 12 * others))
     fft = _EPS * (24 + math.log2(nodes * size)) * math.sqrt(size) * float(np.linalg.norm(den))
     return phi, rotated, beta * (4.0 + math.log(0.5 * nodes)) + fft
+
+
+def _hermite_starts(lo, hi, left, right):
+    """The root in each bracket (lo, hi) of the quintic Hermite interpolant
+    of r, r' and r'' (the rows of ``left`` and ``right``) at its two ends,
+    where r has opposite signs.  In t = (phi - lo) / (hi - lo) the quintic
+    is sum_k c_k t**k; its root is refined from the secant point by Newton
+    steps, each bisecting instead where it would leave the bracket that the
+    sign of the quintic keeps, until no step moves t by more than sqrt(eps):
+    a Newton step of s leaves an error of about s**2."""
+    h = hi - lo
+    scale = h ** np.arange(3)[:, None] * [[1.0], [1.0], [0.5]]
+    (y0, d0, s0), (y1, d1, s1) = left * scale, right * scale
+    # c0, c1, c2 = y0, d0, s0 (y, h y', h^2 y'' / 2 at t = 0), and c3, c4,
+    # c5 match y, its derivative and half its second derivative at t = 1
+    a, b, c = y1 - y0 - d0 - s0, d1 - d0 - 2.0 * s0, s1 - s0
+    coeffs = (y0, d0, s0, 10.0 * a - 4.0 * b + c, 7.0 * b - 15.0 * a - 2.0 * c, 6.0 * a - 3.0 * b + c)
+    low, high = np.zeros_like(h), np.ones_like(h)
+    t = y0 / (y0 - y1)
+    # a cap for steps that creep: bisection alone stops within 27
+    for _ in range(64):
+        p, dp = coeffs[5], 0.0
+        for k in range(4, -1, -1):
+            dp = dp * t + p
+            p = p * t + coeffs[k]
+        right_of = np.signbit(p) == np.signbit(y0)
+        np.copyto(low, t, where=right_of)
+        np.copyto(high, t, where=~right_of)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - p / dp
+        outside = ~((newton >= low) & (newton <= high))
+        newton[outside] = 0.5 * (low[outside] + high[outside])
+        moved = np.max(np.abs(newton - t), initial=0.0)
+        t = newton
+        if moved <= math.sqrt(_EPS):
+            break
+    return lo + t * h
 
 
 def _circle_poles(u, m, gamma, den):
@@ -682,12 +750,24 @@ def _circle_poles(u, m, gamma, den):
     roots are conjugate pairs exp(+-i phi), phi in (0, pi), and the roots
     w = 1 (where s = -1) and w = -1 (where s (-1)**L = -1) that this
     symmetry forces.  The pairs are the sign changes of r among a pass's
-    samples over (0, pi), one FFT of ``den`` (:func:`_circle_samples`),
-    counting only samples above the bound on their rounding error derived
-    there.  Each bracket is refined by Newton steps in phi from its secant
-    point, with r'/r = i (sum_i m_i w**m_i [P^-1]_ii - L/2) from the loop
-    matrix P = diag(w**m) - U, clipped to the bracket, until a step is
-    below 4 eps pi or the rounding error of r'/r is as large as its value.
+    samples over (0, pi), one FFT of ``den`` (:func:`_circle_samples`) of a
+    5-smooth length, the least at or above the pass's L samples, counting
+    only samples above the bound on their rounding error derived there.
+    The same FFT gives r' and r'' at every sample, and each bracket starts
+    at the root of the quintic Hermite interpolant of r, r' and r'' at its
+    two ends (:func:`_hermite_starts`).  Newton steps in phi refine it,
+    with r'/r = i (sum_i m_i w**m_i [P^-1]_ii - L/2) from the loop matrix P
+    = diag(w**m) - U, until a step is below 4 eps pi or the rounding error
+    of r'/r is as large as its value.  Two guards keep a pass from failing
+    on its iterates:
+
+    - an exactly singular P (no inverse) marks its iterate as a root to
+      working precision, with step 0;
+    - a step that would leave its bracket bisects it instead, the bracket
+      first shrunk to the side where r changes sign from the iterate, the
+      sign read off det P formed for those iterates alone (rtsafe, Press et
+      al., Numerical Recipes, 9.4).
+
     The poles are accurate to the pole radius of U (:func:`_pole_radius`);
     real ones are exactly real."""
     n, order = m.size, int(m.sum())
@@ -698,34 +778,52 @@ def _circle_poles(u, m, gamma, den):
     powers = _unit_powers(m)
 
     def trace(loop, power):
-        return (np.diagonal(np.linalg.inv(loop), axis1=1, axis2=2) * (m * power)).sum(axis=1)
+        try:
+            return (np.diagonal(np.linalg.inv(loop), axis1=1, axis2=2) * (m * power)).sum(axis=1)
+        except np.linalg.LinAlgError:
+            if loop.shape[0] == 1:
+                # t = L/2 reads as noise: step 0
+                return np.full(1, 0.5 * order, dtype=complex)
+            return np.concatenate([trace(loop[k : k + 1], power[k : k + 1]) for k in range(loop.shape[0])])
+
+    def r_of(values):
+        # values = sqrt(s) r, with r real
+        return values.real if sign > 0 else values.imag
 
     for samples in _CIRCLE_SAMPLES:
-        phi, rotated, bound = _circle_samples(u, m, den, samples * order)
-        # rotated = sqrt(s) r, with r real
-        values = rotated.real if sign > 0 else rotated.imag
-        keep = np.flatnonzero(np.abs(values) > bound)
-        change = np.flatnonzero(np.signbit(values[keep[1:]]) != np.signbit(values[keep[:-1]]))
+        phi, rotated, bound = _circle_samples(u, m, den, _smooth_length(samples * order))
+        values = r_of(rotated)
+        keep = np.flatnonzero(np.abs(values[0]) > bound)
+        change = np.flatnonzero(np.signbit(values[0, keep[1:]]) != np.signbit(values[0, keep[:-1]]))
         if 2 * change.size + len(ends) != order:
             continue
-        lo, hi = phi[keep[change]], phi[keep[change + 1]]
-        r_lo, r_hi = values[keep[change]], values[keep[change + 1]]
-        x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+        left, right = keep[change], keep[change + 1]
+        lo, hi = phi[left], phi[right]
+        x = _hermite_starts(lo, hi, values[:, left], values[:, right])
         active = np.arange(x.size)
         sweeps = 0
         while active.size and sweeps < _MAX_SWEEPS:
             sweeps += 1
-            try:
-                t = _loop_chunks(u, x[active], powers, trace)
-            except np.linalg.LinAlgError:
-                # an iterate exactly on a root: this pass does not close
-                break
+            t = _loop_chunks(u, x[active], powers, trace)
             # t = L/2 - i r'/r: where rounding moves its real part as far as
             # its imaginary part, the iterate sits at the noise floor of r
             noisy = np.abs(t.real - 0.5 * order) >= np.abs(t.imag)
             with np.errstate(divide="ignore"):
                 step = np.where(noisy, 0.0, 1.0 / t.imag)
-            x[active] = np.clip(x[active] + step, lo[active], hi[active])
+            now = x[active]
+            target = now + step
+            out = (target <= lo[active]) | (target >= hi[active])
+            if out.any():
+                idx = active[out]
+                dets = _loop_chunks(u, x[idx], powers, lambda loop, _: np.linalg.det(loop))
+                r = r_of(dets * np.exp(-0.5j * order * x[idx]))
+                # r keeps the sign of its bracket's left end up to the root
+                right_of = np.signbit(r) == np.signbit(values[0, left[idx]])
+                lo[idx] = np.where(right_of, x[idx], lo[idx])
+                hi[idx] = np.where(right_of, hi[idx], x[idx])
+                target[out] = 0.5 * (lo[idx] + hi[idx])
+                step[out] = target[out] - now[out]
+            x[active] = target
             active = active[np.abs(step) > 4.0 * _EPS * np.pi]
         if not active.size:
             pairs = gamma * np.exp(1j * x)

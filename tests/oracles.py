@@ -348,6 +348,24 @@ def circle_samples(u, m, count):
     return phi, np.concatenate(dets) / half
 
 
+def circle_derivatives(den, count):
+    """r = sum_k den_k w**(L/2 - k), L = len(den) - 1, and its first and
+    second derivatives in phi, stacked (3, count), at the ``count`` angles
+    phi_j = pi (j + 1/2) / count: direct sums in extended precision, every
+    power of w reduced exactly in integers, as the slow reference for the
+    FFT sampling of given coefficients."""
+    den = np.asarray(den, dtype=np.longdouble)
+    order = den.size - 1
+    k = np.arange(order + 1, dtype=np.int64)
+    odd = 2 * np.arange(count, dtype=np.int64) + 1
+    # w**(L/2 - k) = exp(i pi (2 j + 1) (L - 2 k) / (4 count))
+    turns = np.multiply.outer(odd, order - 2 * k) % (8 * count)
+    powers = np.exp(1j * np.pi * turns.astype(np.longdouble) / (4 * count))
+    slope = 1j * (0.5 * order - k.astype(np.longdouble))
+    rows = [powers @ (den * slope**j) for j in range(3)]
+    return np.array(rows, dtype=complex)
+
+
 def circle_count(u, m, samples=4):
     """The roots of g(w) = det(diag(w**m) - U), U orthogonal, that the
     circle route counts from :func:`circle_samples` at ``samples`` L

@@ -10,6 +10,7 @@ import fixture_values as fv
 from conftest import circle_route_poles, random_delays, random_stable_fdn, unit_circle_points
 from oracles import (
     circle_count,
+    circle_derivatives,
     circle_samples,
     dft_impulse,
     embedding_matrix,
@@ -874,6 +875,14 @@ def circle_sampling_cases():
     return cases
 
 
+def circle_args(fdn):
+    """(U, m, gamma, den), the arguments of :func:`core._circle_poles` for a
+    homogeneous-decay system."""
+    m = fdn.delays.as_array()
+    gamma, u, _ = core._homogeneous_factor(fdn.a, m)
+    return u, m, gamma, core._circle_denominator(u, m)
+
+
 def long_delay_designs(count, seed):
     """``count`` homogeneous designs as in the long-delay benchmark: N = 8,
     delays 30-95 summing to 540, 560, 580 or 600, gamma 0.999."""
@@ -900,7 +909,14 @@ class TestCircleSampling:
             ref_phi, ref = circle_samples(u, m, samples * order)
             np.testing.assert_array_equal(phi, ref_phi)
             own = n * n * core._EPS * np.prod(1.0 + np.linalg.norm(u, axis=1))
-            assert np.max(np.abs(r - ref)) <= bound + own
+            assert np.max(np.abs(r[0] - ref)) <= bound + own
+            if order <= 600:
+                # r, r' and r'' from the same den: the rows' errors are trig
+                # polynomials of degree L / 2, so Bernstein's inequality
+                # scales the FFT's share of the bound by (L / 2)**j
+                direct = circle_derivatives(den, samples * order)
+                errors = np.max(np.abs(r - direct), axis=1)
+                assert np.all(errors <= bound * (0.5 * order) ** np.arange(3))
             signs.add((-1) ** n * np.sign(np.linalg.det(u)))
             parities.add(order % 2)
         assert signs == {-1.0, 1.0} and parities == {0, 1}
@@ -987,6 +1003,114 @@ class TestCircleSampling:
         monkeypatch.undo()
         # the same roots as the 8 L pass finds unpatched
         assert multiset_max_distance(p, poles(fdn)) < 1e-12
+
+    @pytest.fixture
+    def pass_sweeps(self, monkeypatch):
+        """Records, per pass of a circle count, the number of points of each
+        ``_loop_chunks`` call that the pass makes: its Newton sweeps, and
+        the determinants of iterates whose step left their bracket."""
+        passes = []
+        samples, chunks = core._circle_samples, core._loop_chunks
+
+        def starting(*args):
+            passes.append([])
+            return samples(*args)
+
+        def recording(x, points, powers, reduce):
+            if passes:
+                passes[-1].append(points.size)
+            return chunks(x, points, powers, reduce)
+
+        monkeypatch.setattr(core, "_circle_samples", starting)
+        monkeypatch.setattr(core, "_loop_chunks", recording)
+        return passes
+
+    def test_long_delay_designs_close_in_two_sweeps(self, pass_sweeps):
+        # quintic Hermite starts: one sweep to converge, one to confirm
+        for fdn in long_delay_designs(8, 2213):
+            args = circle_args(fdn)
+            pass_sweeps.clear()
+            assert core._circle_poles(*args) is not None
+            assert len(pass_sweeps) == 1 and len(pass_sweeps[0]) <= 2
+
+    @pytest.mark.parametrize(
+        "delays, passes, sweeps",
+        [
+            ([1199, 1195, 1218, 1194, 1204, 1204, 1197, 1205], 1, 2),
+            # N = 32: at the 5-smooth 56250 samples of its first pass, two
+            # pairs of close roots share a sample interval and the count
+            # comes up 4 short; the 8 L pass at 56000 samples counted every
+            # root but stalled for 100 sweeps from its secant starts
+            (
+                [543, 325, 353, 371, 354, 540, 560, 474, 311, 328, 399, 429, 486, 443, 379, 347]
+                + [507, 520, 309, 334, 435, 417, 566, 455, 426, 429, 499, 476, 351, 521, 527, 586],
+                2,
+                4,
+            ),
+        ],
+    )
+    def test_ci_designs_close_without_aberth(self, monkeypatch, pass_sweeps, delays, passes, sweeps):
+        monkeypatch.setattr(core, "_aberth_poles", lambda *args: pytest.fail("an Aberth solve ran"))
+        fdn = design_homogeneous_siso(delays, 0.9995).fdn
+        assert poles(fdn).shape == (fdn.order,)
+        assert len(pass_sweeps) <= passes and len(pass_sweeps[-1]) <= sweeps
+
+    def test_bracket_guard_closes_from_secant_starts(self, monkeypatch, loop_work):
+        # N = 24, order 3435: from the secant points of the brackets a few
+        # Newton steps would leave them; those bisect on the sign of det P,
+        # formed for them alone, and the pass settles on the same roots
+        delays = np.random.default_rng([2, 24]).integers(100, 200, 24).tolist()
+        fdn = design_homogeneous_siso(delays, 0.999).fdn
+        args = circle_args(fdn)
+        expected = core._circle_poles(*args)
+        formed = loop_work["dets"]
+        monkeypatch.setattr(core, "_hermite_starts", lambda lo, hi, left, right: lo - left[0] * (hi - lo) / (right[0] - left[0]))
+        p = core._circle_poles(*args)
+        assert p is not None
+        assert np.max(np.abs(np.sort(np.angle(p)) - np.sort(np.angle(expected)))) <= 1e-15
+        assert 0 < loop_work["dets"] - formed <= 4
+
+    def test_singular_stack_is_inverted_matrix_by_matrix(self, monkeypatch):
+        # np.linalg.inv refuses a whole stack for one singular matrix: the
+        # sweep retries it one matrix at a time and the pass closes as before
+        fdn = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999).fdn
+        args = circle_args(fdn)
+        expected = core._circle_poles(*args)
+        inv, raised = np.linalg.inv, []
+
+        def once(a):
+            if not raised and a.shape[0] > 1:
+                raised.append(a.shape[0])
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", once)
+        np.testing.assert_array_equal(core._circle_poles(*args), expected)
+        assert raised
+
+    def test_singular_iterate_is_taken_as_a_root(self, monkeypatch):
+        # the first iterate's loop matrix made singular: it stops where it
+        # stands, at its quintic start, and every other root is unchanged
+        fdn = design_homogeneous_siso([70, 80, 66, 75, 90, 72, 68, 79], 0.999).fdn
+        args = circle_args(fdn)
+        expected = core._circle_poles(*args)
+        inv, marked = np.linalg.inv, []
+
+        def singular(a):
+            if not marked:
+                marked.append(a[0].copy())
+            if np.any(np.all(a == marked[0], axis=(1, 2))):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        p = core._circle_poles(*args)
+        assert p is not None
+        # the conjugate pairs come first, then their conjugates
+        conjugate = int(np.sum(expected.imag > 0))
+        np.testing.assert_array_equal(np.delete(p, [0, conjugate]), np.delete(expected, [0, conjugate]))
+        # quintic starts are within 3e-9 of their roots at this order
+        assert abs(p[0] - expected[0]) < 1e-7
 
 
 def contraction_sweep(family):
@@ -1321,8 +1445,9 @@ class TestBorderedNumerator:
                     assert np.max(np.abs(coeffs[i, q] - core._circle_numerator(sub))) <= 1e-12 * scale
 
     def test_numerator_poly_one_pass(self, monkeypatch):
-        # one pass of det(P) H on the order + 9 nodes' upper half: no FFT
-        # denominator and no evaluation at rounded points z
+        # one pass of det(P) H on the upper half of the least 5-smooth count
+        # of nodes at or above order + 9: no FFT denominator and no
+        # evaluation at rounded points z
         fdn = random_uniallpass(3, 2, 5, scaled=True, delays=[4, 7, 2])
         calls = []
         response = core._responses
@@ -1335,7 +1460,36 @@ class TestBorderedNumerator:
         monkeypatch.setattr(core, "_circle_denominator", lambda *args: pytest.fail("a denominator ran"))
         monkeypatch.setattr(core, "frequency_response", lambda *args: pytest.fail("H at rounded z ran"))
         numerator_poly(fdn)
-        assert calls == [(fdn.order + 1 + core._FIT_PAD) // 2 + 1]
+        assert calls == [core._smooth_length(fdn.order + 1 + core._FIT_PAD) // 2 + 1]
+
+    def test_smooth_node_count_keeps_the_coefficients(self, monkeypatch):
+        # order 5400: 5625 nodes against order + 9 = 5409 = 3^2 601, on a SISO
+        # design and on an N = P = 8 lattice
+        delays = [601, 703, 655, 689, 702, 640, 710, 700]
+        systems = [
+            design_homogeneous_siso(delays, 0.999).fdn,
+            poletti_unitary(random_orthogonal(8, np.random.default_rng(2701)), 0.6, delays)[0],
+        ]
+        assert core._smooth_length(sum(delays) + 1 + core._FIT_PAD) == 5625
+        for fdn in systems:
+            coeffs, resid = numerator_poly(fdn)
+            with monkeypatch.context() as plain:
+                plain.setattr(core, "_smooth_length", lambda n: n)
+                ref, ref_resid = numerator_poly(fdn)
+            assert np.max(np.abs(coeffs - ref)) <= resid + ref_resid
+
+
+def test_smooth_lengths():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    lengths = [core._smooth_length(n) for n in range(1, 3001)]
+    assert all(smooth(k) and k >= n for n, k in enumerate(lengths, 1))
+    # no 5-smooth length is skipped
+    assert sorted(set(lengths)) == [k for k in range(1, lengths[-1] + 1) if smooth(k)]
 
 
 class TestLoopLogDerivative:
