@@ -25,14 +25,10 @@ from .complete import (
 )
 from .core import DEFAULT_TOL, check_tolerance, impulse_response, is_allpass, poles
 from .designs import gardner_nested, poletti_unitary, schroeder_series
-from .errors import FdnError, NotCertifiableError, UnstableError
+from .errors import FdnError, UnstableError
 from .homogeneous import design_homogeneous_siso
 from .system import DelayVector
-from .verify import (
-    certify_uniallpass,
-    check_minor_condition,
-    dsim_from_lyapunov,
-)
+from .verify import _certify, _minor_condition
 
 
 def _tolerance(text):
@@ -58,18 +54,15 @@ def _float_list(text):
 
 
 def _verify_report(fdn, dsim, tol):
-    """Certification summary dict embedded in output JSON, the dsim it used
-    and its certificate (None without a similarity candidate)."""
+    """Certification summary dict embedded in output JSON, and the
+    certificate it reports: of ``dsim``, or of the Lyapunov dsim (or its
+    rejected candidate) when ``dsim`` is None; None without a candidate.
+    The minor condition's witness takes this certificate."""
+    cert, rejection = _certify(fdn, dsim, tol)
     report = {}
-    cert = None
-    if dsim is None:
-        try:
-            dsim = dsim_from_lyapunov(fdn.a, fdn.b, tol)
-        except NotCertifiableError as exc:
-            dsim = exc.candidate
-            report["lyapunov"] = {"ok": False, "detail": str(exc)}
-    if dsim is not None:
-        cert = certify_uniallpass(fdn, dsim, tol)
+    if rejection is not None:
+        report["lyapunov"] = {"ok": False, "detail": rejection}
+    if cert is not None:
         report["certificate"] = {
             "verdict": cert.verdict,
             "residual": cert.residual,
@@ -77,7 +70,7 @@ def _verify_report(fdn, dsim, tol):
             "tol": tol,
         }
     try:
-        minor = check_minor_condition(fdn, tol)
+        minor = _minor_condition(fdn, cert, tol)
         report["minor_condition"] = {
             "verdict": minor.verdict,
             "route": minor.route,
@@ -88,21 +81,24 @@ def _verify_report(fdn, dsim, tol):
         }
     except (np.linalg.LinAlgError, FdnError) as exc:
         report["minor_condition"] = {"verdict": False, "detail": str(exc)}
-    return report, dsim, cert
+    return report, cert
 
 
-def _emit_system(args, fdn, dsim, meta=None):
-    tol = args.tol
-    verify, dsim, _ = _verify_report(fdn, dsim, tol)
-    text = serialize.dumps_system(fdn, dsim=dsim, meta=meta, verify=verify)
-    if args.output:
-        with open(args.output, "w", newline="\n") as fh:
+def _write(path, text):
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    cert = verify.get("certificate", {})
-    if not cert.get("verdict", False):
-        print(f"warning: output did not certify at tolerance {tol:g}", file=sys.stderr)
+
+
+def _emit_system(args, fdn, dsim, meta=None):
+    verify, cert = _verify_report(fdn, dsim, args.tol)
+    dsim = None if cert is None else cert.dsim
+    _write(args.output, serialize.dumps_system(fdn, dsim=dsim, meta=meta, verify=verify))
+    if cert is None or not cert.verdict:
+        print(f"warning: output did not certify at tolerance {args.tol:g}", file=sys.stderr)
         return 1
     return 0
 
@@ -120,12 +116,10 @@ def _cmd_design(args):
             "pole_modulus_max": design.pole_modulus_max,
         }
         return _emit_system(args, design.fdn, design.dsim, meta=meta)
-    if args.kind == "schroeder":
-        fdn, dsim = schroeder_series(args.gains, args.delays)
-        return _emit_system(args, fdn, dsim, meta={"design": "schroeder"})
-    if args.kind == "gardner":
-        fdn, dsim = gardner_nested(args.gains, args.delays)
-        return _emit_system(args, fdn, dsim, meta={"design": "gardner"})
+    if args.kind in ("schroeder", "gardner"):
+        chain = schroeder_series if args.kind == "schroeder" else gardner_nested
+        fdn, dsim = chain(args.gains, args.delays)
+        return _emit_system(args, fdn, dsim, meta={"design": args.kind})
     if args.kind == "poletti":
         rng = np.random.default_rng(args.seed)
         u = random_orthogonal(args.size, rng)
@@ -197,7 +191,7 @@ def _cmd_verify(args):
     fdn, dsim, _ = serialize.load_system(args.input)
     if args.delays:
         fdn = fdn.with_delays(args.delays)
-    report, _, cert = _verify_report(fdn, dsim, tol)
+    report, cert = _verify_report(fdn, dsim, tol)
     if cert is not None:
         print(
             f"certificate: verdict={cert.verdict} residual={cert.residual:.6g} "
@@ -242,32 +236,18 @@ def _cmd_simulate(args):
         serialize.check_wav_rate(args.rate, fdn.n_io)
     # rendered before any file opens: an unstable network raises FdnError
     response = impulse_response(fdn, args.length)
-    if args.csv:
-        serialize.impulse_csv(args.csv, response)
-    else:
-        serialize.impulse_csv(sys.stdout, response)
+    serialize.impulse_csv(args.csv or sys.stdout, response)
     if args.wav:
         p_out, p_in, _ = response.shape
-        written = []
         if args.multichannel:
-            for j in range(p_in):
-                path = args.wav if p_in == 1 else _suffixed(args.wav, f"_in{j}")
-                scale = serialize.write_wav(path, response[:, j, :], args.rate)
-                written.append((path, scale))
+            tracks = [(f"_in{j}", response[:, j, :]) for j in range(p_in)]
         else:
-            for i in range(p_out):
-                for j in range(p_in):
-                    path = (
-                        args.wav
-                        if p_out == 1 and p_in == 1
-                        else _suffixed(args.wav, f"_out{i}_in{j}")
-                    )
-                    scale = serialize.write_wav(path, response[i, j], args.rate)
-                    written.append((path, scale))
-        for path, scale in written:
+            tracks = [(f"_out{i}_in{j}", response[i, j]) for i in range(p_out) for j in range(p_in)]
+        for suffix, track in tracks:
+            path = args.wav if len(tracks) == 1 else _suffixed(args.wav, suffix)
+            scale = serialize.write_wav(path, track, args.rate)
             meta = {"rate": args.rate, "scale": scale, "peak_target_dbfs": -1.0}
-            with open(str(path) + ".meta.json", "w", newline="\n") as fh:
-                fh.write(serialize.canonical_json(meta))
+            _write(path + ".meta.json", serialize.canonical_json(meta))
     return 0
 
 
@@ -281,10 +261,7 @@ def _cmd_poles(args):
     values = poles(fdn)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
-    if args.csv:
-        serialize.poles_csv(args.csv, values)
-    else:
-        serialize.poles_csv(sys.stdout, values)
+    serialize.poles_csv(args.csv or sys.stdout, values)
     return 0
 
 
@@ -293,11 +270,7 @@ def _cmd_export(args):
     text = serialize.dumps_system(
         fdn, dsim=dsim, meta=payload.get("meta"), verify=payload.get("verify")
     )
-    if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, text)
     return 0
 
 
@@ -318,12 +291,10 @@ def build_parser():
     p_homog.add_argument("--slack", type=float, default=0.9)
 
     p_sch = design_sub.add_parser("schroeder", help="series allpass chain")
-    p_sch.add_argument("--gains", type=_float_list, required=True)
-    p_sch.add_argument("--delays", type=_int_list, required=True)
-
     p_gar = design_sub.add_parser("gardner", help="nested allpass chain")
-    p_gar.add_argument("--gains", type=_float_list, required=True)
-    p_gar.add_argument("--delays", type=_int_list, required=True)
+    for p in (p_sch, p_gar):
+        p.add_argument("--gains", type=_float_list, required=True)
+        p.add_argument("--delays", type=_int_list, required=True)
 
     p_pol = design_sub.add_parser("poletti", help="unitary multichannel lattice")
     p_pol.add_argument("--size", type=int, required=True)

@@ -81,17 +81,16 @@ def _inverse(block, name):
         raise np.linalg.LinAlgError(f"{name} is singular") from None
 
 
-def _inverses(fdn: FdnSystem):
-    """D^-1 and A^-1; raises naming the singular block."""
-    return _inverse(fdn.d, "direct-gain block D"), _inverse(fdn.a, "feedback block A")
+def _schur_d(a, b, c, d):
+    """S_D = A - B D^-1 C and D^-1; raises LinAlgError if D is singular."""
+    d_inv = _inverse(d, "direct-gain block D")
+    return a - b @ d_inv @ c, d_inv
 
 
 def schur_complements(fdn: FdnSystem) -> SchurPair:
     """Both Schur complements; raises naming the singular block."""
-    d_inv, a_inv = _inverses(fdn)
-    s_d = fdn.a - fdn.b @ d_inv @ fdn.c
-    s_a = fdn.d - fdn.c @ a_inv @ fdn.b
-    return SchurPair(s_d=s_d, s_a=s_a)
+    s_d, _ = _schur_d(fdn.a, fdn.b, fdn.c, fdn.d)
+    return SchurPair(s_d=s_d, s_a=fdn.d - fdn.c @ _inverse(fdn.a, "feedback block A") @ fdn.b)
 
 
 def apply_diagonal_similarity(fdn: FdnSystem, t) -> FdnSystem:
@@ -159,7 +158,7 @@ def dsim_from_hadamard_quotient(sys: SystemMatrix, tol=1e-6):
     """
     tol = check_tolerance(tol)
     a, b, c, d = sys.blocks
-    s_inv = np.linalg.inv(a - b @ _inverse(d, "direct-gain block D") @ c)
+    s_inv = np.linalg.inv(_schur_d(a, b, c, d)[0])
     n = sys.split
     structural = 1e-9 * max(float(np.max(np.abs(a))), float(np.max(np.abs(s_inv))))
     support = np.abs(a.T) > structural
@@ -196,9 +195,11 @@ def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCerti
     """Sufficient certificate: with W = diag(dsim, I_P), test U W U^T = W for
     the block system matrix U, both as is and balanced by sqrt(W).  A pass
     (positive ``dsim``) certifies the allpass property for every delay
-    vector."""
+    vector.  A ``dsim`` of a length other than N raises ValueError."""
     tol = check_tolerance(tol)
     dsim = np.asarray(dsim, dtype=float).ravel()
+    if dsim.size != fdn.n_delays:
+        raise ValueError(f"dsim has length {dsim.size}, expected {fdn.n_delays}")
     u = SystemMatrix.from_fdn(fdn).u
     w = np.concatenate([dsim, np.ones(fdn.n_io)])
     residual = float(np.max(np.abs((u * w[None, :]) @ u.T - np.diag(w))))
@@ -209,26 +210,44 @@ def certify_uniallpass(fdn: FdnSystem, dsim, tol=DEFAULT_TOL) -> UniallpassCerti
     return UniallpassCertificate(dsim, residual, balanced, verdict, tol)
 
 
-def _minor_witness(fdn: FdnSystem, tol):
-    """(r / s^2, s^2) when the diagonal similarity of a certified system
-    proves the minor condition, else None.
+def _certify(fdn: FdnSystem, dsim, tol):
+    """(certificate, rejection): the certificate of ``dsim`` or, when it is
+    None, of the Lyapunov dsim; where :func:`dsim_from_lyapunov` rejects,
+    that of its candidate (None without one) and the rejection's message."""
+    rejection = None
+    if dsim is None:
+        try:
+            dsim = dsim_from_lyapunov(fdn.a, fdn.b, tol)
+        except NotCertifiableError as exc:
+            # the message, not the exception: a kept exception holds this
+            # frame through its traceback, a cycle only the collector frees
+            dsim, rejection = exc.candidate, str(exc)
+    return (None if dsim is None else certify_uniallpass(fdn, dsim, tol)), rejection
 
-    A certificate (positive ``dsim`` from :func:`dsim_from_lyapunov`, both
-    residuals below the premise tolerance, see below) makes the balanced
-    system matrix V = [[A, B], [C, D]] (hats dropped) orthogonal, and the
-    (1, 1) block of V^-1 = V^T gives S_D^-1 = A^T: S_D = A^-T in the
-    balanced frame, so S_D = W A^-T W^-1 with W = diag(dsim).  A diagonal
-    similarity and a transpose keep every principal minor, so the minors
-    of S_D and A^-1 match with sign +1 (Engel & Schneider 1980; Hartfiel &
-    Loewy 1984).
+
+def _minor_witness(fdn: FdnSystem, cert, tol):
+    """(r / s^2, s^2) when the diagonal similarity of ``cert``, the
+    caller's certificate of ``fdn`` (None: no witness), proves the minor
+    condition, else None.  The CLI passes the certificate of the file's dsim
+    (of the Lyapunov dsim when the file has none), and
+    :func:`check_minor_condition` that of the Lyapunov dsim.
+
+    The premise is both residuals of ``cert`` below min(``tol``, 1e-8);
+    it needs a positive dsim, as the balanced residual is inf otherwise.
+    A certificate makes the balanced system matrix V = [[A, B], [C, D]]
+    (hats dropped) orthogonal, and the (1, 1) block of V^-1 = V^T gives
+    S_D^-1 = A^T: S_D = A^-T in the balanced frame, so S_D = W A^-T W^-1
+    with W = diag(dsim).  A diagonal similarity and a transpose keep every
+    principal minor, so the minors of S_D and A^-1 match with sign +1
+    (Engel & Schneider 1980; Hartfiel & Loewy 1984).
 
     The residual r = max|S_D - A^-T| of the computed balanced blocks is
-    held to what the certificate and rounding allow.  With n = N + P and
-    delta the balanced residual, ||V V^T - I||_2 <= e = n (delta + (n + 1)
-    eps), the rounding of delta included.  V^-1 - V^T = -V^T E (I + E)^-1
-    bounds ||S_D^-1 - A^T||_2 by f = e sqrt(1 + e) / (1 - e), and S_D -
-    A^-T = S_D (A^T - S_D^-1) A^-T bounds ||S_D - A^-T||_2 by ||S_D||
-    ||A^-1|| f.  With s the largest Frobenius norm of A^-1, S_D and D^-1
+    held to what the certificate and rounding allow; of the certificate,
+    only its balanced residual delta enters.  With n = N + P, ||V V^T -
+    I||_2 <= e = n (delta + (n + 1) eps), the rounding of delta included.
+    V^-1 - V^T = -V^T E (I + E)^-1 bounds ||S_D^-1 - A^T||_2 by f = e
+    sqrt(1 + e) / (1 - e), and S_D - A^-T = S_D (A^T - S_D^-1) A^-T bounds
+    ||S_D - A^-T||_2 by ||S_D|| ||A^-1|| f.  With s the largest Frobenius norm of A^-1, S_D and D^-1
     (each at least its 2-norm; S_D = A^-T gives the first two the same
     norm) and s >= ||A^-1||_2 >= 1 / ||A||_2 >= (1 + e)^-0.5, the computed
     blocks add at most (first order, modest LU pivot growth):
@@ -242,32 +261,27 @@ def _minor_witness(fdn: FdnSystem, tol):
         r <= s^2 (f + (4 P + 3) n (1 + e)^1.5 eps).
 
     The witness proves an identity of the certified system, so it stands
-    for the system given only as far as the certificate is tight: dsim and
-    the certificate are taken at min(``tol``, DEFAULT_TOL), never looser.
-    A loose ``tol`` loosens the comparison, not the premise; a system
-    certified only at, say, 0.05 has minors that differ by far more than
-    its balanced residual, and takes the sweep.  The scaled residual
-    r / s^2 must also lie below ``tol``, as the sweep's deviation must.
-    The premise keeps e below n (1e-8 + (n + 1) eps), so e < 1 for any n
-    that fits in memory.  Where the certificate fails, a block is
+    for the system given only as far as the certificate is tight: the
+    premise is never looser than DEFAULT_TOL = 1e-8.  A loose ``tol``
+    loosens the comparison, not the premise; a system certified only at,
+    say, 0.05 has minors that differ by far more than its balanced
+    residual, and takes the sweep.  On this route ``tol`` bounds the scaled
+    residual r / s^2, as it bounds the absolute minor difference on the
+    sweep.  The premise keeps e below n (1e-8 + (n + 1) eps), so e < 1 for
+    any n that fits in memory.  Where the premise fails, a block is
     singular, or either test fails, there is no witness.
     """
     premise = min(tol, DEFAULT_TOL)
-    try:
-        dsim = dsim_from_lyapunov(fdn.a, fdn.b, premise)
-    except NotCertifiableError:
+    if cert is None or not (cert.residual < premise and cert.balanced_residual < premise):
         return None
-    cert = certify_uniallpass(fdn, dsim, premise)
     size, p = fdn.n_delays + fdn.n_io, fdn.n_io
     e = size * (cert.balanced_residual + (size + 1) * _EPS)
-    if not cert.verdict:
-        return None
-    balanced = apply_diagonal_similarity(fdn, np.sqrt(dsim))
+    balanced = apply_diagonal_similarity(fdn, np.sqrt(cert.dsim))
     try:
-        a_inv, d_inv = np.linalg.inv(balanced.a), np.linalg.inv(fdn.d)
+        a_inv = np.linalg.inv(balanced.a)
+        s_d, d_inv = _schur_d(balanced.a, balanced.b, balanced.c, balanced.d)
     except np.linalg.LinAlgError:
         return None
-    s_d = balanced.a - balanced.b @ d_inv @ balanced.c
     scale = max(float(np.sum(x * x)) for x in (a_inv, s_d, d_inv))
     residual = float(np.max(np.abs(s_d - a_inv.T)))
     f = e * np.sqrt(1.0 + e) / (1.0 - e)
@@ -280,20 +294,29 @@ def _minor_witness(fdn: FdnSystem, tol):
 def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
     """Principal-minor matching between S_D = A - B D^-1 C and A^-1.
 
-    A system certified at min(``tol``, DEFAULT_TOL) is proven to pass by
-    its diagonal similarity in O(N^3), at any N (:func:`_minor_witness`,
-    route ``"witness"``).  Every other system takes the exhaustive sweep
-    (route ``"sweep"``): it finds the sign s in {+1, -1} minimizing max
-    over subsets I of |det S_D(I) - s det A^-1(I)| and passes when the
-    minimum is below ``tol``.  Both 2^N minor lists come from one sweep of
-    the stack (S_D, A^-1) (:func:`principal_minors_all`), each minor within
-    k^2 eps g of exact times the product of its rows' norms (see
-    :func:`core._gcp_terms`).
+    A system whose Lyapunov dsim (:func:`dsim_from_lyapunov`) has both
+    certificate residuals below min(``tol``, 1e-8) is proven to pass by that
+    diagonal similarity in O(N^3), at any N (:func:`_minor_witness`, route
+    ``"witness"``; ``tol`` bounds its scaled residual r / s^2); the CLI
+    passes the certificate of the file's dsim instead, through
+    :func:`_minor_condition`.  Every other system takes
+    the exhaustive sweep (route ``"sweep"``): it finds the sign s in {+1,
+    -1} minimizing max over subsets I of |det S_D(I) - s det A^-1(I)| and
+    passes when that absolute minor difference is below ``tol``.  Both 2^N
+    minor lists come from one sweep of the stack (S_D, A^-1)
+    (:func:`principal_minors_all`), each minor within k^2 eps g of exact
+    times the product of its rows' norms (see :func:`core._gcp_terms`).
     The sweep is capped at N = 20 (:class:`FdnError` beyond it); a
     singular D or A raises ``LinAlgError`` naming the block.
     """
     tol = check_tolerance(tol)
-    witness = _minor_witness(fdn, tol)
+    return _minor_condition(fdn, _certify(fdn, None, min(tol, DEFAULT_TOL))[0], tol)
+
+
+def _minor_condition(fdn: FdnSystem, cert, tol) -> MinorCheck:
+    """:func:`check_minor_condition` with the witness's premise taken from
+    ``cert`` (None: the sweep alone)."""
+    witness = _minor_witness(fdn, cert, tol)
     if witness is not None:
         deviation, scale = witness
         return MinorCheck(
@@ -307,9 +330,8 @@ def check_minor_condition(fdn: FdnSystem, tol=DEFAULT_TOL) -> MinorCheck:
             scale=scale,
         )
     n = fdn.n_delays
-    d_inv, a_inv = _inverses(fdn)
-    s_d = fdn.a - fdn.b @ d_inv @ fdn.c
-    minors_s, minors_ai = principal_minors_all(np.stack((s_d, a_inv)))
+    s_d, _ = _schur_d(fdn.a, fdn.b, fdn.c, fdn.d)
+    minors_s, minors_ai = principal_minors_all(np.stack((s_d, _inverse(fdn.a, "feedback block A"))))
     best = None
     for sign in (+1, -1):
         diffs = np.abs(minors_s - sign * minors_ai)

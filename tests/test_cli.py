@@ -17,6 +17,10 @@ from uniallpass.cli import main
 from uniallpass.serialize import dumps_system, load_system, save_system, write_wav
 
 
+# an N = 8 homogeneous design of order 372
+SPEC_DELAYS = "31,37,41,43,47,53,59,61"
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -211,6 +215,52 @@ class TestVerifyCommand:
         assert code == 1
         assert "did not certify at tolerance 1e-30" in capsys.readouterr().err
 
+    def test_file_dsim_carries_the_witness(self, tmp_path, capsys, monkeypatch):
+        # with no Stein diagonal to recover, the minor condition is still
+        # proven by the witness, from the dsim the file carries
+        from uniallpass import core, verify
+
+        path = tmp_path / "h.json"
+        assert run_cli("design", "homogeneous", "--delays", SPEC_DELAYS, "--gamma", "0.99", "-o", str(path)) == 0
+        monkeypatch.setattr(core, "_stein_diagonal", lambda *args: None)
+        monkeypatch.setattr(verify, "_stein_diagonal", lambda *args: None)
+        assert run_cli("verify", str(path)) == 0
+        assert "minor condition: verdict=True route=witness sign=+1" in capsys.readouterr().out
+
+    def test_one_certificate_per_system(self, tmp_path, capsys, monkeypatch):
+        # counted through wrappers around every reference to the two proofs:
+        # the design's own certificate is the only one made twice
+        from uniallpass import cli, complete, verify
+
+        counts = {}
+
+        def counted(name):
+            fn = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("certify_uniallpass", "dsim_from_lyapunov"):
+            wrapper = counted(name)
+            for module in (verify, complete, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        path = tmp_path / "h.json"
+        commands = [
+            (("design", "homogeneous", "--delays", SPEC_DELAYS, "--gamma", "0.99", "-o", str(path)), 2, 0),
+            (("verify", str(path)), 1, 0),
+            (("complete", "--random", "8", "--scaled", "--seed", "3"), 1, 1),
+        ]
+        for argv, certificates, recoveries in commands:
+            counts.clear()
+            assert run_cli(*argv) == 0
+            assert counts.get("certify_uniallpass", 0) == certificates, argv
+            assert counts.get("dsim_from_lyapunov", 0) == recoveries, argv
+        capsys.readouterr()
+
 
 class TestCompleteCommand:
     def test_siso_from_text_matrix(self, tmp_path):
@@ -403,6 +453,12 @@ class TestSimulateAndPoles:
 
         with wave_mod.open(str(tmp_path / "ir_in0.wav")) as fh:
             assert fh.getnchannels() == 2
+        # one mono file, with its scale beside it, per output-input pair
+        assert run_cli("simulate", str(path), "--length", "64", "--wav", str(wav)) == 0
+        for name in ("ir_out0_in0", "ir_out0_in1", "ir_out1_in0", "ir_out1_in1"):
+            with wave_mod.open(str(tmp_path / f"{name}.wav")) as fh:
+                assert fh.getnchannels() == 1
+            assert json.loads((tmp_path / f"{name}.wav.meta.json").read_text())["rate"] == 48000
 
     def test_poles_csv(self, tmp_path):
         design = design_homogeneous_siso([2, 3], 0.9)

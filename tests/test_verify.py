@@ -303,6 +303,12 @@ class TestCertificate:
         for _ in range(5):
             assert not certify_uniallpass(fdn, np.exp(rng.uniform(-1, 1, 3))).verdict
 
+    def test_wrong_length_dsim_named(self):
+        # numpy used to fail on the weight broadcast, naming neither length
+        fdn, _ = schroeder_series([0.5, -0.6, 0.7], [3, 5, 7])
+        with pytest.raises(ValueError, match="dsim has length 2, expected 3"):
+            certify_uniallpass(fdn, [1.0, 2.0])
+
 
 class TestMinorCondition:
     def test_counterexample(self):
@@ -401,6 +407,35 @@ class TestMinorCondition:
         fdn = random_uniallpass(3, 3, seed=5)
         check = check_minor_condition(fdn)
         assert check.verdict and not check.sufficient
+
+    def test_witness_takes_the_given_certificate(self, monkeypatch):
+        # the witness makes no certificate of its own: it closes on the one
+        # it is given, and its premise is that certificate's two residuals
+        design = design_homogeneous_siso([31, 37, 41, 43, 47, 53, 59, 61], 0.99)
+        cert = certify_uniallpass(design.fdn, design.dsim)
+        loose = certify_uniallpass(design.fdn, design.dsim * (1 + 1e-4), 0.05)
+        assert loose.verdict and loose.residual > 1e-8
+
+        def no_proof(*args):
+            pytest.fail("the witness recovered or certified a dsim")
+
+        monkeypatch.setattr(verify, "dsim_from_lyapunov", no_proof)
+        monkeypatch.setattr(verify, "certify_uniallpass", no_proof)
+        deviation, scale = verify._minor_witness(design.fdn, cert, 1e-8)
+        assert deviation < 1e-15 and scale >= 1.0
+        assert verify._minor_witness(design.fdn, None, 1e-8) is None
+        assert verify._minor_witness(design.fdn, loose, 0.05) is None
+        check = verify._minor_condition(design.fdn, cert, 1e-8)
+        assert check.route == "witness" and check.deviation == deviation
+
+    def test_schur_complement_keeps_its_product_order(self, rng):
+        # every S_D is A - B D^-1 C in this order, so minors stay bitwise equal
+        fdn = random_stable_fdn(rng, 4, 1)
+        d_inv = np.linalg.inv(fdn.d)
+        s_d, inverse = verify._schur_d(fdn.a, fdn.b, fdn.c, fdn.d)
+        np.testing.assert_array_equal(inverse, d_inv)
+        np.testing.assert_array_equal(s_d, fdn.a - fdn.b @ d_inv @ fdn.c)
+        np.testing.assert_array_equal(schur_complements(fdn).s_d, s_d)
 
     def test_singular_blocks_rejected(self, rng):
         singular_d = FdnSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), [1, 1])
