@@ -91,6 +91,7 @@ public coefficients only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -303,8 +304,10 @@ def _ordered_subsets(n: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _ordered_masks(n: int):
-    """Bitmasks of :func:`_ordered_subsets` (n), in the same order.
+    """Bitmasks of :func:`_ordered_subsets` (n), in the same order, built
+    once per n and read-only.
 
     Two subsets of equal size compare lexicographically as their masks with
     the bit order reversed compare descending: the first index where they
@@ -312,15 +315,20 @@ def _ordered_masks(n: int):
     """
     sizes = subset_sums(np.ones(n, dtype=np.int8))
     reversed_masks = subset_sums(1 << np.arange(n - 1, -1, -1))
-    return np.lexsort((-reversed_masks, sizes))
+    masks = np.lexsort((-reversed_masks, sizes))
+    masks.flags.writeable = False
+    return masks
 
 
 def principal_minor_list(m):
-    """Principal minors in (cardinality, lexicographic) subset order."""
+    """Principal minors of one N x N matrix in (cardinality,
+    lexicographic) subset order; any other shape raises ValueError."""
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"principal_minor_list needs one square matrix (N, N), got shape {m.shape}")
+    n = m.shape[-1]
     minors = principal_minors_all(m)
-    subsets = _ordered_subsets(m.shape[0])
-    return subsets, minors[_ordered_masks(m.shape[0])]
+    return _ordered_subsets(n), minors[_ordered_masks(n)]
 
 
 def gcp(a, delays):
@@ -335,6 +343,8 @@ def gcp(a, delays):
     """
     a = np.asarray(a, dtype=float)
     m = delays.as_array() if isinstance(delays, DelayVector) else DelayVector(delays).as_array()
+    if a.ndim != 2 or a.shape != (m.size, m.size):
+        raise ValueError(f"gcp needs an N x N matrix A and N delays, got A of shape {a.shape} and {m.size} delays")
     return _gcp_terms(a, m)[0]
 
 
@@ -342,18 +352,24 @@ def _gcp_terms(a, m):
     """The :func:`gcp` coefficients of (A, m) and a rounding bound for each.
 
     The sweep (:func:`principal_minors_all`) forms each k x k principal
-    minor as the product of the pivots of a symmetrically pivoted LU
-    factorization of its submatrix, the pivots read off the Schur
-    complements along its path.  That LU is exact for the submatrix with
-    each row perturbed by about k eps times the largest entry the row
-    reaches in those Schur complements (Higham, Accuracy and Stability of
-    Numerical Algorithms, 9.3), which is the row's own largest entry times
-    the path growth g >= 1 that the sweep carries per minor.  So by
-    Hadamard's inequality its error is at most k^2 eps g times the product
-    of those rows' norms in A (zero for the empty minor).  A coefficient's
-    bound is the sum of the bounds of the minors that form it; one below its
-    bound cannot be told from zero.  N > 20 raises :class:`FdnError` before
-    the sweep.
+    minor on I + J as det A[I], the product of the pivots of a
+    symmetrically pivoted LU factorization of A[I] read off the Schur
+    complements along its path, times the last pivot or a closed-form minor
+    of the Schur complement S_J of order |J| <= 4.  That LU is exact for
+    A[I] with each row perturbed by about k eps times the largest entry the
+    row reaches in those Schur complements (Higham, Accuracy and Stability
+    of Numerical Algorithms, 9.3).  The closed form errs by at most c eps
+    prod ||r_i|| over the rows r_i of S_J, c <= 1, 3, 6.5 for |J| = 2, 3,
+    4, by |ad| + |bc| <= ||r_1|| ||r_2|| and sum_q |M_01(q)| |M_23(q')| <=
+    ||r_0 ^ r_1|| ||r_2 ^ r_3|| <= prod ||r_i|| over the column pairs q:
+    less than Hadamard's inequality allows for S_J with each row perturbed
+    by |J| eps times its largest entry.  Each such entry is at most the
+    row's own largest entry in A times the path growth g >= 1 that the
+    sweep carries per minor.  So by Hadamard's inequality the minor's error
+    is at most about k^2 eps g times the product of its rows' norms in A
+    (zero for the empty minor).  A coefficient's bound is the sum of the
+    bounds of the minors that form it; one below its bound cannot be told
+    from zero.  N > 20 raises :class:`FdnError` before the sweep.
     """
     n = a.shape[0]
     order = int(m.sum())

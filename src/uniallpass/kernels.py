@@ -3,7 +3,10 @@
 The exhaustive principal-minor sweep, used by the characteristic polynomial
 and the minor-matching check, is one breadth-first pass of Schur
 complements over a binary tree of included and excluded indices, which
-forms all 2^N minors of a stack of matrices in O(2^N) flops each.  The
+forms all 2^N minors of a stack of matrices in O(2^N) flops each.  Its
+nodes of order 4 or less are leaves that write their minors in closed
+form, with no pivot and no division, in place of the three widest levels
+of elimination.  The
 time-domain impulse-response recursion keeps the line outputs in
 one sliding window, a row per sample, and advances it in blocks of
 max(min(delays), 64) samples.  Lines shorter than a block take their
@@ -160,6 +163,8 @@ _STACK_ENTRIES = 1 << 17
 # Largest N of the 2^N sweep: 2^20 minors.
 _MAX_SWEEP_N = 20
 _TINY = np.finfo(np.float64).tiny
+_BITS = np.int64(1) << np.arange(_MAX_SWEEP_N, dtype=np.int64)
+_BITS.flags.writeable = False
 
 
 def subset_sums(values):
@@ -202,17 +207,21 @@ def principal_minors_all(m, growth=False):
     One breadth-first pass of Schur complements (Griffin & Tsatsomeros,
     Linear Algebra Appl. 419, 2006) forms them all in O(2^N) flops.  A node
     holds det A[I], I the indices it has included, and S = A / A[I] on the
-    indices it has not yet decided.  It pivots on p, the position whose
-    diagonal entry is largest relative to the largest entry of its row (a
-    symmetric swap, which leaves principal minors unchanged), writes
-    det A[I + p] = det A[I] S_pp and passes on two children: S without p
-    (p excluded) and S - S[:, p] S[p, :] / S_pp without p (p included).  Every subset is written by exactly one node,
-    as the product of the pivots of a symmetrically pivoted LU
-    factorization of its submatrix.  Nodes run in chunks whose subtrees'
-    widest levels hold at most ``_STACK_ENTRIES`` entries.
+    indices it has not yet decided.  A node of order r > 4 pivots on p, the
+    position whose diagonal entry is largest relative to the largest entry
+    of its row (a symmetric swap, which leaves principal minors unchanged),
+    writes det A[I + p] = det A[I] S_pp and passes on two children: S
+    without p (p excluded) and S - S[:, p] S[p, :] / S_pp without p (p
+    included).  A node of order r <= 4 is a leaf: it writes det A[I] det S_J
+    for every nonempty J of its positions, det S_J in closed form (below).
+    Every subset is written by exactly one node, as det A[I], the product
+    of the pivots of a symmetrically pivoted LU factorization of A[I],
+    times one last pivot or one closed-form minor of S.  Nodes run in
+    chunks whose subtrees' widest levels hold at most ``_STACK_ENTRIES``
+    entries.
 
     Small pivots.  The minors below a node are determinants of principal
-    submatrices of S by LU, which :func:`core._gcp_terms` bounds as exact
+    submatrices of S by LU and closed forms, which :func:`core._gcp_terms` bounds as exact
     for each row perturbed by about r eps of its largest entry, r the order
     of S.  Eliminating p subtracts S_ip (S_pj / S_pp) from each entry of an
     included row i, rounded within eps of itself.  Where |S_pp| > t / r, t
@@ -231,30 +240,54 @@ def principal_minors_all(m, growth=False):
     |S_pp| + t times the product of the other rows, so the correction's
     rounding is of the size row p is granted, though not of the minor's.
 
-    Path growth.  The LU of a minor is exact for its submatrix with row i
-    perturbed by about k eps times the largest row-i entry of the Schur
-    complements along its path, where partial pivoting would keep that
-    near the row's own largest entry.  The growth of a minor is the largest
-    ratio of the two over its rows and path, at least 1.
+    Leaves.  With eps the machine epsilon and r_i the rows of S_J, a
+    leaf's closed forms err by at most c_k eps prod ||r_i|| for k = |J|,
+    from two inequalities, Cauchy-Schwarz and Lagrange's identity
+    ||x ^ y|| <= ||x|| ||y||: |ad| + |bc| <= ||r_1|| ||r_2||, and
+    sum_q |M_01(q)| |M_23(q')| <= ||r_0 ^ r_1|| ||r_2 ^ r_3|| <= prod ||r_i||
+    over the column pairs q and their complements q'.  A d - b c is within
+    eps (|ad| + |bc|) of its value: c_2 = 1.  A 3 x 3 expanded along row k
+    against the 2 x 2 minors of its other rows i, j takes eps sum_c |S_kc|
+    ||r_i|| ||r_j|| (restricted to the two other columns) <= sqrt(2) eps
+    prod ||r_i|| from those minors and 1.5 eps sum_c |S_kc| |M(c')| <= 1.5
+    eps ||r_k|| ||r_i ^ r_j|| from its three products and two sums: c_3 <
+    3.  The 4 x 4 Laplace expansion on rows (0, 1) | (2, 3) takes sqrt(3)
+    eps prod ||r_i|| from the minors of each row pair and 3 eps ||r_0 ^
+    r_1|| ||r_2 ^ r_3|| from its six products and five sums: c_4 < 6.5.  By
+    Hadamard's inequality that is the error of rows perturbed by c_k / k
+    eps ||r_i|| <= c_k / sqrt(k) eps max |r_i| < k eps max |r_i|, inside
+    the perturbation the LU bound grants, so a leaf's rows count in the path
+    growth like the rows of an eliminating node.
+
+    Path growth.  A minor errs by about as much as its submatrix with row i
+    perturbed by k eps times the largest row-i entry of the Schur
+    complements along its path, its leaf's S included: its LU is exact for
+    such a perturbation, and its leaf errs less than Hadamard's inequality
+    allows for one.  Partial pivoting would keep that entry near the row's
+    own largest entry.  The growth of a minor is the largest ratio of the
+    two over its rows and path, at least 1.
     """
     m = np.asarray(m, dtype=np.float64)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"principal minors need square matrices (..., N, N), got shape {m.shape}")
     n = m.shape[-1]
     if n > _MAX_SWEEP_N:
         raise FdnError(f"principal-minor sweep limited to N <= {_MAX_SWEEP_N}, got {n}")
     count = math.prod(m.shape[:-2])
-    s = m.reshape(count, n, n).copy()
+    s = m.reshape(count, n, n)
     out = np.empty((count, 1 << n))
     out[:, 0] = 1.0
     grow = np.ones_like(out) if growth else None
     if n and count:
-        key = np.arange(count, dtype=np.int64) << n
-        bits = np.tile(np.int64(1) << np.arange(n, dtype=np.int64), (count, 1))
+        key = np.arange(0, count << n, 1 << n, dtype=np.int64)
+        bits = _BITS[None, :n].repeat(count, 0)
         rows = path = None
         if growth:
             # each position's largest entry in A; a zero row stays zero
             rows = np.maximum(np.abs(s).max(axis=2), _TINY)
-            path = np.ones(count)
-        nodes = (s, bits, key, np.ones(count), rows, path)
+            path = grow[:, 0]
+        # the root's det A[I] is the empty minor, 1, which no node overwrites
+        nodes = (s, bits, key, out[:, 0], rows, path)
         with np.errstate(under="ignore"):
             _sweep(out.reshape(-1), None if grow is None else grow.reshape(-1), nodes)
     shape = m.shape[:-2] + (1 << n,)
@@ -271,16 +304,17 @@ def _sweep(out, grow, nodes):
     index i, ``key`` the flat output position of each node's own minor
     ``det`` (its stack row times 2^N plus its mask) and, with ``grow``,
     ``rows`` (c, r) with each position's largest entry in A and ``path``
-    the growth of the Schur complements above each node (else None).  Nodes run in chunks whose
-    subtrees' widest levels hold at most ``_STACK_ENTRIES`` entries, one
-    chunk after another; a node whose subtree alone is wider runs one level
-    and splits again.  Shifted pivots are corrected before the call
-    returns."""
+    the growth of the Schur complements above each node (else None).  Nodes
+    of order 4 or less are leaves (:func:`_leaves`); larger ones run in
+    chunks whose subtrees' widest levels hold at most ``_STACK_ENTRIES``
+    entries, one chunk after another; a node whose subtree alone is wider
+    runs one level and splits again.  Shifted pivots are corrected before
+    the call returns."""
     shifts = []
     while True:
         c, r = nodes[1].shape
-        if r <= 2:
-            _last_levels(out, grow, *nodes)
+        if r <= 4:
+            _leaves(out, grow, *nodes)
             break
         step = max(1, _STACK_ENTRIES // _widest_level(r))
         if c > step:
@@ -297,7 +331,10 @@ def _sweep(out, grow, nodes):
 @functools.lru_cache(maxsize=None)
 def _widest_level(r):
     """Matrix entries of the widest level of the subtree of one r x r node:
-    2^j nodes of order r - j at depth j."""
+    2^j nodes of order r - j at depth j, counted down to order 1 as if the
+    leaves eliminated: the order-3 count, 18 entries per 4 x 4 leaf, sets
+    it for every r > 4, and the leaves' scratch, about 80 entries each at
+    its peak, stays within a few such levels."""
     return max((1 << j) * (r - j) ** 2 for j in range(1, r))
 
 
@@ -349,22 +386,67 @@ def _eliminate(out, grow, s, bits, key, det, rows, path):
     return children, shifted
 
 
-def _last_levels(out, grow, s, bits, key, det, rows, path):
-    """Write every minor of 1 x 1 and 2 x 2 nodes: a 2 x 2 node's three
-    minors are a, d and a d - b c, with no division, so it needs no
-    pivot."""
+def _leaves(out, grow, s, bits, key, det, rows, path):
+    """Write every minor of nodes of order r <= 4: det A[I] times each
+    principal minor of S (:func:`_leaf_minors`), scattered once, and with
+    ``grow`` their path growth, S's rows counted."""
     c, r = bits.shape
-    flat = s.reshape(c, r * r)
-    written = [key + bits[:, 0]]
-    out[written[0]] = det * flat[:, 0]
-    if r == 2:
-        written += [key + bits[:, 1], written[0] + bits[:, 1]]
-        out[written[1]] = det * flat[:, 3]
-        out[written[2]] = det * (flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2])
+    t = np.ascontiguousarray(s.transpose(1, 2, 0))
     if grow is not None:
-        path = np.maximum(path, (np.abs(s).max(axis=2) / rows).max(axis=1))
-        for mask in written:
-            grow[mask] = path
+        path = np.maximum(path, (np.abs(t).max(axis=1) / rows.T).max(axis=0))
+    m = _leaf_minors(t)
+    m[1:] *= det
+    # each node's output position of each local mask, by doubling
+    where = np.empty((1 << r, c), dtype=np.int64)
+    where[0] = key
+    for i in range(r):
+        np.add(where[: 1 << i], bits[:, i], out=where[1 << i : 2 << i])
+    out[where[1:]] = m[1:]
+    if grow is not None:
+        grow[where[1:]] = path
+
+
+def _leaf_minors(t):
+    """Principal minors of the r x r matrices t[:, :, k], r <= 4, a row per
+    local mask (2^r, K) with row 0 unset, in closed form with no pivot and
+    no division: the diagonal, a d - b c for each pair, each 3 x 3 by
+    cofactors along the row outside the pair (0, 1) or (2, 3) it contains,
+    from that pair's 2 x 2 minors, and the 4 x 4 by Laplace expansion on
+    rows (0, 1) | (2, 3)."""
+    r, _, c = t.shape
+    if r >= 3:
+        # pm[h, a, b]: the minor on rows (2h, 2h + 1) and columns (a, b),
+        # formed before ``m`` to keep the peak of their scratch lower
+        h = r // 2
+        pm = t[0 : 2 * h : 2, :, None] * t[1 : 2 * h : 2, None, :]
+        pm -= t[1 : 2 * h : 2, :, None] * t[0 : 2 * h : 2, None, :]
+    d = t.reshape(r * r, c)[:: r + 1]
+    m = np.empty((1 << r, c))
+    # rows 1, 2, 4, 8 the diagonal; 3, 12 and 5, 6, 9, 10 the pairs; 7, 11
+    # the triples holding (0, 1), 13, 14 those holding (2, 3); 15 the whole
+    m[1:3] = d[:2]
+    if r == 2:
+        m[3] = d[0] * d[1] - t[0, 1] * t[1, 0]
+    if r >= 3:
+        m[3] = pm[0, 0, 1]
+        m[4::4][: r - 2] = d[2:]
+        m[_CROSS[:, : r - 2]] = d[:2, None] * d[None, 2:] - t[:2, 2:] * t[2:, :2].transpose(1, 0, 2)
+        m[7::4][: r - 2] = t[2:, 0] * pm[0, 1, 2:] + t[2:, 1] * pm[0, 2:, 0] + d[2:] * pm[0, 0, 1]
+    if r == 4:
+        m[12] = pm[1, 2, 3]
+        m[13:15] = d[:2] * pm[1, 2, 3] + t[:2, 2] * pm[1, 3, :2] + t[:2, 3] * pm[1, :2, 2]
+        laplace = pm[0, _LAPLACE[0], _LAPLACE[1]]
+        laplace *= pm[1, _LAPLACE[2], _LAPLACE[3]]
+        m[15] = laplace.sum(axis=0)
+    return m
+
+
+# Local masks of the pairs (i, j) with i < 2 <= j.
+_CROSS = np.array([[5, 9], [6, 10]])
+# Laplace expansion of a 4 x 4 determinant on rows (0, 1) | (2, 3): the
+# column pairs (a, b) of rows (0, 1) against their complements (u, v),
+# ordered so that each term's sign (-1)^(1 + a + b) is carried by the order.
+_LAPLACE = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], [2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]])
 
 
 def _unshift(out, key, bit, shift, kept):

@@ -272,6 +272,15 @@ class TestPrincipalMinors:
         assert subsets == _ordered_subsets(3)
         np.testing.assert_allclose(values, fv.CE_MINORS_A_INV, atol=fv.MINOR_TOL)
 
+    def test_list_refuses_a_stack(self, rng):
+        with pytest.raises(ValueError, match=r"\(2, 3, 3\)"):
+            principal_minor_list(rng.standard_normal((2, 3, 3)))
+
+    def test_mask_order_built_once_read_only(self):
+        masks = core._ordered_masks(6)
+        assert core._ordered_masks(6) is masks
+        assert not masks.flags.writeable
+
     def test_jacobi_identity(self, rng):
         # det A^-1(I) = det A(I^c) / det A for every subset
         for _ in range(10):
@@ -293,6 +302,14 @@ class TestGcp:
             eig = np.linalg.eigvals(a)
             ref = np.real(np.poly(eig))
             np.testing.assert_allclose(coeffs, ref, atol=1e-9)
+
+    def test_delay_count_mismatch_raises_before_the_sweep(self, rng, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the minor sweep ran")
+
+        monkeypatch.setattr(core, "principal_minors_all", no_sweep)
+        with pytest.raises(ValueError, match=r"\(4, 4\) and 3 delays"):
+            gcp(rng.standard_normal((4, 4)), [1, 2, 3])
 
     def test_counterexample_denominator(self):
         fdn = delay_dependent_allpass()

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -219,8 +221,66 @@ def test_minor_sweep_degenerate_inputs(rng, n):
             assert np.all(sweep[(masks >> 2) & 1 == 1] == 0.0)
 
 
+def test_minor_sweep_with_growth_within_its_bound(rng):
+    # the bound of core._gcp_terms, k^2 eps g prod ||a_i||, with the growth g
+    # the sweep reports: Aberth's zero-root deflation relies on it
+    cases = [m for n in range(1, 13) for m in _gate_matrices(rng, n).values()]
+    cases += [m for n in (3, 6, 9) for m in _degenerate_matrices(rng, n).values()]
+    for m in cases:
+        masks = np.arange(1 << m.shape[0])
+        minors, growth = principal_minors_all(m, growth=True)
+        assert np.array_equal(minors, principal_minors_all(m))
+        assert np.all(growth >= 1.0)
+        exact = principal_minors_exact(m, masks)
+        error = np.array([float(abs(Fraction(x) - e)) for x, e in zip(minors.tolist(), exact)])
+        bound = _minor_bounds(m) * growth
+        worst = int(np.argmax(error - bound))
+        assert error[worst] <= bound[worst], (m.shape[0], worst, error[worst], bound[worst])
+
+
+def test_minor_sweep_leaves_take_orders_up_to_four(rng, monkeypatch):
+    # (nodes, order) of every level of elimination
+    calls = []
+    eliminate = kernels._eliminate
+
+    def counted(*args):
+        calls.append(args[3].shape)
+        return eliminate(*args)
+
+    monkeypatch.setattr(kernels, "_eliminate", counted)
+    for n in range(1, 5):
+        principal_minors_all(rng.standard_normal((2, n, n)), growth=True)
+    # the whole matrix is one leaf
+    assert calls == []
+    principal_minors_all(rng.standard_normal((6, 6)))
+    # two levels of elimination, 6 x 6 and 5 x 5, down to four 4 x 4 leaves
+    assert calls == [(1, 6), (2, 5)]
+
+
+def test_minor_sweep_scratch_within_its_chunk_budget(rng):
+    # the sweep's own arrays above its outputs: subtrees run in chunks whose
+    # widest level holds _STACK_ENTRIES entries, and the leaves form their
+    # minors a row per mask across the chunk
+    m = rng.standard_normal((18, 18))
+    for growth in (False, True):
+        tracemalloc.start()
+        try:
+            principal_minors_all(m, growth=growth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = (2 if growth else 1) * (8 << 18)
+        assert peak - outputs <= 4 * 8 * kernels._STACK_ENTRIES, (growth, peak - outputs)
+
+
+def test_minor_sweep_rejects_non_square_input():
+    for shape in ((3, 4), (12,), (2, 3, 4)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            principal_minors_all(np.ones(shape))
+
+
 def test_minor_sweep_of_a_stack_equals_single_calls(rng):
-    for n in (1, 5, 13):
+    for n in (1, 2, 3, 4, 5, 6, 13):
         stack = rng.standard_normal((2, n, n))
         stack[1, :, 0] = 0.0
         both = principal_minors_all(stack)
