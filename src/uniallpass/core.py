@@ -1062,9 +1062,11 @@ def _quadratic_between(r, gr, t, gt):
     return (gr * bt - gt * br) / det, (br * (1.0 - t * gt) - bt * (1.0 - r * gr)) / det
 
 
-def _regroup(z, nu, active, zr, gap, done, near, meet, bound):
+def _regroup(z, nu, live, active, zr, gap, done, near, meet, bound):
     """Settle whether the roots behind some iterates are real or complex.
 
+    ``live`` flags the iterates still sweeping and ``active`` lists those
+    of this sweep, ``done`` those among them that converged in it.
     ``near`` flags the active pairs (the first ``near.size`` of ``active``)
     whose step reaches the real axis: a pair at x + iy is two iterates 2y
     apart.  ``meet`` lists pairs of active real iterates, counted from the
@@ -1078,7 +1080,10 @@ def _regroup(z, nu, active, zr, gap, done, near, meet, bound):
     there, and two real iterates whose quadratic has complex roots merge
     into a pair there.  (An early fit can put real roots so far out that
     the step cap needs more sweeps than allowed to bring them back.)
-    Returns the new (z, nu, active).
+    The iterates split or merged leave ``z`` and ``live``; the new ones
+    join as live, merged pairs after the other pairs and split halves after
+    the other reals.  Returns the new (z, nu, live), the given state when
+    nothing splits or merges.
     """
     # numpy scalars: a zero divisor gives inf or nan under the caller's
     # errstate, and nan fails every test below
@@ -1101,19 +1106,13 @@ def _regroup(z, nu, active, zr, gap, done, near, meet, bound):
             gone += [active[i], active[j]]
             merged.append(complex(0.5 * total, math.sqrt(-disc)))
     if not gone:
-        return z, nu, active[~done]
+        return z, nu, live
     keep = np.ones(z.size, dtype=bool)
     keep[gone] = False
-    live = np.zeros(z.size, dtype=bool)
-    live[active[~done]] = True
-    # new iterates are active: merged pairs after the kept pairs, split
-    # halves after the kept reals
-    z = np.concatenate((z[:nu][keep[:nu]], merged, z[nu:][keep[nu:]], halves))
     fresh = np.ones(len(merged) + len(halves), dtype=bool)
-    pairs, reals = live[:nu][keep[:nu]], live[nu:][keep[nu:]]
-    live = np.concatenate((pairs, fresh[: len(merged)], reals, fresh[len(merged) :]))
-    nu = pairs.size + len(merged)
-    return z, nu, np.flatnonzero(live)
+    z = np.concatenate((z[:nu][keep[:nu]], merged, z[nu:][keep[nu:]], halves))
+    live = np.concatenate((live[:nu][keep[:nu]], fresh[: len(merged)], live[nu:][keep[nu:]], fresh[len(merged) :]))
+    return z, int(np.count_nonzero(keep[:nu])) + len(merged), live
 
 
 def _aberth_poles(fdn: FdnSystem, den, floor):
@@ -1128,14 +1127,14 @@ def _aberth_poles(fdn: FdnSystem, den, floor):
     mirrors included.  Where a pair's step reaches the real axis, or two
     real iterates' steps reach each other, :func:`_regroup` decides whether
     their roots are real or complex, so the count of real roots need not be
-    known.  Converged roots leave the sweeps; the Aberth sums are taken in
-    row chunks of at most ``_STACK_ENTRIES`` entries."""
-    order = fdn.order
-    den = np.asarray(den, dtype=float)
+    known.  One boolean mask ``live`` over the iterates is the sweep state:
+    each sweep steps the live iterates, taking the Aberth sums in row chunks
+    of at most ``_STACK_ENTRIES`` entries, and clears the mask where they
+    converged; :func:`_regroup` removes the iterates it splits or merges
+    and appends their successors as live."""
     deg = int(np.flatnonzero(np.abs(den) > floor)[-1])
-    roots = np.zeros(order, dtype=complex)
     if deg == 0:
-        return roots
+        return np.zeros(fdn.order, dtype=complex)
     coeffs = den[deg::-1]
     upper, real = _newton_polygon_starts(coeffs)
     tables = _poly_tables(coeffs)
@@ -1147,45 +1146,36 @@ def _aberth_poles(fdn: FdnSystem, den, floor):
     # an iterate that strays near the origin crawl back out by a constant
     # factor per sweep.
     reach = 2.0 * float(np.max(np.abs(z)))
-    a = fdn.a
-    chunk = max(1, _STACK_ENTRIES // max(deg + 1, a.size))
-    active = np.arange(z.size)
-    sweeps = 0
+    chunk = max(1, _STACK_ENTRIES // max(deg + 1, fdn.a.size))
+    loop_args = (fdn.a, fdn.delays.as_array(), fdn.order - deg) if deg >= _COEFF_ORDER_RATIO * fdn.a.size else None
+    live = np.ones(z.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        loop_args = None
-        if deg >= _COEFF_ORDER_RATIO * a.size:
-            loop_args = (a, fdn.delays.as_array(), order - deg)
-        while active.size:
-            # active pairs come first; a pair stands for two roots
-            na = int(np.searchsorted(active, nu))
+        for sweeps in range(_MAX_SWEEPS + 1):
+            active = live.nonzero()[0]
+            if not active.size:
+                break
+            # live pairs come first; a pair stands for two roots
+            na = int(np.count_nonzero(live[:nu]))
             if sweeps == _MAX_SWEEPS:
                 raise ConditioningError(
                     f"pole solve left {active.size + na} of {deg} roots unconverged after {sweeps} sweeps",
                     residual=float(np.max(np.abs(step[~done]))),
                 )
-            sweeps += 1
             full = np.concatenate((z, z[:nu].conj()))
             zr = full[active]
-            if active.size <= chunk:
-                step, gap, done = _aberth_steps(loop_args, tables, full, zr, active, reach)
-            else:
-                parts = [
-                    _aberth_steps(loop_args, tables, full, zr[s : s + chunk], active[s : s + chunk], reach)
-                    for s in range(0, active.size, chunk)
-                ]
-                step, gap, done = (np.concatenate(x) for x in zip(*parts))
+            parts = [
+                _aberth_steps(loop_args, tables, full, zr[s : s + chunk], active[s : s + chunk], reach)
+                for s in range(0, active.size, chunk)
+            ]
+            step, gap, done = map(np.concatenate, zip(*parts))
             step[na:].imag = 0.0
             z[active] = zr - step
+            live[active[done]] = False
             near = np.abs(step[:na]) >= np.abs(zr[:na].imag)
-            meet = []
-            if active.size - na > 1:
-                meet = _meetings(zr[na:].real.tolist(), np.abs(step[na:]).tolist())
+            meet = _meetings(zr[na:].real.tolist(), np.abs(step[na:]).tolist()) if active.size - na > 1 else []
             if meet or near.any():
-                z, nu, active = _regroup(z, nu, active, zr, gap, done, near, meet, reach)
-            else:
-                active = active[~done]
-    roots[:deg] = np.concatenate((z[:nu], z[:nu].conj(), z[nu:]))
-    return roots
+                z, nu, live = _regroup(z, nu, live, active, zr, gap, done, near, meet, reach)
+    return np.concatenate((z[:nu], z[:nu].conj(), z[nu:], np.zeros(fdn.order - deg)))
 
 
 def reversal_check(num, den):

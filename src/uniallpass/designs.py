@@ -15,7 +15,7 @@ from .system import ORTHO_TOL, DelayVector, FdnSystem, orthogonality_residual
 
 def _check_gains(g):
     g = np.asarray(g, dtype=float).ravel()
-    if np.any(np.abs(g) >= 1.0):
+    if not np.all(np.abs(g) < 1.0):
         raise ValueError("all section gains must satisfy |g| < 1")
     return g
 
@@ -82,7 +82,7 @@ def poletti_unitary(unitary, gain: float, delays):
     if orthogonality_residual(u) > ORTHO_TOL:
         raise ValueError("mixing matrix is not orthogonal")
     gain = float(gain)
-    if abs(gain) >= 1.0:
+    if not abs(gain) < 1.0:
         raise ValueError("loop gain must satisfy |g| < 1")
     fdn = FdnSystem(
         -gain * u,

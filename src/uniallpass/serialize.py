@@ -29,7 +29,7 @@ import wave
 import numpy as np
 
 from .errors import SchemaError
-from .system import FdnSystem
+from .system import FdnSystem, _frozen_array
 
 SCHEMA = "uniallpass/1"
 
@@ -112,20 +112,17 @@ def loads_system(text: str):
     missing = [k for k in ("delays", "A", "B", "C", "D") if k not in payload]
     if missing:
         raise SchemaError(f"missing required fields: {', '.join(missing)}")
+    dsim = payload.get("dsim")
+    # an overflowing literal such as 1e999 parses to inf, which the blocks
+    # and dsim refuse as they are built
     try:
         fdn = FdnSystem(payload["A"], payload["B"], payload["C"], payload["D"], payload["delays"])
+        if dsim is not None:
+            dsim = _frozen_array(dsim, name="dsim")
     except (ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from None
-    # an overflowing literal such as 1e999 parses to inf
-    if not all(np.all(np.isfinite(m)) for m in (fdn.a, fdn.b, fdn.c, fdn.d)):
-        raise SchemaError("system matrices must be finite")
-    dsim = payload.get("dsim")
-    if dsim is not None:
-        dsim = np.asarray(dsim, dtype=float)
-        if dsim.shape != (fdn.n_delays,):
-            raise SchemaError(f"dsim has shape {dsim.shape}, expected ({fdn.n_delays},)")
-        if not np.all(np.isfinite(dsim)):
-            raise SchemaError("dsim must be finite")
+    if dsim is not None and dsim.shape != (fdn.n_delays,):
+        raise SchemaError(f"dsim has shape {dsim.shape}, expected ({fdn.n_delays},)")
     return fdn, dsim, payload
 
 

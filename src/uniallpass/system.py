@@ -26,10 +26,18 @@ def balance(x, w):
     return (x * t[None, :]) / t[:, None]
 
 
-def _frozen_array(values, dtype=float, ndim=None, name="array"):
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, ndim=None, name="array"):
+    """``values`` as a read-only float array; values that form no array of
+    numbers, a non-finite entry, or a dimension other than ``ndim`` raise
+    ValueError naming ``name``."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
 

@@ -318,36 +318,23 @@ def _minor_condition(fdn: FdnSystem, cert, tol) -> MinorCheck:
     ``cert`` (None: the sweep alone)."""
     witness = _minor_witness(fdn, cert, tol)
     if witness is not None:
-        deviation, scale = witness
-        return MinorCheck(
-            verdict=True,
-            sign=+1,
-            deviation=deviation,
-            worst_subset=(),
-            sufficient=fdn.is_siso,
-            tol=tol,
-            route="witness",
-            scale=scale,
-        )
-    n = fdn.n_delays
-    s_d, _ = _schur_d(fdn.a, fdn.b, fdn.c, fdn.d)
-    minors_s, minors_ai = principal_minors_all(np.stack((s_d, _inverse(fdn.a, "feedback block A"))))
-    best = None
-    for sign in (+1, -1):
-        diffs = np.abs(minors_s - sign * minors_ai)
+        (deviation, scale), sign, subset, route = witness, +1, (), "witness"
+    else:
+        s_d, _ = _schur_d(fdn.a, fdn.b, fdn.c, fdn.d)
+        minors_s, minors_ai = principal_minors_all(np.stack((s_d, _inverse(fdn.a, "feedback block A"))))
+        plus, minus = np.abs(minors_s - minors_ai), np.abs(minors_s + minors_ai)
+        # a tie keeps +1
+        sign, diffs = (-1, minus) if np.max(minus) < np.max(plus) else (+1, plus)
         worst = int(np.argmax(diffs))
-        dev = float(diffs[worst])
-        if best is None or dev < best[0]:
-            best = (dev, sign, worst)
-    dev, sign, worst = best
-    subset = tuple(i for i in range(n) if (worst >> i) & 1)
+        deviation, scale, route = float(diffs[worst]), 1.0, "sweep"
+        subset = tuple(i for i in range(fdn.n_delays) if (worst >> i) & 1)
     return MinorCheck(
-        verdict=bool(dev < tol),
+        verdict=bool(deviation < tol),
         sign=sign,
-        deviation=dev,
+        deviation=deviation,
         worst_subset=subset,
         sufficient=fdn.is_siso,
         tol=tol,
-        route="sweep",
-        scale=1.0,
+        route=route,
+        scale=scale,
     )

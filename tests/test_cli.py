@@ -101,6 +101,21 @@ class TestDesignCommand:
         assert "error: need at least one delay line" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schroeder", "--gains", "0.5,nan", "--delays", "2,3"),
+            ("gardner", "--gains", "nan,0.5", "--delays", "2,3"),
+            ("poletti", "--size", "2", "--gain", "nan", "--delays", "2,3"),
+        ],
+    )
+    def test_nan_gain_refused_before_any_output(self, tmp_path, capsys, argv):
+        # |g| >= 1 is False for NaN: the NaN system certified, then failed to serialize
+        out = tmp_path / "nan.json"
+        assert run_cli("design", *argv, "-o", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -516,3 +531,30 @@ class TestNonFiniteInput:
         path.write_text(text)
         assert run_cli("complete", str(path), "--mode", "orthogonal") == 1
         assert "finite" in capsys.readouterr().err
+
+
+class TestNonNumericInput:
+    """A block that is not an array of numbers is a schema error (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("A", {"x": 1.0}, "a must be an array of numbers"),
+            ("dsim", {"x": 1.0}, "dsim must be an array of numbers"),
+            ("dsim", "x", "could not convert string to float"),
+            ("dsim", ["x"], "could not convert string to float"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [("verify",), ("simulate", "--length", "4"), ("poles",), ("export",)])
+    def test_block_refused_as_a_schema_error(self, tmp_path, capsys, field, value, message, argv):
+        # a JSON object raised TypeError out of main; a string dsim exited 2
+        fdn, dsim = schroeder_series([0.5], [2])
+        payload = json.loads(dumps_system(fdn, dsim=dsim))
+        payload[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        command, *rest = argv
+        assert run_cli(command, str(path), *rest) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""

@@ -1575,6 +1575,49 @@ class TestPoleSolveLimits:
                 is_allpass(fdn)
 
 
+class TestAberthRowChunks:
+    """The Aberth sums are taken in row chunks of the live iterates; the
+    roots must not depend on the chunk, also across sweeps where pairs
+    split into real iterates and real iterates merge into pairs."""
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        systems = [
+            random_uniallpass(4, 1, 7, scaled=True, delays=[5, 9, 12, 7]),
+            schroeder_series([0.5, -0.6, 0.7], [8, 8, 8])[0],
+            gardner_nested([0.5, -0.6, 0.7, 0.4], [6, 10, 4, 8])[0],
+            schroeder_series([0.5, -0.6, 0.7, 0.55], [100, 120, 130, 90])[0],
+            # a split and a merge in one solve
+            schroeder_series([0.6, -0.7, 0.5], [18, 17, 8])[0],
+        ]
+        solves = []
+        for fdn in systems:
+            den, floor = core._gcp_terms(fdn.a, fdn.delays.as_array())
+            deg = int(np.flatnonzero(np.abs(den) > floor)[-1])
+            solves.append((fdn, den, floor, deg, core._aberth_poles(fdn, den, floor)))
+        return solves
+
+    def test_solves_split_and_merge(self, solves, monkeypatch):
+        sizes = []
+
+        def recording(z, *args, _original=core._regroup):
+            out = _original(z, *args)
+            sizes.append((z.size, out[0].size))
+            return out
+
+        monkeypatch.setattr(core, "_regroup", recording)
+        for fdn, den, floor, _, _ in solves:
+            core._aberth_poles(fdn, den, floor)
+        assert any(after > before for before, after in sizes)
+        assert any(after < before for before, after in sizes)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_roots_bitwise_independent_of_chunk(self, solves, monkeypatch, rows):
+        for fdn, den, floor, deg, expected in solves:
+            monkeypatch.setattr(core, "_STACK_ENTRIES", rows * max(deg + 1, fdn.a.size))
+            assert core._aberth_poles(fdn, den, floor).tobytes() == expected.tobytes(), fdn.order
+
+
 class TestIsAllpass:
     def test_counterexample_delay_dependence(self):
         fdn = delay_dependent_allpass()

@@ -173,6 +173,18 @@ class TestCounterexampleFixture:
 
 
 class TestDesignFamilyProperties:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: schroeder_series([0.5, np.nan], [1, 2]),
+            lambda: gardner_nested([np.nan, 0.5], [1, 2]),
+            lambda: poletti_unitary(np.eye(2), np.nan, [1, 2]),
+        ],
+    )
+    def test_nan_gain_refused(self, make):
+        with pytest.raises(ValueError, match=r"\|g\| < 1"):
+            make()
+
     def test_fifty_random_draws_certify(self, rng):
         for k in range(50):
             n = int(rng.integers(1, 7))

@@ -107,6 +107,11 @@ class TestSystemJson:
             (lambda payload: {k: payload[k] for k in ("schema", "delays", "A", "C")}, "missing required fields: B, D"),
             (lambda payload: {**payload, "dsim": [1.0, 1.0]}, r"dsim has shape \(2,\), expected \(1,\)"),
             (lambda payload: {**payload, "dsim": "big"}, "dsim must be finite"),
+            # non-numeric blocks: numpy raised TypeError, or ValueError outside SchemaError
+            (lambda payload: {**payload, "A": {"x": 1.0}}, "a must be an array of numbers"),
+            (lambda payload: {**payload, "dsim": {"x": 1.0}}, "dsim must be an array of numbers"),
+            (lambda payload: {**payload, "dsim": "x"}, "could not convert string to float"),
+            (lambda payload: {**payload, "dsim": ["x"]}, "could not convert string to float"),
         ],
     )
     def test_malformed_payload_rejected(self, edit, message):
