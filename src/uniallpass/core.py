@@ -93,8 +93,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -298,10 +300,7 @@ def impulse_response(fdn: FdnSystem, length: int):
 
 def _ordered_subsets(n: int):
     """All subsets of range(n) sorted by (cardinality, lexicographic)."""
-    out = []
-    for k in range(n + 1):
-        out.extend(combinations(range(n), k))
-    return out
+    return list(_Subsets(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,15 +319,52 @@ def _ordered_masks(n: int):
     return masks
 
 
+class _Subsets(Sequence):
+    """The subsets of range(n) in the order of :func:`_ordered_masks` (n),
+    read-only, each index tuple formed only when it is read, so that no
+    call holds 2^n tuples (over 100 MB at n = 20).  Slices are lists of
+    tuples, and the sequence equals any sequence of the same tuples in the
+    same order."""
+
+    def __init__(self, n):
+        self._n = n
+        self._masks = _ordered_masks(n)
+
+    def __len__(self):
+        return self._masks.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._subset(mask) for mask in self._masks[index].tolist()]
+        return self._subset(int(self._masks[operator.index(index)]))
+
+    def _subset(self, mask):
+        return tuple(i for i in range(self._n) if mask >> i & 1)
+
+    def __iter__(self):
+        # combinations run in (cardinality, lexicographic) order, the masks'
+        return chain.from_iterable(combinations(range(self._n), k) for k in range(self._n + 1))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+
+
 def principal_minor_list(m):
-    """Principal minors of one N x N matrix in (cardinality,
-    lexicographic) subset order; any other shape raises ValueError."""
+    """Principal minors of one N x N matrix; any other shape raises
+    ValueError.
+
+    Returns (subsets, values): ``subsets`` is a read-only sequence of the
+    2^N index tuples in (cardinality, lexicographic) order, each formed
+    only when it is read (indexing, slices, iteration, ``==`` against a
+    list of tuples), and ``values[k]`` is the minor on ``subsets[k]``."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"principal_minor_list needs one square matrix (N, N), got shape {m.shape}")
     n = m.shape[-1]
     minors = principal_minors_all(m)
-    return _ordered_subsets(n), minors[_ordered_masks(n)]
+    return _Subsets(n), minors[_ordered_masks(n)]
 
 
 def gcp(a, delays):

@@ -6,7 +6,10 @@ complements over a binary tree of included and excluded indices, which
 forms all 2^N minors of a stack of matrices in O(2^N) flops each.  Its
 nodes of order 4 or less are leaves that write their minors in closed
 form, with no pivot and no division, in place of the three widest levels
-of elimination.  The
+of elimination.  Each level keeps its nodes node-last, r x r Schur
+complements as one (r, r, nodes) array, so that every operation of a
+level, the leaves' included, runs along the nodes of the level and not
+along the few entries of one node.  The
 time-domain impulse-response recursion keeps the line outputs in
 one sliding window, a row per sample, and advances it in blocks of
 max(min(delays), 64) samples.  Lines shorter than a block take their
@@ -181,16 +184,17 @@ def subset_sums(values):
 
 @functools.lru_cache(maxsize=None)
 def _drop_tables(r):
-    """(order, gather) for r x r nodes, one row per pivot position p:
-    ``order[p]`` lists the other r - 1 positions in order and then p, and
-    ``gather[p]`` the flat positions in the node's matrix of the block on
-    the other positions (row-major), of the pivot column and the pivot row
-    on them, and of the pivot."""
+    """(order, gather) for r x r nodes, one column per pivot position p:
+    ``order[:, p]`` lists the other r - 1 positions in order and then p,
+    and ``gather[:, p]`` the flat positions in the node's matrix of the
+    block on the other positions (row-major), of the pivot column and the
+    pivot row on them, and of the pivot."""
     pos = np.arange(r)
     order = np.array([np.append(np.delete(pos, p), p) for p in pos], dtype=np.intp)
     keep = order[:, :-1]
     block = (keep[:, :, None] * r + keep[:, None, :]).reshape(r, -1)
     gather = np.concatenate((block, keep * r + pos[:, None], pos[:, None] * r + keep, pos[:, None] * (r + 1)), axis=1)
+    order, gather = order.T.copy(), gather.T.copy()
     order.flags.writeable = gather.flags.writeable = False
     return order, gather
 
@@ -274,17 +278,18 @@ def principal_minors_all(m, growth=False):
     if n > _MAX_SWEEP_N:
         raise FdnError(f"principal-minor sweep limited to N <= {_MAX_SWEEP_N}, got {n}")
     count = math.prod(m.shape[:-2])
-    s = m.reshape(count, n, n)
     out = np.empty((count, 1 << n))
     out[:, 0] = 1.0
     grow = np.ones_like(out) if growth else None
     if n and count:
+        # nodes run node-last: the stack becomes (N, N, count)
+        s = np.ascontiguousarray(m.reshape(count, n, n).transpose(1, 2, 0))
         key = np.arange(0, count << n, 1 << n, dtype=np.int64)
-        bits = _BITS[None, :n].repeat(count, 0)
+        bits = _BITS[:n, None].repeat(count, 1)
         rows = path = None
         if growth:
             # each position's largest entry in A; a zero row stays zero
-            rows = np.maximum(np.abs(s).max(axis=2), _TINY)
+            rows = np.maximum(np.abs(s).max(axis=1), _TINY)
             path = grow[:, 0]
         # the root's det A[I] is the empty minor, 1, which no node overwrites
         nodes = (s, bits, key, out[:, 0], rows, path)
@@ -299,12 +304,14 @@ def principal_minors_all(m, growth=False):
 def _sweep(out, grow, nodes):
     """Run ``nodes`` and their subtrees into the flat output ``out``.
 
-    ``nodes`` is (s, bits, key, det, rows, path): the stack ``s`` (c, r, r)
-    of Schur complements, ``bits`` (c, r) with 1 << i for each position's
-    index i, ``key`` the flat output position of each node's own minor
-    ``det`` (its stack row times 2^N plus its mask) and, with ``grow``,
-    ``rows`` (c, r) with each position's largest entry in A and ``path``
-    the growth of the Schur complements above each node (else None).  Nodes
+    ``nodes`` is (s, bits, key, det, rows, path), every array node-last,
+    so that each operation runs along c nodes and not along r or r^2
+    entries of one node: the Schur complements ``s`` (r, r, c), ``bits``
+    (r, c) with 1 << i for each position's index i, ``key`` the flat
+    output position of each node's own minor ``det`` (its stack row times
+    2^N plus its mask) and, with ``grow``, ``rows`` (r, c) with each
+    position's largest entry in A and ``path`` the growth of the Schur
+    complements above each node (else None).  Nodes
     of order 4 or less are leaves (:func:`_leaves`); larger ones run in
     chunks whose subtrees' widest levels hold at most ``_STACK_ENTRIES``
     entries, one chunk after another; a node whose subtree alone is wider
@@ -312,14 +319,14 @@ def _sweep(out, grow, nodes):
     the call returns."""
     shifts = []
     while True:
-        c, r = nodes[1].shape
+        r, c = nodes[1].shape
         if r <= 4:
             _leaves(out, grow, *nodes)
             break
         step = max(1, _STACK_ENTRIES // _widest_level(r))
         if c > step:
             for i in range(0, c, step):
-                _sweep(out, grow, [None if x is None else x[i : i + step] for x in nodes])
+                _sweep(out, grow, [None if x is None else x[..., i : i + step] for x in nodes])
             break
         nodes, shifted = _eliminate(out, grow, *nodes)
         if shifted is not None:
@@ -340,67 +347,67 @@ def _widest_level(r):
 
 def _eliminate(out, grow, s, bits, key, det, rows, path):
     """One level of :func:`_sweep`: write each node's minor with its pivot
-    included and return (children, shifted), the children in the layout of
-    the nodes (those without the pivot first) and ``shifted`` the
-    :func:`_unshift` arguments of the shifted pivots, or None."""
-    c, r = bits.shape
-    width = (r - 1) ** 2
-    flat = s.reshape(c, r * r)
-    top = np.abs(s).max(axis=2)
-    ratio = np.abs(flat[:, :: r + 1]) / np.maximum(top, _TINY)
-    p = np.argmax(ratio, axis=1)
+    included and return (children, shifted), the children node-last like
+    the nodes, those without the pivot first, each written once into its
+    own array, and ``shifted`` the :func:`_unshift` arguments of the
+    shifted pivots, or None."""
+    r, c = bits.shape
+    q = r - 1
+    width = q * q
+    flat = s.reshape(r * r, c)
+    size = np.abs(flat)
+    top = size.reshape(r, r, c).max(axis=1)
+    ratio = size[:: r + 1] / np.maximum(top, _TINY)
+    p = ratio.argmax(axis=0)
     order, gather = _drop_tables(r)
-    at = np.arange(c)[:, None]
-    v = flat[at, gather[p]]
-    piv = v[:, -1]
-    ordered = bits[at, order[p]]
-    kept = ordered[:, :-1]
+    at = np.arange(c)
+    v = flat[gather[:, p], at]
+    piv = v[-1]
+    ordered = bits[order[:, p], at]
+    kept = ordered[:-1]
     shifted = None
-    small = r * ratio[at[:, 0], p] <= 1.0
+    small = r * ratio[p, at] <= 1.0
     if small.any():
         # row p's largest entry, which is off the diagonal here
-        edge = top[at[small, 0], p[small]]
+        edge = top[p[small], at[small]]
         shift = np.where(edge > 0.0, np.copysign(edge, piv[small]), 1.0)
         piv = piv.copy()
         piv[small] += shift
-        shifted = (key[small], ordered[small, -1], shift, kept[small])
-    key_in = key + ordered[:, -1]
-    det_in = det * piv
-    out[key_in] = det_in
-    block = v[:, :width].reshape(c, r - 1, r - 1)
-    included = block - v[:, width : width + r - 1, None] * (v[:, width + r - 1 : -1] / piv[:, None])[:, None, :]
+        shifted = (key[small], ordered[-1, small], shift, kept[:, small].T)
+    block = v[:width].reshape(q, q, c)
+    schur = np.empty((q, q, 2 * c))
+    schur[..., :c] = block
+    np.subtract(block, v[width : width + q, None] * (v[width + q : -1] / piv), out=schur[..., c:])
+    keys = np.empty(2 * c, dtype=np.int64)
+    keys[:c] = key
+    key_in = np.add(key, ordered[-1], out=keys[c:])
+    dets = np.empty(2 * c)
+    dets[:c] = det
+    out[key_in] = np.multiply(det, piv, out=dets[c:])
     if grow is not None:
-        path = np.maximum(path, (top / rows).max(axis=1))
+        path = np.maximum(path, (top / rows).max(axis=0))
         grow[key_in] = path
-        rows = rows[at, order[p, :-1]]
-        rows = np.concatenate((rows, rows))
+        rows = rows[order[:-1, p], at]
+        rows = np.concatenate((rows, rows), axis=1)
         path = np.concatenate((path, path))
-    children = (
-        np.concatenate((block, included)),
-        np.concatenate((kept, kept)),
-        np.concatenate((key, key_in)),
-        np.concatenate((det, det_in)),
-        rows,
-        path,
-    )
-    return children, shifted
+    return (schur, np.concatenate((kept, kept), axis=1), keys, dets, rows, path), shifted
 
 
 def _leaves(out, grow, s, bits, key, det, rows, path):
     """Write every minor of nodes of order r <= 4: det A[I] times each
-    principal minor of S (:func:`_leaf_minors`), scattered once, and with
-    ``grow`` their path growth, S's rows counted."""
-    c, r = bits.shape
-    t = np.ascontiguousarray(s.transpose(1, 2, 0))
+    principal minor of S (:func:`_leaf_minors`, on the nodes' own (r, r, c)
+    stack, no copy), scattered once, and with ``grow`` their path growth,
+    S's rows counted."""
+    r, c = bits.shape
     if grow is not None:
-        path = np.maximum(path, (np.abs(t).max(axis=1) / rows.T).max(axis=0))
-    m = _leaf_minors(t)
+        path = np.maximum(path, (np.abs(s).max(axis=1) / rows).max(axis=0))
+    m = _leaf_minors(s)
     m[1:] *= det
     # each node's output position of each local mask, by doubling
     where = np.empty((1 << r, c), dtype=np.int64)
     where[0] = key
     for i in range(r):
-        np.add(where[: 1 << i], bits[:, i], out=where[1 << i : 2 << i])
+        np.add(where[: 1 << i], bits[i], out=where[1 << i : 2 << i])
     out[where[1:]] = m[1:]
     if grow is not None:
         grow[where[1:]] = path

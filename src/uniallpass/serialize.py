@@ -101,6 +101,19 @@ def _parse_json(text: str):
         raise SchemaError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
 
+def _refuse_non_numbers(value, key):
+    """Raise SchemaError naming ``key`` for a JSON string or boolean anywhere
+    in ``value``: numpy takes "1.0" and true as numbers, also inside a row
+    of numbers, and the schema and the writer hold numbers only."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, (str, bool)):
+            raise SchemaError(f"{key} must hold JSON numbers, not {json.dumps(value)}")
+
+
 def loads_system(text: str):
     """Parse system JSON; returns (system, dsim-or-None, full payload)."""
     payload = _parse_json(text)
@@ -121,6 +134,10 @@ def loads_system(text: str):
             dsim = _frozen_array(dsim, name="dsim")
     except (ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from None
+    # after the blocks are built, so that a string numpy cannot read keeps
+    # numpy's message
+    for key in ("A", "B", "C", "D", "dsim"):
+        _refuse_non_numbers(payload.get(key), key)
     if dsim is not None and dsim.shape != (fdn.n_delays,):
         raise SchemaError(f"dsim has shape {dsim.shape}, expected ({fdn.n_delays},)")
     return fdn, dsim, payload

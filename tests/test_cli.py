@@ -543,6 +543,8 @@ class TestNonNumericInput:
             ("dsim", {"x": 1.0}, "dsim must be an array of numbers"),
             ("dsim", "x", "could not convert string to float"),
             ("dsim", ["x"], "could not convert string to float"),
+            # numpy would read it as -0.5
+            ("A", [["-0.5"]], 'A must hold JSON numbers, not "-0.5"'),
         ],
     )
     @pytest.mark.parametrize("argv", [("verify",), ("simulate", "--length", "4"), ("poles",), ("export",)])

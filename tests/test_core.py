@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from uniallpass import (
     siso_completion,
 )
 import uniallpass.core as core
+import uniallpass.kernels as kernels
 from uniallpass.core import _ordered_subsets, reversal_check
 from uniallpass.system import balance
 
@@ -280,6 +282,41 @@ class TestPrincipalMinors:
         masks = core._ordered_masks(6)
         assert core._ordered_masks(6) is masks
         assert not masks.flags.writeable
+
+    def test_subsets_read_as_the_ordered_list(self):
+        for n in range(10):
+            subsets, _ = principal_minor_list(np.eye(n))
+            expected = [c for k in range(n + 1) for c in combinations(range(n), k)]
+            assert len(subsets) == len(expected) == 1 << n
+            assert subsets[0] == () and subsets[-1] == tuple(range(n))
+            assert [subsets[i] for i in range(-len(expected), len(expected))] == expected + expected
+            for part in (slice(None), slice(1, -1), slice(None, None, -3), slice(2, 5), slice(9, 2)):
+                assert subsets[part] == expected[part]
+            assert list(subsets) == expected
+            assert subsets == expected and expected == subsets and not subsets != expected
+            assert subsets == tuple(expected)
+            differing = list(expected)
+            differing[-1] = differing[-1] + (n,)
+            assert subsets != differing and differing != subsets
+            assert subsets != expected[:-1]
+            with pytest.raises(IndexError):
+                subsets[len(expected)]
+            with pytest.raises(TypeError):
+                subsets[0] = ()
+
+    def test_list_holds_no_subset_tuples(self, rng):
+        # arrays only: the sweep's output, its gather into subset order and
+        # the sweep's scratch; a list of 2^16 tuples took about 7 MB
+        n = 16
+        m = rng.standard_normal((n, n))
+        principal_minor_list(m)
+        tracemalloc.start()
+        try:
+            principal_minor_list(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (8 << n) + 4 * 8 * kernels._STACK_ENTRIES, peak
 
     def test_jacobi_identity(self, rng):
         # det A^-1(I) = det A(I^c) / det A for every subset

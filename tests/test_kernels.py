@@ -239,7 +239,7 @@ def test_minor_sweep_with_growth_within_its_bound(rng):
 
 
 def test_minor_sweep_leaves_take_orders_up_to_four(rng, monkeypatch):
-    # (nodes, order) of every level of elimination
+    # (order, nodes) of every level of elimination, whose nodes run node-last
     calls = []
     eliminate = kernels._eliminate
 
@@ -254,7 +254,7 @@ def test_minor_sweep_leaves_take_orders_up_to_four(rng, monkeypatch):
     assert calls == []
     principal_minors_all(rng.standard_normal((6, 6)))
     # two levels of elimination, 6 x 6 and 5 x 5, down to four 4 x 4 leaves
-    assert calls == [(1, 6), (2, 5)]
+    assert calls == [(6, 1), (5, 2)]
 
 
 def test_minor_sweep_scratch_within_its_chunk_budget(rng):

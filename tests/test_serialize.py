@@ -112,6 +112,13 @@ class TestSystemJson:
             (lambda payload: {**payload, "dsim": {"x": 1.0}}, "dsim must be an array of numbers"),
             (lambda payload: {**payload, "dsim": "x"}, "could not convert string to float"),
             (lambda payload: {**payload, "dsim": ["x"]}, "could not convert string to float"),
+            # strings and booleans that numpy would read as numbers
+            (lambda payload: {**payload, "A": [["-0.5"]]}, 'A must hold JSON numbers, not "-0.5"'),
+            (lambda payload: {**payload, "B": [["1"]]}, 'B must hold JSON numbers, not "1"'),
+            (lambda payload: {**payload, "C": [[True]]}, "C must hold JSON numbers, not true"),
+            (lambda payload: {**payload, "D": [[False]]}, "D must hold JSON numbers, not false"),
+            (lambda payload: {**payload, "dsim": ["1.0"]}, 'dsim must hold JSON numbers, not "1.0"'),
+            (lambda payload: {**payload, "dsim": [True]}, "dsim must hold JSON numbers, not true"),
         ],
     )
     def test_malformed_payload_rejected(self, edit, message):
@@ -120,6 +127,16 @@ class TestSystemJson:
         text = json.dumps(edit(payload)).replace('"big"', "[1e999]")
         with pytest.raises(SchemaError, match=message):
             loads_system(text)
+
+    @pytest.mark.parametrize("key", ["A", "B", "C", "D", "dsim"])
+    @pytest.mark.parametrize("value", ["0.5", True])
+    def test_string_or_boolean_beside_numbers_rejected(self, key, value):
+        # np.asarray reads a row such as [true, 0.5] as float64
+        payload = json.loads(dumps_system(random_uniallpass(2, 2, seed=2), dsim=[1.0, 2.0]))
+        row = payload[key] if key == "dsim" else payload[key][1]
+        row[0] = value
+        with pytest.raises(SchemaError, match=f"{key} must hold JSON numbers, not {json.dumps(value)}"):
+            loads_system(json.dumps(payload))
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(SchemaError, match="line 1"):
