@@ -28,8 +28,9 @@ settle: each pass one zero-padded FFT of g's coefficients, of a 5-smooth
 length, which also gives the function's first two derivatives there, and
 the coefficients come once from its values at order / 2 + 1 roots of
 unity, O(order N^3) work in all.  Each root starts at the root of the
-quintic Hermite interpolant between its two samples, so two sweeps of
-Newton steps settle it.  Where
+quintic Hermite interpolant between its two samples, so one sweep of
+Newton steps settles it: the step that would follow, bounded from the
+interpolant's slope and curvature, is below the stopping tolerance.  Where
 neither pass accounts for every root (close or multiple roots), and for
 every other system, :func:`poles` finds all roots at once by
 Ehrlich-Aberth iteration on f itself: with P(z) = diag(z**m_i) - A, each
@@ -154,6 +155,10 @@ _LOOP_ENTRIES = 1 << 14
 # The lossless embedding is tried only where ||V^T V - I||_2 of the balanced
 # system matrix is at most this (rounding level for a certified one).
 _LOSSLESS_DELTA = 1e-10
+# Largest impulse response, in (length, P, P) entries: 512 MB of float64,
+# and as much again for its (P, P, length) copy.  A 48k-sample render of
+# N = P = 8 holds 3.1e6 entries.
+_RENDER_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -283,13 +288,20 @@ def impulse_response(fdn: FdnSystem, length: int):
     :func:`uniallpass.kernels.block_size`): one pair of matrix products per
     block, and one more with a lifted map for the lines shorter than a
     block.  ``length`` must be a Python or numpy integer, not a bool;
-    anything else raises TypeError.  An overflow raises FdnError.
+    anything else raises TypeError.  An overflow raises FdnError, and so
+    does, before anything is allocated, a response of more than 2**26
+    entries (length P^2, 512 MB of float64).
     """
     if isinstance(length, bool) or not isinstance(length, (int, np.integer)):
         raise TypeError(f"length must be an integer, got {length!r}")
     length = int(length)
     if length < 1:
         raise ValueError("length must be >= 1")
+    if length * fdn.n_io**2 > _RENDER_ENTRIES:
+        raise FdnError(
+            f"impulse response of {length} samples and {fdn.n_io}x{fdn.n_io} channels exceeds "
+            f"the render budget of {_RENDER_ENTRIES} entries"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         h = impulse_kernel(fdn.a, fdn.b, fdn.c, fdn.d, fdn.delays.as_array(), length)
     bad = np.flatnonzero(~np.all(np.isfinite(h), axis=(1, 2)))
@@ -455,7 +467,7 @@ def _circle_denominator(a, m):
     return coeffs
 
 
-def _circle_numerator(fdn: FdnSystem):
+def _circle_numerator(fdn: FdnSystem, u):
     """z^-1 coefficients of the numerator of det H over the denominator
     :func:`_circle_denominator`: det(diag(z**m) - A) det H(z) z**-order.
     By the Schur determinant identity det([[P, -B], [-C, -D]]) = det P
@@ -463,8 +475,8 @@ def _circle_numerator(fdn: FdnSystem):
     diag(z**m) - A, so it is (-1)**P times the :func:`_node_coefficients`
     of the system matrix [[A, B], [C, D]] bordered by its P outputs.  Both
     sides are polynomials in z, so no H, no solve and no D^-1 enter, and a
-    singular P or D is no exception."""
-    u = SystemMatrix.from_fdn(fdn).u
+    singular P or D is no exception.  ``u`` is that system matrix
+    (:class:`SystemMatrix` of ``fdn``)."""
     return (-1.0) ** fdn.n_io * _node_coefficients(u, fdn.delays.as_array())
 
 
@@ -510,6 +522,11 @@ def poles(fdn: FdnSystem):
     two derivatives at the two samples around it, from the same FFT, and
     is refined by Newton steps in the angle that bisect where a step would
     leave its bracket; a loop matrix that is exactly singular marks a root.
+    A root is accepted after its first step when the next step, at most
+    about |r''/(2 r')| s^2 for a step s, is shown to be below 4 eps pi by
+    bounds on the interpolant's error, on r''' and on the steps' rounding
+    (see :func:`_circle_poles`); the others step on until a step is that
+    short.
     They are returned with modulus gamma, which is within that radius of
     every true modulus; their angles match the Aberth poles to about 1e-15
     at order 600.  Where neither count accounts
@@ -594,10 +611,11 @@ def _stein_diagonal(a, b):
         return None
 
 
-def _lossless_proof(fdn: FdnSystem):
+def _lossless_proof(fdn: FdnSystem, u):
     """True when the lossless embedding of a certified network proves that
     every pole of ``fdn`` lies strictly inside the unit circle; False
-    wherever the argument below does not close.
+    wherever the argument below does not close.  ``u`` is the system matrix
+    [[A, B], [C, D]] of ``fdn``.
 
     Let d solve the Stein diagonal (:func:`_stein_diagonal`), T =
     sqrt(diag(d, 1_P)) and V = T^-1 U T the balanced system matrix, with
@@ -640,7 +658,7 @@ def _lossless_proof(fdn: FdnSystem):
     d = _stein_diagonal(a, fdn.b)
     if d is None or not np.all((d > 0.0) & (d < np.inf)):
         return False
-    v = balance(SystemMatrix.from_fdn(fdn).u, np.concatenate((d, np.ones(fdn.n_io))))
+    v = balance(u, np.concatenate((d, np.ones(fdn.n_io))))
     size = v.shape[0]
     delta = float(np.linalg.norm(v.T @ v - np.eye(size), 2)) + 16.0 * size * _EPS
     if not delta <= _LOSSLESS_DELTA:
@@ -750,23 +768,33 @@ def _circle_samples(u, m, den, count):
     return phi, rotated, beta * (4.0 + math.log(0.5 * nodes)) + fft
 
 
-def _hermite_starts(lo, hi, left, right):
-    """The root in each bracket (lo, hi) of the quintic Hermite interpolant
-    of r, r' and r'' (the rows of ``left`` and ``right``) at its two ends,
-    where r has opposite signs.  In t = (phi - lo) / (hi - lo) the quintic
-    is sum_k c_k t**k; its root is refined from the secant point by Newton
-    steps, each bisecting instead where it would leave the bracket that the
-    sign of the quintic keeps, until no step moves t by more than sqrt(eps):
-    a Newton step of s leaves an error of about s**2."""
+def _hermite_quintic(lo, hi, left, right):
+    """Coefficients c_0, ..., c_5 of the quintic Hermite interpolant sum_k
+    c_k t**k, t = (phi - lo) / (hi - lo), of r, r' and r'' (the rows of
+    ``left`` and ``right``) at the two ends of each bracket (lo, hi)."""
     h = hi - lo
-    scale = h ** np.arange(3)[:, None] * [[1.0], [1.0], [0.5]]
-    (y0, d0, s0), (y1, d1, s1) = left * scale, right * scale
+    half = 0.5 * h * h
+    y0, d0, s0 = left[0], left[1] * h, left[2] * half
+    y1, d1, s1 = right[0], right[1] * h, right[2] * half
     # c0, c1, c2 = y0, d0, s0 (y, h y', h^2 y'' / 2 at t = 0), and c3, c4,
     # c5 match y, its derivative and half its second derivative at t = 1
     a, b, c = y1 - y0 - d0 - s0, d1 - d0 - 2.0 * s0, s1 - s0
-    coeffs = (y0, d0, s0, 10.0 * a - 4.0 * b + c, 7.0 * b - 15.0 * a - 2.0 * c, 6.0 * a - 3.0 * b + c)
+    return (y0, d0, s0, 10.0 * a - 4.0 * b + c, 7.0 * b - 15.0 * a - 2.0 * c, 6.0 * a - 3.0 * b + c)
+
+
+def _hermite_starts(lo, hi, left, right):
+    """The root in each bracket (lo, hi) of the quintic Hermite interpolant
+    of r, r' and r'' at its two ends (:func:`_hermite_quintic`), where r
+    has opposite signs.  The root is refined from the secant point by
+    Newton steps in t, each bisecting instead where it would leave the
+    bracket that the sign of the quintic keeps, until no step moves t by
+    more than sqrt(eps): a Newton step of s leaves an error of about
+    s**2."""
+    h = hi - lo
+    coeffs = _hermite_quintic(lo, hi, left, right)
+    y0 = coeffs[0]
     low, high = np.zeros_like(h), np.ones_like(h)
-    t = y0 / (y0 - y1)
+    t = y0 / (y0 - right[0])
     # a cap for steps that creep: bisection alone stops within 27
     for _ in range(64):
         p, dp = coeffs[5], 0.0
@@ -785,6 +813,47 @@ def _hermite_starts(lo, hi, left, right):
         if moved <= math.sqrt(_EPS):
             break
     return lo + t * h
+
+
+def _start_slopes(lo, hi, left, right, x, den, bound):
+    """(low, high, third): bounds low <= |r'(x)| and high >= |r''(x)| at the
+    points x of the brackets (lo, hi), from the quintic Hermite interpolant
+    H of the samples at their ends, and a bound ``third`` on |r'''| over
+    the whole circle; ``den`` and ``bound`` as for :func:`_circle_samples`.
+
+    Each coefficient of ``den`` is within ``bound`` of g's (it averages the
+    node errors, and the FFT's rounding is part of that bound), so |r^(j)|
+    <= M_j = sum_k (|den_k| + bound) |L/2 - k|**j everywhere: third = M_3.
+    The interpolation error e = r - H on a bracket of width h has triple
+    zeros at its ends, so by Rolle e' vanishes once inside it and e''
+    twice.  Hence e' = r^(6)(xi) / 5! (x - lo)^2 (x - hi)^2 (x - c) and e''
+    = r^(6)(xi') / 4! (x - lo) (x - hi) (x - c') (x - c''), and as |(x -
+    lo) (x - hi)| <= h^2 / 4, |e'| <= M_6 h^5 / 1920 and |e''| <= M_6 h^4 /
+    96.  The samples of row j err by at most bound (L/2)**j (the node
+    errors' share is a trigonometric polynomial of degree L/2, which
+    Bernstein's inequality scales, and the FFT's share has weights up to
+    (L/2)**j), at most E = bound max(1, L h / 2)**2 once scaled by h**j /
+    j!.  The quintic's coefficients take them with integer weights summing
+    to at most 1, 1, 1, 58, 92 and 38, so they move its first two
+    derivatives in t on [0, 1] by at most 735 E and 2214 E."""
+    h = hi - lo
+    c = _hermite_quintic(lo, hi, left, right)
+    t = (x - lo) / h
+    # the quintic's first two derivatives in t, by Horner
+    dp, ddp = 5.0 * c[5], 20.0 * c[5]
+    for k in (4, 3, 2, 1):
+        dp = dp * t + k * c[k]
+    for k in (4, 3, 2):
+        ddp = ddp * t + k * (k - 1) * c[k]
+    order = den.size - 1
+    freq = np.abs(0.5 * order - np.arange(order + 1))
+    cube = freq * freq * freq
+    weight = np.abs(den) + bound
+    third, sixth = float(weight @ cube), float(weight @ (cube * cube))
+    data = bound * np.maximum(1.0, 0.5 * order * h) ** 2
+    low = np.maximum((np.abs(dp) - 735.0 * data) / h - sixth * h**5 / 1920.0, 0.0)
+    high = (np.abs(ddp) + 2214.0 * data) / h**2 + sixth * h**4 / 96.0
+    return low, high, third
 
 
 def _circle_poles(u, m, gamma, den):
@@ -820,6 +889,32 @@ def _circle_poles(u, m, gamma, den):
       sign read off det P formed for those iterates alone (rtsafe, Press et
       al., Numerical Recipes, 9.4).
 
+    After the first sweep an iterate is accepted without a second inverse
+    when the step that would follow is shown to be below 4 eps pi; only
+    iterates that bisected, read as noise, or miss the test sweep on.  Let
+    x0 be the start, s = x1 - x0 the step taken to x1 and s* = -r(x0) /
+    r'(x0) the exact Newton step.  Taylor's theorem with its remainder at
+    some xi between x0 and x1 gives r(x1) = r'(x0) (s - s*) + r''(xi) s^2
+    / 2, and r'(x1) = r'(x0) + r''(xi') s.  Over the step r'' moves by at
+    most M_3 |s|, M_3 a bound on |r'''| over the circle; with R_1 <=
+    |r'(x0)| and R_2 >= |r''(x0)| from the quintic (:func:`_start_slopes`)
+    and rho = (R_2 + M_3 |s|) / R_1, the next step -r(x1) / r'(x1) is at
+    most (|s - s*| + rho s^2 / 2) / (1 - rho |s|) while rho |s| < 1: the
+    predicted |r'' / (2 r')| s^2 and its margins.  |s - s*| is the
+    rounding of the computed ratio.  x1 itself rounds by |s - 1 / Im t|,
+    known exactly.  Each power exp(i m_j phi) comes from the rounded
+    product m_j phi and is off by a relative e_j <= eps (m_j phi / 2 + 1);
+    that moves g by g sum_j e_j w**m_j [P^-1]_jj, and so the step by at
+    most nu = eps sum_j (m_j phi / 2 + 1) |[P^-1]_jj| / |t| to first
+    order.  The inverse's own rounding is estimated, as the noise test
+    reads it, by s^2 |Re t - L/2|, Re t being exactly L/2.  A step
+    computed again from x1 rounds by about as much, nu' = nu + s^2 |Re t -
+    L/2|, so the test is (|s - 1 / Im t| + nu' + rho s^2 / 2) / (1 - rho
+    |s|) + nu' <= 4 eps pi: a second sweep would have computed a step
+    below the tolerance for every accepted iterate and stopped it.  The
+    test's own arithmetic rounds by a relative O(L eps), which it leaves
+    out as the stopping rule does.
+
     The poles are accurate to the pole radius of U (:func:`_pole_radius`);
     real ones are exactly real."""
     n, order = m.size, int(m.sum())
@@ -830,13 +925,16 @@ def _circle_poles(u, m, gamma, den):
     powers = _unit_powers(m)
 
     def trace(loop, power):
+        # t and the sums of m_j |[P^-1]_jj| and of |[P^-1]_jj|, as columns
         try:
-            return (np.diagonal(np.linalg.inv(loop), axis1=1, axis2=2) * (m * power)).sum(axis=1)
+            diag = np.diagonal(np.linalg.inv(loop), axis1=1, axis2=2)
         except np.linalg.LinAlgError:
             if loop.shape[0] == 1:
                 # t = L/2 reads as noise: step 0
-                return np.full(1, 0.5 * order, dtype=complex)
+                return np.array([[0.5 * order, 0.0, 0.0]], dtype=complex)
             return np.concatenate([trace(loop[k : k + 1], power[k : k + 1]) for k in range(loop.shape[0])])
+        size = np.abs(diag)
+        return np.stack(((diag * (m * power)).sum(axis=1), size @ m, size.sum(axis=1)), axis=1)
 
     def r_of(values):
         # values = sqrt(s) r, with r real
@@ -852,14 +950,16 @@ def _circle_poles(u, m, gamma, den):
         left, right = keep[change], keep[change + 1]
         lo, hi = phi[left], phi[right]
         x = _hermite_starts(lo, hi, values[:, left], values[:, right])
+        low, high, third = _start_slopes(lo, hi, values[:, left], values[:, right], x, den, bound)
         active = np.arange(x.size)
         sweeps = 0
         while active.size and sweeps < _MAX_SWEEPS:
             sweeps += 1
-            t = _loop_chunks(u, x[active], powers, trace)
+            t, weighted, spread = _loop_chunks(u, x[active], powers, trace).T
             # t = L/2 - i r'/r: where rounding moves its real part as far as
             # its imaginary part, the iterate sits at the noise floor of r
-            noisy = np.abs(t.real - 0.5 * order) >= np.abs(t.imag)
+            noise = np.abs(t.real - 0.5 * order)
+            noisy = noise >= np.abs(t.imag)
             with np.errstate(divide="ignore"):
                 step = np.where(noisy, 0.0, 1.0 / t.imag)
             now = x[active]
@@ -876,7 +976,18 @@ def _circle_poles(u, m, gamma, den):
                 target[out] = 0.5 * (lo[idx] + hi[idx])
                 step[out] = target[out] - now[out]
             x[active] = target
-            active = active[np.abs(step) > 4.0 * _EPS * np.pi]
+            moving = np.abs(step) > 4.0 * _EPS * np.pi
+            if sweeps == 1:
+                # every iterate is active and has stepped from its start
+                size = np.abs(target - now)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rounding = _EPS * (0.5 * now * weighted.real + spread.real) / np.abs(t) + step * step * noise
+                    curve = (high + third * size) / low
+                    room = 1.0 - curve * size
+                    ahead = np.abs(target - now - step) + rounding + 0.5 * curve * size * size
+                    settled = (room > 0.0) & (ahead <= (4.0 * _EPS * np.pi - rounding) * room)
+                moving &= out | noisy | ~settled
+            active = active[moving]
         if not active.size:
             pairs = gamma * np.exp(1j * x)
             return np.concatenate((pairs, pairs.conj(), gamma * np.array(ends, dtype=complex)))
@@ -1265,7 +1376,9 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
     when a pole has computed modulus >= 1.
     """
     tol = check_tolerance(tol)
-    if not (_contraction_proof(fdn.a) or _lossless_proof(fdn)):
+    # one system matrix for the lossless embedding and the numerator
+    u = SystemMatrix.from_fdn(fdn).u
+    if not (_contraction_proof(fdn.a) or _lossless_proof(fdn, u)):
         pole_values = poles(fdn)
         factor = _homogeneous_factor(fdn.a, fdn.delays.as_array())
         if factor is not None:
@@ -1276,7 +1389,7 @@ def is_allpass(fdn: FdnSystem, tol=DEFAULT_TOL) -> AllpassReport:
         if not inside:
             raise UnstableError(pole_values)
     den = _circle_denominator(fdn.a, fdn.delays.as_array())
-    rev_dev, sign = reversal_check(_circle_numerator(fdn), den)
+    rev_dev, sign = reversal_check(_circle_numerator(fdn, u), den)
     half = fdn.order + 1
     extra = np.random.default_rng(_GRID_SEED).uniform(0.0, 2.0 * np.pi, _GRID_RANDOM)
     omega = np.concatenate([np.pi * np.arange(half + 1) / half, extra])

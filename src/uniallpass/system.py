@@ -178,8 +178,16 @@ class SystemMatrix:
 
     @classmethod
     def from_blocks(cls, a, b, c, d) -> "SystemMatrix":
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        return cls(np.block([[a, np.atleast_2d(b)], [np.atleast_2d(c), np.atleast_2d(d)]]), a.shape[0])
+        """[[A, B], [C, D]] with split point N, each block taken at least
+        2-D, written into one array; blocks whose rows or columns do not
+        line up raise ValueError."""
+        a, b, c, d = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (a, b, c, d))
+        (n, k), (p, q) = a.shape[-2:], d.shape[-2:]
+        if not (a.ndim == b.ndim == c.ndim == d.ndim == 2 and b.shape == (n, q) and c.shape == (p, k)):
+            raise ValueError(f"inconsistent block shapes: a {a.shape}, b {b.shape}, c {c.shape}, d {d.shape}")
+        u = np.empty((n + p, k + q))
+        u[:n, :k], u[:n, k:], u[n:, :k], u[n:, k:] = a, b, c, d
+        return cls(u, n)
 
     @classmethod
     def from_fdn(cls, fdn: FdnSystem) -> "SystemMatrix":

@@ -384,6 +384,49 @@ def circle_count(u, m, samples=4):
     return 2 * changes + int(sign < 0) + int(sign * (-1) ** order < 0)
 
 
+def circle_newton_steps(u, m, phi):
+    """One Newton step in the angle from each of the angles ``phi`` on the
+    real circle function r(phi) = g(w) w**(-L/2), up to a constant phase,
+    g(w) = det(diag(w**m) - U), w = exp(i phi): -r/r' = 1 / Im t, t =
+    trace(P^-1 diag(m w**m)) from linear solves (stacked 256 at a time),
+    P = diag(w**m) - U.  The exact t has real part L/2, so where its
+    computed real part deviates from L/2 by as much as its imaginary part,
+    r'/r is rounding alone and the step is 0, as the circle route takes it;
+    an exactly singular P is a root to working precision, with step 0 too."""
+    u = np.asarray(u, dtype=float)
+    m = np.asarray(m, dtype=np.int64)
+    phi = np.asarray(phi, dtype=float)
+
+    def traces(power):
+        loops = power[:, :, None] * np.eye(m.size) - u
+        try:
+            return np.trace(np.linalg.solve(loops, (m * power)[:, :, None] * np.eye(m.size)), axis1=1, axis2=2)
+        except np.linalg.LinAlgError:
+            if power.shape[0] == 1:
+                # noise: step 0
+                return np.full(1, 0.5 * m.sum(), dtype=complex)
+            return np.concatenate([traces(power[k : k + 1]) for k in range(power.shape[0])])
+
+    t = np.concatenate([traces(np.exp(1j * np.multiply.outer(part, m))) for part in np.split(phi, range(256, phi.size, 256))])
+    steps = np.zeros(phi.size)
+    resolved = np.abs(t.real - 0.5 * m.sum()) < np.abs(t.imag)
+    steps[resolved] = 1.0 / t.imag[resolved]
+    return steps
+
+
+def loop_sigma_min(a, delays, z):
+    """The smallest singular value of the loop matrix diag(z**m) - A at
+    each of the points ``z``, from SVDs stacked 256 at a time."""
+    a = np.asarray(a, dtype=float)
+    m = np.asarray(delays, dtype=np.int64)
+    z = np.asarray(z, dtype=complex)
+    parts = [
+        np.linalg.svd((part[:, None] ** m)[:, :, None] * np.eye(m.size) - a, compute_uv=False)[:, -1]
+        for part in np.split(z, range(256, z.size, 256))
+    ]
+    return np.concatenate(parts)
+
+
 def poles_companion(den):
     """Roots of a z^-1-ascending polynomial ``den`` read as monic-descending
     in z: eigenvalues of its companion matrix (dense, O(order^3))."""

@@ -413,6 +413,17 @@ class TestSimulateAndPoles:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
 
+    def test_render_beyond_the_budget_refused_before_any_file(self, tmp_path, capsys):
+        # 2**60 samples: numpy itself refuses an array that large, so the
+        # typed refusal is checked without any risk of filling memory
+        path = tmp_path / "ref.json"
+        save_system(path, design_homogeneous_siso(fv.HOMOG_DELAYS, fv.HOMOG_GAMMA).fdn)
+        csv_path = tmp_path / "x.csv"
+        assert run_cli("simulate", str(path), "--length", str(2**60), "--csv", str(csv_path)) == 1
+        captured = capsys.readouterr()
+        assert "render budget" in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.json"]
+
     def test_multichannel_wav_rate_refused_before_the_render(self, tmp_path, capsys):
         # 2^30 Hz fits one channel's header but not the byte rate of two
         from uniallpass import poletti_unitary, random_orthogonal
